@@ -5,7 +5,6 @@ from .ring import Poly
 from .cyclotomic import (
     CycloElem,
     CycloField,
-    cyclo_from_root_power,
     cyclotomic_poly,
     euler_phi,
     reduce_mod_phi_power,
@@ -32,7 +31,6 @@ from .congruence import (
     verify_tauraso_mod_phi,
 )
 from .rootid import (
-    RootContext,
     compute_auxiliaries,
     verify_aux_properties,
     verify_even_case,
@@ -60,7 +58,6 @@ __all__ = [
     "CycloElem",
     "CycloField",
     "cyclotomic_poly",
-    "cyclo_from_root_power",
     "euler_phi",
     "reduce_mod_phi_power",
     "q_pochhammer",
@@ -80,7 +77,6 @@ __all__ = [
     "verify_lucas_qbinom",
     "verify_central_qbinom_congruence",
     "verify_row_qbinom_congruence",
-    "RootContext",
     "compute_auxiliaries",
     "verify_main3n",
     "verify_main3n_new",

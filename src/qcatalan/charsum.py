@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Optional
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import CycloElem, euler_phi, factorize
+from .cyclotomic import CycloElem, CycloField, euler_phi, factorize
 
 # ---------------------------------------------------------------------------
 # multiplicative structure of (Z/m)* for odd m, via CRT over prime powers
@@ -199,13 +199,10 @@ class CharSums:
 
 def _accumulate(L: int, terms: list[tuple[int, int]]) -> CycloElem:
     """sum of c * zeta_L^e over (e, c) pairs, reduced mod Phi_L once."""
-    from .cyclotomic import _phi_int_coeffs, _reduce_int_vec
-
     vec = [0] * L
     for e, c in terms:
         vec[e % L] += c
-    _reduce_int_vec(vec, _phi_int_coeffs(L))
-    return CycloElem(L, vec)
+    return CycloField(L).element(vec)
 
 
 def compute_char_sums(N: int, chi: DirichletChar) -> CharSums:

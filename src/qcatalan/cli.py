@@ -3,10 +3,10 @@ expressions, and run verification suites over parameter sweeps with
 JSON-lines reporting.
 
 Exit codes: 0 when every executed check passes, 1 when any check fails,
-2 on usage errors.  Report streams are deterministic: tasks are generated
-in sorted parameter order and the writer preserves that order regardless
-of worker completion order, so reruns are byte-identical apart from the
-elapsed_ms timing field.
+2 on usage errors, 3 when the requested sweeps select no checks at all.
+Report streams are deterministic: tasks are generated in sorted parameter
+order and the writer preserves that order regardless of worker completion
+order, so reruns are byte-identical apart from the elapsed_ms timing field.
 """
 
 from __future__ import annotations
@@ -15,65 +15,15 @@ import argparse
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
-from typing import Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import charsum, congruence, qcomb, qdsl, rootid
 from .cyclotomic import cyclotomic_poly
 from .congruence import VerificationReport
-
-SUITES = (
-    "tauraso-phi",
-    "liu-phi2",
-    "main-phi2",
-    "liu-petrov",
-    "tauraso13",
-    "lucas",
-    "central-binom",
-    "row-binom",
-    "main3n",
-    "main3n-new",
-    "mid",
-    "extan",
-    "explicit",
-    "even",
-    "odd",
-    "aux",
-    "pfd",
-    "trig",
-    "sawtooth",
-    "taoconj",
-    "maj-oracle",
-    "dsl-corpus",
-)
-
-FLOAT_SUITES = ("trig", "taoconj")
-
-# default upper sweep bounds, chosen so `verify all` stays comfortably
-# inside a coffee break; --n/--n-max override per run
-DEFAULT_MAX = {
-    "tauraso-phi": 60,
-    "liu-phi2": 60,
-    "main-phi2": 60,
-    "liu-petrov": 40,
-    "tauraso13": 15,
-    "lucas": 30,
-    "central-binom": 20,
-    "row-binom": 25,
-    "main3n": 10,
-    "main3n-new": 8,
-    "mid": 8,
-    "extan": 20,
-    "explicit": 12,
-    "even": 8,
-    "odd": 8,
-    "aux": 8,
-    "trig": 100,
-    "sawtooth": 8,
-    "taoconj": 13,  # modulus 2N-1 <= 25
-}
 
 LUCAS_COUNT = 500
 LUCAS_SEED = 20240801
@@ -95,25 +45,35 @@ class RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# task generation (deterministic, sorted parameter order)
+# sweep helpers (deterministic, sorted parameter order)
 
 Task = tuple[str, dict]
 
 
-def _bounds(config: RunConfig, suite: str, lo: int) -> range:
+def _ns(config: RunConfig, lo: int) -> range:
     if config.n is not None:
         return range(max(lo, config.n), config.n + 1)
-    hi = config.n_max if config.n_max is not None else DEFAULT_MAX[suite]
-    return range(lo, hi + 1)
+    return range(lo, config.n_max + 1)
 
 
-def _j_values(config: RunConfig, m: int) -> list[int]:
+def _js(config: RunConfig, m: int) -> list[int]:
     if config.j == "all":
         return rootid.galois_orbit(m)
     j = int(config.j)
-    if gcd(j, m) != 1:
-        return []
-    return [j]
+    return [j] if gcd(j, m) == 1 else []
+
+
+def _lucas_tuples(config: RunConfig) -> Iterator[dict]:
+    rng = random.Random(LUCAS_SEED)
+    for _ in range(LUCAS_COUNT):
+        n = rng.randint(2, max(2, config.n_max))
+        yield {
+            "a": rng.randint(0, 4),
+            "b": rng.randint(0, n - 1),
+            "c": rng.randint(0, 4),
+            "d": rng.randint(0, n - 1),
+            "n": n,
+        }
 
 
 def _extan_samples(m: int) -> list[Fraction]:
@@ -127,157 +87,222 @@ def _extan_samples(m: int) -> list[Fraction]:
     return out
 
 
-def generate_tasks(config: RunConfig, suite: str) -> Iterator[Task]:
-    if suite == "tauraso-phi":
-        for n in _bounds(config, suite, 2):
-            yield (suite, {"n": n})
-    elif suite == "liu-phi2":
-        for n in _bounds(config, suite, 2):
-            if n % 3 != 0:
-                yield (suite, {"n": n})
-    elif suite == "main-phi2":
-        for n in _bounds(config, suite, 3):
-            if n % 3 == 0:
-                yield (suite, {"n": n})
-    elif suite == "liu-petrov":
-        for n in _bounds(config, suite, 2):
-            yield (suite, {"n": n})
-    elif suite == "tauraso13":
-        for n in _bounds(config, suite, 1):
-            yield (suite, {"n": n})
-    elif suite == "lucas":
-        rng = random.Random(LUCAS_SEED)
-        hi = config.n_max if config.n_max is not None else DEFAULT_MAX[suite]
-        for _ in range(LUCAS_COUNT):
-            n = rng.randint(2, max(2, hi))
-            yield (
-                suite,
-                {
-                    "a": rng.randint(0, 4),
-                    "b": rng.randint(0, n - 1),
-                    "c": rng.randint(0, 4),
-                    "d": rng.randint(0, n - 1),
-                    "n": n,
-                },
-            )
-    elif suite in ("central-binom", "row-binom"):
-        for n in _bounds(config, suite, 2):
-            for k in range(1, n):
-                yield (suite, {"n": n, "k": k})
-    elif suite in ("main3n", "main3n-new", "explicit"):
-        for n in _bounds(config, suite, 1):
-            for j in _j_values(config, 3 * n):
-                yield (suite, {"n": n, "j": j})
-    elif suite == "mid":
-        for n in _bounds(config, suite, 2):
-            yield (suite, {"n": n})
-    elif suite == "extan":
-        for m in _bounds(config, suite, 1):
-            for z in _extan_samples(m):
-                yield (suite, {"m": m, "z_num": z.numerator, "z_den": z.denominator})
-    elif suite in ("even", "odd"):
-        for N in _bounds(config, suite, 1):
-            m = 6 * N if suite == "even" else 6 * N - 3
-            for j in _j_values(config, m):
-                yield (suite, {"N": N, "j": j})
-    elif suite == "aux":
-        for N in _bounds(config, suite, 1):
-            for j in _j_values(config, 6 * N):
-                yield (suite, {"N": N, "j": j, "even": 1})
-            for j in _j_values(config, 6 * N - 3):
-                yield (suite, {"N": N, "j": j, "even": 0})
-    elif suite == "pfd":
-        for code in (3, 6, 0):
-            yield (suite, {"kind": code})
-    elif suite == "trig":
-        for N in _bounds(config, suite, 2):
-            yield (suite, {"N": N})
-    elif suite == "sawtooth":
-        for N in _bounds(config, suite, 2):
-            js = _j_values(config, 6 * N - 3)
-            j = js[0] if js else None
-            if j is None:
-                continue
-            for k in range(1, 2 * N - 1):
-                yield (suite, {"N": N, "j": j, "k": k})
-    elif suite == "taoconj":
-        for N in _bounds(config, suite, 2):
-            m = 2 * N - 1
-            if m % 3 == 0:
-                continue
-            for idx, chi in enumerate(charsum.character_group(m)):
-                if not chi.is_principal():
-                    yield (suite, {"N": N, "m": m, "chi": idx})
-    elif suite == "maj-oracle":
-        hi = config.n_max if config.n_max is not None else 8
-        for k in range(0, min(hi, qcomb.MAJ_ORACLE_BOUND) + 1):
-            yield (suite, {"k": k})
-    elif suite == "dsl-corpus":
-        for entry in qdsl.shipped_corpus():
-            yield (suite, {"line": entry.line_no})
-    else:
-        raise ValueError(f"unknown suite: {suite}")
+@lru_cache(maxsize=1)
+def _corpus() -> dict[int, qdsl.CorpusEntry]:
+    """The shipped corpus by line number, parsed once per process."""
+    return {entry.line_no: entry for entry in qdsl.shipped_corpus()}
 
 
 # ---------------------------------------------------------------------------
-# task execution (top-level function so process pools can pickle it)
-
-_PFD_KIND = {3: "pfd3", 6: "pfd6", 0: "cube"}
+# the suite table
 
 
-def execute_task(task: tuple[str, dict, str, float]) -> VerificationReport:
-    suite, p, mode, tol = task
-    if suite == "tauraso-phi":
-        return congruence.verify_tauraso_mod_phi(p["n"])
-    if suite == "liu-phi2":
-        return congruence.verify_liu_mod_phi2(p["n"])
-    if suite == "main-phi2":
-        return congruence.verify_main_theorem(p["n"])
-    if suite == "liu-petrov":
-        return congruence.verify_liu_petrov(p["n"])
-    if suite == "tauraso13":
-        return congruence.verify_tauraso13_identity(p["n"])
-    if suite == "lucas":
-        return congruence.verify_lucas_qbinom(p["a"], p["b"], p["c"], p["d"], p["n"])
-    if suite == "central-binom":
-        return congruence.verify_central_qbinom_congruence(p["n"], p["k"])
-    if suite == "row-binom":
-        return congruence.verify_row_qbinom_congruence(p["n"], p["k"])
-    if suite == "main3n":
-        return rootid.verify_main3n(p["n"], p["j"])
-    if suite == "main3n-new":
-        return rootid.verify_main3n_new(p["n"], p["j"])
-    if suite == "mid":
-        return rootid.verify_mid_identity(p["n"])
-    if suite == "extan":
-        return rootid.verify_extan(p["m"], Fraction(p["z_num"], p["z_den"]))
-    if suite == "explicit":
-        return rootid.verify_explicit(p["n"], p["j"])
-    if suite == "even":
-        return rootid.verify_even_case(p["N"], p["j"])
-    if suite == "odd":
-        return rootid.verify_odd_case(p["N"], p["j"])
-    if suite == "aux":
-        return rootid.verify_aux_properties(
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite.
+
+    tasks(config) yields the parameter dicts of the sweep, with
+    config.n_max already set to default_max when the run gives no bound;
+    run(params, mode, tol) performs one check.  Rows call their verify_*
+    function through its module attribute at call time, so a wrapper
+    patched onto the module sees every call.
+    """
+
+    name: str
+    tasks: Callable[[RunConfig], Iterable[dict]]
+    run: Callable[[dict, str, float], VerificationReport]
+    # default upper sweep bound, chosen so `verify all` stays comfortably
+    # inside a coffee break; --n/--n-max override it per run
+    default_max: Optional[int] = None
+    float_ok: bool = False
+
+
+SUITE_TABLE = (
+    Suite(
+        "tauraso-phi",
+        lambda c: ({"n": n} for n in _ns(c, 2)),
+        lambda p, mode, tol: congruence.verify_tauraso_mod_phi(**p),
+        default_max=60,
+    ),
+    Suite(
+        "liu-phi2",
+        lambda c: ({"n": n} for n in _ns(c, 2) if n % 3 != 0),
+        lambda p, mode, tol: congruence.verify_liu_mod_phi2(**p),
+        default_max=60,
+    ),
+    Suite(
+        "main-phi2",
+        lambda c: ({"n": n} for n in _ns(c, 3) if n % 3 == 0),
+        lambda p, mode, tol: congruence.verify_main_theorem(**p),
+        default_max=60,
+    ),
+    Suite(
+        "liu-petrov",
+        lambda c: ({"n": n} for n in _ns(c, 2)),
+        lambda p, mode, tol: congruence.verify_liu_petrov(**p),
+        default_max=40,
+    ),
+    Suite(
+        "tauraso13",
+        lambda c: ({"n": n} for n in _ns(c, 1)),
+        lambda p, mode, tol: congruence.verify_tauraso13_identity(**p),
+        default_max=15,
+    ),
+    Suite(
+        "lucas",
+        _lucas_tuples,
+        lambda p, mode, tol: congruence.verify_lucas_qbinom(**p),
+        default_max=30,
+    ),
+    Suite(
+        "central-binom",
+        lambda c: ({"n": n, "k": k} for n in _ns(c, 2) for k in range(1, n)),
+        lambda p, mode, tol: congruence.verify_central_qbinom_congruence(**p),
+        default_max=20,
+    ),
+    Suite(
+        "row-binom",
+        lambda c: ({"n": n, "k": k} for n in _ns(c, 2) for k in range(1, n)),
+        lambda p, mode, tol: congruence.verify_row_qbinom_congruence(**p),
+        default_max=25,
+    ),
+    Suite(
+        "main3n",
+        lambda c: ({"n": n, "j": j} for n in _ns(c, 1) for j in _js(c, 3 * n)),
+        lambda p, mode, tol: rootid.verify_main3n(**p),
+        default_max=10,
+    ),
+    Suite(
+        "main3n-new",
+        lambda c: ({"n": n, "j": j} for n in _ns(c, 1) for j in _js(c, 3 * n)),
+        lambda p, mode, tol: rootid.verify_main3n_new(**p),
+        default_max=8,
+    ),
+    Suite(
+        "mid",
+        lambda c: ({"n": n} for n in _ns(c, 2)),
+        lambda p, mode, tol: rootid.verify_mid_identity(**p),
+        default_max=8,
+    ),
+    Suite(
+        "extan",
+        lambda c: (
+            {"m": m, "z_num": z.numerator, "z_den": z.denominator}
+            for m in _ns(c, 1)
+            for z in _extan_samples(m)
+        ),
+        lambda p, mode, tol: rootid.verify_extan(
+            p["m"], Fraction(p["z_num"], p["z_den"])
+        ),
+        default_max=20,
+    ),
+    Suite(
+        "explicit",
+        lambda c: ({"n": n, "j": j} for n in _ns(c, 1) for j in _js(c, 3 * n)),
+        lambda p, mode, tol: rootid.verify_explicit(**p),
+        default_max=12,
+    ),
+    Suite(
+        "even",
+        lambda c: ({"N": N, "j": j} for N in _ns(c, 1) for j in _js(c, 6 * N)),
+        lambda p, mode, tol: rootid.verify_even_case(**p),
+        default_max=8,
+    ),
+    Suite(
+        "odd",
+        lambda c: ({"N": N, "j": j} for N in _ns(c, 1) for j in _js(c, 6 * N - 3)),
+        lambda p, mode, tol: rootid.verify_odd_case(**p),
+        default_max=8,
+    ),
+    Suite(
+        "aux",
+        lambda c: (
+            {"N": N, "j": j, "even": even}
+            for N in _ns(c, 1)
+            for even, m in ((1, 6 * N), (0, 6 * N - 3))
+            for j in _js(c, m)
+        ),
+        lambda p, mode, tol: rootid.verify_aux_properties(
             p["N"], p["j"], "even" if p["even"] else "odd"
-        )
-    if suite == "pfd":
-        return rootid.verify_pfd(_PFD_KIND[p["kind"]])
-    if suite == "trig":
-        return rootid.verify_trig_identity(p["N"], tol)
-    if suite == "sawtooth":
-        return rootid.verify_sawtooth(p["N"], p["j"], p["k"])
-    if suite == "taoconj":
-        chi = charsum.character_group(p["m"])[p["chi"]]
-        return charsum.verify_taoconj(p["N"], chi, mode, tol)
-    if suite == "maj-oracle":
-        return congruence.verify_maj_oracle(p["k"])
-    if suite == "dsl-corpus":
-        entry = next(
-            e for e in qdsl.shipped_corpus() if e.line_no == p["line"]
-        )
-        return qdsl.run_corpus_entry(entry)
-    raise ValueError(f"unknown suite: {suite}")
+        ),
+        default_max=8,
+    ),
+    Suite(
+        "pfd",
+        lambda c: ({"kind": code} for code in (3, 6, 0)),
+        lambda p, mode, tol: rootid.verify_pfd(
+            {3: "pfd3", 6: "pfd6", 0: "cube"}[p["kind"]]
+        ),
+    ),
+    Suite(
+        "trig",
+        lambda c: ({"N": N} for N in _ns(c, 2)),
+        lambda p, mode, tol: rootid.verify_trig_identity(p["N"], tol),
+        default_max=100,
+        float_ok=True,
+    ),
+    Suite(
+        "sawtooth",
+        # one Galois conjugate per N: the first admissible j
+        lambda c: (
+            {"N": N, "j": j, "k": k}
+            for N in _ns(c, 2)
+            for j in _js(c, 6 * N - 3)[:1]
+            for k in range(1, 2 * N - 1)
+        ),
+        lambda p, mode, tol: rootid.verify_sawtooth(**p),
+        default_max=8,
+    ),
+    Suite(
+        "taoconj",
+        lambda c: (
+            {"N": N, "m": 2 * N - 1, "chi": idx}
+            for N in _ns(c, 2)
+            if (2 * N - 1) % 3 != 0
+            for idx, chi in enumerate(charsum.character_group(2 * N - 1))
+            if not chi.is_principal()
+        ),
+        lambda p, mode, tol: charsum.verify_taoconj(
+            p["N"], charsum.character_group(p["m"])[p["chi"]], mode, tol
+        ),
+        default_max=13,  # modulus 2N-1 <= 25
+        float_ok=True,
+    ),
+    Suite(
+        "maj-oracle",
+        lambda c: ({"k": k} for k in range(min(c.n_max, qcomb.MAJ_ORACLE_BOUND) + 1)),
+        lambda p, mode, tol: congruence.verify_maj_oracle(**p),
+        default_max=8,
+    ),
+    Suite(
+        "dsl-corpus",
+        lambda c: ({"line": line} for line in _corpus()),
+        lambda p, mode, tol: qdsl.run_corpus_entry(_corpus()[p["line"]]),
+    ),
+)
+
+SUITES = tuple(suite.name for suite in SUITE_TABLE)
+_BY_NAME = {suite.name: suite for suite in SUITE_TABLE}
+
+
+def _suite(name: str) -> Suite:
+    if name not in _BY_NAME:
+        raise ValueError(f"unknown suite: {name}")
+    return _BY_NAME[name]
+
+
+def generate_tasks(config: RunConfig, suite: str) -> Iterator[Task]:
+    row = _suite(suite)
+    if config.n_max is None:
+        config = replace(config, n_max=row.default_max)
+    for params in row.tasks(config):
+        yield (suite, params)
+
+
+# top-level function so process pools can pickle it
+def execute_task(task: tuple[str, dict, str, float]) -> VerificationReport:
+    suite, params, mode, tol = task
+    return _suite(suite).run(params, mode, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -286,10 +311,11 @@ def execute_task(task: tuple[str, dict, str, float]) -> VerificationReport:
 
 def run_verify(config: RunConfig, stdout: TextIO) -> int:
     if config.mode == "float":
-        bad = [s for s in config.suites if s not in FLOAT_SUITES]
+        float_ok = [s.name for s in SUITE_TABLE if s.float_ok]
+        bad = [s for s in config.suites if s not in float_ok]
         if bad:
             print(
-                f"float mode is only defined for {', '.join(FLOAT_SUITES)}; "
+                f"float mode is only defined for {', '.join(float_ok)}; "
                 f"not for {', '.join(bad)}",
                 file=sys.stderr,
             )
@@ -298,6 +324,9 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
     for suite in config.suites:
         for sid, params in generate_tasks(config, suite):
             tasks.append((sid, params, config.mode, config.tol))
+    if not tasks:
+        print("no checks to run: the requested sweeps select no parameters", file=sys.stderr)
+        return 3
 
     if config.jobs > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:

@@ -244,9 +244,9 @@ def verify_tauraso13_identity(n: int) -> VerificationReport:
 def verify_maj_oracle(k: int) -> VerificationReport:
     """C_k equals the exhaustive maj generating polynomial over ballot
     words of length 2k, and C_k(1) is the ordinary Catalan number."""
-    ck = q_catalan(k)
 
     def witness() -> Optional[str]:
+        ck = q_catalan(k)
         oracle = q_catalan_maj_oracle(k)
         if ck != oracle:
             return f"maj oracle mismatch: {(ck - oracle).render()}"

@@ -421,11 +421,6 @@ class CycloElem:
         return acc / self.den
 
 
-def cyclo_from_root_power(m: int, t: int) -> CycloElem:
-    """zeta_m^t as an element of Q(zeta_m)."""
-    return CycloElem.root_power(m, t)
-
-
 _PHI_INT_CACHE: dict[int, tuple[int, ...]] = {}
 
 

@@ -39,6 +39,7 @@ from .congruence import VerificationReport, run_check
 from .cyclotomic import CycloElem, reduce_mod_phi_power
 from .qcomb import gaussian_binomial, legendre3, q_catalan
 from .ring import Poly
+from .rootid import galois_orbit
 
 # ---------------------------------------------------------------------------
 # errors
@@ -686,9 +687,7 @@ def _sweep(
             raise ValueError("'all' sweeps are only supported for j")
         if "m" not in bound:
             raise ValueError("j=all needs m bound earlier in the parameter list")
-        m = bound["m"]
-        js = [1] if m == 1 else [j for j in range(1, m) if gcd(j, m) == 1]
-        for v in js:
+        for v in galois_orbit(bound["m"]):
             bound[name] = v
             yield from _sweep(entry, idx + 1, bound)
         bound.pop(name, None)

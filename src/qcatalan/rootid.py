@@ -38,30 +38,6 @@ def _require_coprime(j: int, m: int) -> None:
         raise ValueError(f"j = {j} is not coprime to {m}")
 
 
-def coprime_residues(m: int) -> list[int]:
-    """All 1 <= j < m with gcd(j, m) = 1 (j = 1 when m = 1)."""
-    if m == 1:
-        return [1]
-    return [j for j in range(1, m) if gcd(j, m) == 1]
-
-
-@dataclass(frozen=True)
-class RootContext:
-    """A primitive root of unity q = zeta_{3n}^j with gcd(j, 3n) = 1."""
-
-    n: int
-    j: int
-    q: CycloElem
-
-    @classmethod
-    def create(cls, n: int, j: int) -> "RootContext":
-        if n < 1:
-            raise ValueError("need n >= 1")
-        m = 3 * n
-        _require_coprime(j, m)
-        return cls(n, j, CycloElem.root_power(m, j))
-
-
 class _Accum:
     """Exact accumulator for sums of terms c * x^e * v in Q[x]/(x^m - 1),
     where v is a cached group-algebra vector with its own denominator."""
@@ -125,8 +101,10 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
       + sum_{k=1}^{n-1} (-1)^k q^{k(3k+5)/2} / (1 - q^{3k})
       = 1/3 + (3n+1)/6 * q^{2n}.
     """
-    ctx = RootContext.create(n, j)
+    if n < 1:
+        raise ValueError("need n >= 1")
     m = 3 * n
+    _require_coprime(j, m)
 
     def witness() -> Optional[str]:
         f = _field(m)
@@ -144,7 +122,7 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
             assert s != 0, "denominator 1 - q^(3k) vanished"
             acc.add_vec(f.inv_one_minus(s), j * (num // 2), (-1) ** k)
         acc.add_monomial(Fraction(-1, 3))
-        acc.add_monomial(Fraction(-(3 * n + 1), 6), 2 * n * ctx.j)
+        acc.add_monomial(Fraction(-(3 * n + 1), 6), 2 * n * j)
         return _zero_witness(acc)
 
     return run_check("main3n", {"n": n, "j": j}, witness)
@@ -152,8 +130,10 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
 
 def verify_explicit(n: int, j: int) -> VerificationReport:
     """At q = zeta_{3n}^j: sum_{k=1}^{n} 1/(1 - q^{3k-1}) = (n/3)(1 - q^n)."""
-    RootContext.create(n, j)
+    if n < 1:
+        raise ValueError("need n >= 1")
     m = 3 * n
+    _require_coprime(j, m)
 
     def witness() -> Optional[str]:
         f = _field(m)
@@ -690,19 +670,19 @@ def verify_trig_identity(N: int, tol: float = 1e-9) -> VerificationReport:
         raise ValueError("need N >= 2")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    x = math.pi / (6 * N - 3)
-    terms: list[float] = []
-    for k in range(1, N):
-        assert 2 * N - 1 - 2 * k != 0
-        terms.append(1.0 / math.sin(2 * k * x))
-        terms.append(1.0 / math.tan((2 * N - 1 - k) * x))
-        terms.append(-1.0 / math.tan((2 * N - 1 - 2 * k) * x))
-    total = math.fsum(terms)
-    return run_check(
-        "trig",
-        {"N": N},
-        lambda: None if abs(total) < tol else f"|sum| = {abs(total):.3e} >= {tol:.1e}",
-    )
+
+    def witness() -> Optional[str]:
+        x = math.pi / (6 * N - 3)
+        terms: list[float] = []
+        for k in range(1, N):
+            assert 2 * N - 1 - 2 * k != 0
+            terms.append(1.0 / math.sin(2 * k * x))
+            terms.append(1.0 / math.tan((2 * N - 1 - k) * x))
+            terms.append(-1.0 / math.tan((2 * N - 1 - 2 * k) * x))
+        total = math.fsum(terms)
+        return None if abs(total) < tol else f"|sum| = {abs(total):.3e} >= {tol:.1e}"
+
+    return run_check("trig", {"N": N}, witness)
 
 
 def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
@@ -740,5 +720,8 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
 
 
 def galois_orbit(m: int) -> list[int]:
-    """All admissible j for a primitive m-th root context."""
-    return coprime_residues(m)
+    """All admissible j for a primitive m-th root context: 1 <= j < m with
+    gcd(j, m) = 1 (j = 1 when m = 1)."""
+    if m == 1:
+        return [1]
+    return [j for j in range(1, m) if gcd(j, m) == 1]

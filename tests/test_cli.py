@@ -164,3 +164,15 @@ def test_every_listed_suite_runs_small(capsys):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0, (suite, out)
         assert "failed" not in out or "0 failed" in out
+
+
+def test_verify_without_checks_exits_3(capsys):
+    for argv in (
+        ["verify", "tauraso-phi", "--n", "1"],
+        ["verify", "main3n", "--n", "2", "--j", "3"],
+        ["verify", "taoconj", "--n", "2"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 3, argv
+        assert out == ""
+        assert "no checks" in err

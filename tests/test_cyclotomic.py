@@ -8,7 +8,6 @@ import pytest
 from qcatalan.cyclotomic import (
     CycloElem,
     CycloField,
-    cyclo_from_root_power,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -77,20 +76,20 @@ def test_reduce_matches_schoolbook_randomised():
 
 
 def test_root_power_examples():
-    assert cyclo_from_root_power(4, 1) == CycloElem(4, [0, 1])
-    assert cyclo_from_root_power(3, 3) == CycloElem(3, [1])
-    assert cyclo_from_root_power(3, 2) == CycloElem(3, [-1, -1])
+    assert CycloElem.root_power(4, 1) == CycloElem(4, [0, 1])
+    assert CycloElem.root_power(3, 3) == CycloElem(3, [1])
+    assert CycloElem.root_power(3, 2) == CycloElem(3, [-1, -1])
 
 
 def test_root_power_order():
     for m in (1, 2, 3, 8, 12, 15):
         for t in range(-5, 2 * m):
-            assert cyclo_from_root_power(m, t) ** m == 1
+            assert CycloElem.root_power(m, t) ** m == 1
 
 
 def test_field_examples():
     one = CycloElem.one(3)
-    q = cyclo_from_root_power(3, 1)
+    q = CycloElem.root_power(3, 1)
     assert (one - q) * (one - q * q) == 3
     assert (one - q * q).inv() == CycloElem(3, [1, -1], 3)
     assert (one + q + q * q).is_zero()
@@ -143,7 +142,7 @@ def test_reduction_consistency_with_evaluation():
     for _ in range(60):
         n = rng.randint(1, 20)
         p = Poly([rng.randint(-20, 20) for _ in range(rng.randint(0, 30))])
-        x = cyclo_from_root_power(n, 1)
+        x = CycloElem.root_power(n, 1)
         direct = CycloElem.zero(n)
         for k, c in enumerate(p.coeffs):
             direct = direct + x**k * c
@@ -161,8 +160,8 @@ def test_xgcd():
 
 
 def test_negative_power_reduced_mod_m():
-    q = cyclo_from_root_power(12, 5)
-    assert q**-1 == cyclo_from_root_power(12, -5) == cyclo_from_root_power(12, 7)
+    q = CycloElem.root_power(12, 5)
+    assert q**-1 == CycloElem.root_power(12, -5) == CycloElem.root_power(12, 7)
 
 
 def test_memo_idempotent_under_threads():
@@ -187,7 +186,7 @@ def test_memo_idempotent_under_threads():
 def test_rational_and_render():
     e = CycloElem.from_rational(3, Fraction(2, 3))
     assert e.as_rational() == Fraction(2, 3)
-    inv = (CycloElem.one(3) - cyclo_from_root_power(3, 1)).inv()
+    inv = (CycloElem.one(3) - CycloElem.root_power(3, 1)).inv()
     assert inv.render() == "2/3 + 1/3*x (mod Phi_3)"
 
 

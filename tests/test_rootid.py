@@ -7,7 +7,6 @@ import pytest
 
 from qcatalan.cyclotomic import CycloElem
 from qcatalan.rootid import (
-    RootContext,
     compute_auxiliaries,
     galois_orbit,
     mid_degree_bound,
@@ -28,16 +27,18 @@ from qcatalan.rootid import _mid_lhs, _mid_rhs
 
 
 def test_root_context_validation():
-    ctx = RootContext.create(2, 5)
-    assert ctx.q == CycloElem.root_power(6, 5)
-    with pytest.raises(ValueError):
-        RootContext.create(2, 2)  # gcd(2, 6) > 1
+    assert verify_main3n(2, 5).passed and verify_explicit(2, 5).passed
+    for verify in (verify_main3n, verify_explicit):
+        with pytest.raises(ValueError):
+            verify(2, 2)  # gcd(2, 6) > 1
+        with pytest.raises(ValueError):
+            verify(0, 1)
 
 
 def test_root_context_primitivity():
     # q^(3n) = 1 and q^t != 1 for 0 < t < 3n
     for (n, j) in ((1, 2), (2, 5), (4, 7)):
-        q = RootContext.create(n, j).q
+        q = CycloElem.root_power(3 * n, j)
         assert q ** (3 * n) == 1
         for t in range(1, 3 * n):
             assert not (q**t - 1).is_zero(), (n, j, t)
