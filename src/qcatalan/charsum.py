@@ -14,7 +14,7 @@ even-modulus machinery would be dead weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .congruence import VerificationReport, run_check
@@ -140,6 +140,29 @@ class DirichletChar:
             f *= p ** (1 + v)
         return f
 
+    @classmethod
+    def from_index(cls, m: int, idx: int) -> "DirichletChar":
+        """The character numbered idx mod m: the exponent vector read as a
+        mixed-radix number over the cyclic factor orders, first exponent
+        least significant.  Inverse of `index`."""
+        orders = _group_data(m).orders
+        if not 0 <= idx < prod(orders):
+            raise ValueError(f"no character number {idx} mod {m}")
+        exps = []
+        for s in orders:
+            idx, t = divmod(idx, s)
+            exps.append(t)
+        return cls(m, tuple(exps))
+
+    @property
+    def index(self) -> int:
+        """The position of this character in `character_group(modulus)`."""
+        data = _group_data(self.modulus)
+        idx = 0
+        for s, t in zip(reversed(data.orders), reversed(self.exponents)):
+            idx = idx * s + t
+        return idx
+
     def __mul__(self, other: "DirichletChar") -> "DirichletChar":
         if self.modulus != other.modulus:
             raise ValueError("modulus mismatch")
@@ -153,21 +176,12 @@ class DirichletChar:
 def character_group(m: int) -> list[DirichletChar]:
     """All phi(m) Dirichlet characters mod odd m >= 3, principal first.
 
-    Enumeration order is deterministic: exponent vectors in mixed-radix
-    order over the cyclic factor orders.
+    Enumeration order is deterministic: character number idx is
+    `DirichletChar.from_index(m, idx)`.
     """
-    data = _group_data(m)
-    chars: list[DirichletChar] = []
-    total = 1
-    for s in data.orders:
-        total *= s
-    for idx in range(total):
-        exps = []
-        rest = idx
-        for s in data.orders:
-            exps.append(rest % s)
-            rest //= s
-        chars.append(DirichletChar(m, tuple(exps)))
+    chars = [
+        DirichletChar.from_index(m, idx) for idx in range(prod(_group_data(m).orders))
+    ]
     assert len(chars) == euler_phi(m)
     return chars
 
@@ -260,8 +274,7 @@ def verify_taoconj(
         raise ValueError("the identity excludes the principal character")
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    chars = character_group(2 * N - 1)
-    params = {"N": N, "m": 2 * N - 1, "chi": chars.index(chi)}
+    params = {"N": N, "m": 2 * N - 1, "chi": chi.index}
 
     def witness() -> Optional[str]:
         sums = compute_char_sums(N, chi)

@@ -263,7 +263,7 @@ SUITE_TABLE = (
             if not chi.is_principal()
         ),
         lambda p, mode, tol: charsum.verify_taoconj(
-            p["N"], charsum.character_group(p["m"])[p["chi"]], mode, tol
+            p["N"], charsum.DirichletChar.from_index(p["m"], p["chi"]), mode, tol
         ),
         default_max=13,  # modulus 2N-1 <= 25
         float_ok=True,

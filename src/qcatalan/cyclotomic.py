@@ -153,7 +153,8 @@ def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid over Q[x]: returns (g, u, v) with u*a + v*b = g.
 
-    g is monic unless both inputs are zero.
+    g is monic unless both inputs are zero.  Used for inverses modulo
+    Phi_n^e, which is not a field; CycloElem.inv uses the field norm.
     """
     r0, r1 = a, b
     s0, s1 = Poly.one(), Poly.zero()
@@ -189,6 +190,17 @@ def _reduce_int_vec(vec: list[int], phi: Sequence[int]) -> list[int]:
                     vec[base + j] -= c * pj
     del vec[deg:]
     return vec
+
+
+def _mul_int_vec(a: Sequence[int], b: Sequence[int], phi: Sequence[int]) -> list[int]:
+    """Product of two integer coefficient lists modulo a monic polynomial."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return _reduce_int_vec(out, phi)
 
 
 def _gcd_list(values: Iterable[int]) -> int:
@@ -344,32 +356,39 @@ class CycloElem:
         if not isinstance(other, CycloElem):
             return NotImplemented
         self._check(other)
-        a, b = self.num, other.num
-        if not a or not b:
+        if not self.num or not other.num:
             return CycloElem.zero(self.m)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        _reduce_int_vec(out, _phi_int_coeffs(self.m))
+        out = _mul_int_vec(self.num, other.num, _phi_int_coeffs(self.m))
         return CycloElem(self.m, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloElem":
-        """Multiplicative inverse via the extended Euclidean algorithm.
+        """Multiplicative inverse by the field norm.
 
-        Phi_m is irreducible over Q, so every nonzero residue is a unit.
+        For a unit j mod m let sigma_j be the automorphism x -> x^j.  Then
+        N(a) = prod_j sigma_j(a) is a nonzero rational for a != 0, and
+
+            a^-1 = prod_{j != 1} sigma_j(a) / N(a).
+
+        Each conjugate is the index map x^i -> x^(i*j mod m) on the integer
+        numerator, so the whole product stays in integer lists.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
-        g, u, _ = poly_xgcd(Poly(self.num), cyclotomic_poly(self.m))
-        if g.degree != 0:
-            raise ArithmeticError("residue not invertible; modulus not irreducible?")
-        inv_poly = u * as_coeff(Fraction(1) / Fraction(g.coeffs[0]))
-        return CycloElem.from_poly(self.m, inv_poly) * self.den
+        m, num = self.m, self.num
+        phi = _phi_int_coeffs(m)
+        cofactor: list[int] = [1]
+        for j in range(2, m):
+            if gcd(j, m) == 1:
+                conj = [0] * m
+                for i, c in enumerate(num):
+                    conj[i * j % m] += c
+                cofactor = _mul_int_vec(cofactor, _reduce_int_vec(conj, phi), phi)
+        norm = _mul_int_vec(cofactor, num, phi)
+        if not norm[0] or any(norm[1:]):
+            raise ArithmeticError("norm is not a nonzero rational")
+        return CycloElem(m, [c * self.den for c in cofactor], norm[0])
 
     def __truediv__(self, other) -> "CycloElem":
         o = self._coerce(other)

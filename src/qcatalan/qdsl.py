@@ -434,6 +434,9 @@ def _evaluate(e: Expr, ctx: EvalContext):
         return a * _cy_inv(ctx, b)
     if isinstance(e, Pow):
         ex = _int(_scalar(e.exponent, ctx), e)
+        if not poly_mode and isinstance(e.base, Var) and e.base.name == "q":
+            m, j = ctx.field
+            return CycloElem.root_power(m, j * ex)  # q^e = zeta_m^(j*e)
         base = _evaluate(e.base, ctx)
         if poly_mode:
             if base.degree <= 0:

@@ -4,9 +4,9 @@ Every suite assembles (left side) - (right side) as an exact linear
 combination of terms c * x^e / (1 -+ x^s), accumulated in the group
 algebra Q[x]/(x^m - 1) over one common denominator and reduced modulo
 Phi_m only for the final zero test.  The inverses come from the cached
-norm-product representatives in CycloField; the sawtooth suite instead
-inverts through the extended Euclidean algorithm so that the expansion
-being verified plays no part in computing its own left-hand side.
+norm-product representatives in CycloField.  The partial fractions, the
+logarithmic-derivative sums and the sawtooth left side invert single field
+elements with CycloElem.inv, which is a norm product as well.
 """
 
 from __future__ import annotations
@@ -691,8 +691,10 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
 
         1/(1 - q^{6k}) = -1/(2N-1) * sum_{u=0}^{2N-2} u q^{6uk}.
 
-    The left side is inverted with the extended Euclidean algorithm, so
-    the identity under test is not used to compute it.
+    The left side is inverted with CycloElem.inv, i.e. as the product of
+    the Galois conjugates 1 - q^{6kt} (t a unit, t != 1) over their
+    rational product N(1 - q^{6k}).  That is a product, not a sum over u,
+    so the expansion under test is not used to compute it.
     """
     if N < 2:
         raise ValueError("need N >= 2")

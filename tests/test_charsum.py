@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from qcatalan.charsum import (
+    DirichletChar,
     char_value,
     character_group,
     compute_char_sums,
@@ -143,6 +144,16 @@ def test_taoconj_rejects_bad_modulus():
     chars9 = character_group(9)
     with pytest.raises(ValueError):
         verify_taoconj(5, chars9[1])  # m = 9 divisible by 3
+
+
+def test_character_index_round_trip():
+    for m in range(3, 100, 2):
+        for idx, chi in enumerate(character_group(m)):
+            assert chi.index == idx
+            assert DirichletChar.from_index(m, idx) == chi
+        for bad in (-1, euler_phi(m)):
+            with pytest.raises(ValueError):
+                DirichletChar.from_index(m, bad)
 
 
 def test_conductor():

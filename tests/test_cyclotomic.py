@@ -110,6 +110,42 @@ def test_field_inverse_randomised():
         assert a / a == 1
 
 
+def _xgcd_inverse(a):
+    # the extended Euclidean algorithm over Q[x], kept as the oracle for the
+    # norm-product inverse
+    g, u, _ = poly_xgcd(Poly(a.num), cyclotomic_poly(a.m))
+    assert g == Poly.one()
+    return CycloElem.from_poly(a.m, u) * a.den
+
+
+def test_inverse_matches_xgcd_oracle():
+    rng = random.Random(5772)
+    for m in range(1, 61):
+        deg = euler_phi(m)
+        # dense, with coefficients as large as the degree allows for a quick
+        # oracle: about 60 decimal digits in all
+        bound = 10 ** max(1, 60 // deg)
+        dense = CycloElem(
+            m, [rng.randint(-bound, bound) for _ in range(deg)], rng.randint(1, bound)
+        )
+        # 1 - c*x^k with rational c, as in the logarithmic-derivative sums
+        c = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        binomial = CycloElem.one(m) - CycloElem.root_power(m, rng.randrange(m)) * c
+        # 1 - x^s, as in the sawtooth expansion
+        cases = [dense, binomial] + [
+            CycloElem.one(m) - CycloElem.root_power(m, s) for s in (1, rng.randrange(m))
+        ]
+        for a in cases:
+            if a.is_zero():
+                continue
+            inv = a.inv()
+            assert inv == _xgcd_inverse(a), (m, a)
+            assert a * inv == 1
+    for m in (1, 12):
+        with pytest.raises(ZeroDivisionError):
+            CycloElem.zero(m).inv()
+
+
 def test_division_errors():
     a = CycloElem.one(3)
     with pytest.raises(ZeroDivisionError):
