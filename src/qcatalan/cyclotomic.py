@@ -3,7 +3,8 @@
 Phi_n is computed by recursive exact division, Phi_n = (q^n - 1) / prod of
 Phi_d over proper divisors d | n, and memoised.  The memo is an idempotent
 map: concurrent callers computing the same n store identical values, so a
-plain dict under the GIL is safe.
+plain dict under the GIL is safe.  The powers Phi_n^e that reductions
+divide by are kept in a bounded LRU cache.
 
 Field elements are residues mod Phi_m, held as an integer coefficient
 vector of length phi(m) over a single positive denominator in lowest
@@ -13,7 +14,9 @@ terms, which keeps the hot arithmetic in machine integers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import comb, gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .ring import Coeff, Poly, as_coeff
@@ -78,7 +81,6 @@ def factorize(n: int) -> list[tuple[int, int]]:
 # cyclotomic polynomials
 
 _PHI_CACHE: dict[int, Poly] = {}
-_PHI_POWER_CACHE: dict[tuple[int, int], Poly] = {}
 
 
 def cyclotomic_poly(n: int) -> Poly:
@@ -102,48 +104,57 @@ def cyclotomic_poly(n: int) -> Poly:
     return p
 
 
+@lru_cache(maxsize=256)
 def _phi_power(n: int, e: int) -> Poly:
-    key = (n, e)
-    cached = _PHI_POWER_CACHE.get(key)
-    if cached is None:
-        cached = cyclotomic_poly(n) ** e
-        _PHI_POWER_CACHE[key] = cached
-    return cached
+    return cyclotomic_poly(n) ** e
 
 
 def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
     """Remainder of p modulo Phi_n(q)^e.
 
     Large inputs are first folded modulo (q^n - 1)^e, which Phi_n^e
-    divides, so only a small dense division remains.
+    divides, so only a small dense division remains.  The fold is one
+    formula for every e: writing an exponent as a*n + r with 0 <= r < n,
+
+        q^(a*n + r) = q^r * (1 + (q^n - 1))^a
+                    = q^r * sum_j C(a, j) * (q^n - 1)^j,
+
+    and the terms with j >= e vanish modulo (q^n - 1)^e.  So
+    sum_i c_i q^i is congruent to sum_{j<e} (q^n - 1)^j * M_j(q), where the
+    binomial moment M_j(q) = sum_{r<n} M_j[r] q^r has
+
+        M_j[r] = sum_a C(a, j) * c_(a*n + r).
+
+    Expanding (q^n - 1)^j gives a polynomial of degree < n*e, the degree of
+    (q^n - 1)^e, that is congruent to p; it is therefore exactly the
+    remainder of p modulo (q^n - 1)^e.  For e = 1 the fold sums the
+    coefficients in each residue class of exponents mod n.
+
+    For instance q^9 = (1 + (q^3 - 1))^3 = 1 + 3*(q^3 - 1) mod (q^3 - 1)^2,
+    which already has degree below that of Phi_3^2:
+
+    >>> reduce_mod_phi_power(Poly.monomial(1, 9), 3, 2)
+    Poly('-2 + 3*q^3')
     """
     if n < 1:
         raise ValueError("modulus index must be a positive integer")
     if e < 1:
         raise ValueError("exponent must be a positive integer")
-    coeffs = list(p.coeffs)
+    coeffs = p.coeffs
     if len(coeffs) > n * e:
-        if e == 1:
-            folded = [0] * n
-            for r in range(n):
-                folded[r] = sum(coeffs[r::n])
-            coeffs = folded
-        else:
-            # divide by (q^n - 1)^e, keeping only the remainder
-            from math import comb
-
-            lower = [(n * j, (-1) ** (e - j) * comb(e, j)) for j in range(e)]
-            top = n * e
-            for i in range(len(coeffs) - 1, top - 1, -1):
-                c = coeffs[i]
-                if c:
-                    coeffs[i] = 0
-                    base = i - top
-                    for off, fac in lower:
-                        coeffs[base + off] -= c * fac
-            del coeffs[top:]
-    _, rem = Poly(coeffs).divmod(_phi_power(n, e))
-    return rem
+        height = -(-len(coeffs) // n)  # number of a values
+        columns = [coeffs[r::n] for r in range(n)]
+        moments = [[sum(col) for col in columns]]  # C(a, 0) = 1
+        for j in range(1, e):
+            weights = [comb(a, j) for a in range(height)]
+            moments.append([sum(map(mul, weights, col)) for col in columns])
+        folded = []
+        for i in range(e):
+            # the coefficient of q^(i*n) in (q^n - 1)^j is (-1)^(j-i) C(j, i)
+            signs = [(-1) ** (j - i) * comb(j, i) for j in range(i, e)]
+            folded += [sum(map(mul, signs, m)) for m in zip(*moments[i:])]
+        p = Poly(folded)
+    return p.divmod(_phi_power(n, e))[1]
 
 
 # ---------------------------------------------------------------------------

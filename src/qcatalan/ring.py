@@ -6,11 +6,19 @@ compare equal when they agree, so normalising integral fractions down to
 ints is purely a speed matter.  Polynomials are immutable, always stored
 without trailing zero coefficients, and the zero polynomial has an empty
 coefficient tuple.
+
+Normalisation happens in the constructor, which skips the work when every
+coefficient is already exactly an ``int``, and in the overlapping part of
+``+`` / ``-``, where two coefficients meet (a scalar product is checked
+the same way).  Everything else an operation copies from a normalised
+input stays normalised: the tail of a sum, negation and ``shift`` build
+their result with ``Poly._trusted`` without looking at it again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
@@ -25,6 +33,13 @@ def as_coeff(c: Coeff) -> Coeff:
     if isinstance(c, int):
         return c
     raise TypeError(f"not an exact rational: {c!r}")
+
+
+def _normalised(cs: list) -> list:
+    """cs with integral fractions made ints; an all-int list is returned as is."""
+    if all(type(c) is int for c in cs):
+        return cs
+    return [as_coeff(c) for c in cs]
 
 
 def coeff_div(a: Coeff, b: Coeff) -> Coeff:
@@ -55,7 +70,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        cs = [as_coeff(c) for c in coeffs]
+        cs = _normalised(list(coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -128,21 +143,24 @@ class Poly:
         a, b = self.coeffs, o.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        out = _normalised(list(map(add, a, b)))
+        out += a[len(b):]
+        return Poly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other) -> "Poly":
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        a, b = self.coeffs, o.coeffs
+        out = _normalised(list(map(sub, a, b)))
+        out += a[len(b):]
+        out += [-c for c in b[len(a):]]
+        return Poly._trusted(out)
 
     def __rsub__(self, other) -> "Poly":
         return (-self) + other
@@ -151,7 +169,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Poly(())
-            return Poly(tuple(c * other for c in self.coeffs))
+            return Poly._trusted(_normalised([c * other for c in self.coeffs]))
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs
@@ -185,7 +203,7 @@ class Poly:
             raise ValueError("negative shift")
         if not self.coeffs:
             return self
-        return Poly((0,) * k + self.coeffs)
+        return Poly._trusted([0] * k + list(self.coeffs))
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Return (quotient, remainder) with deg(remainder) < deg(other).
@@ -202,13 +220,14 @@ class Poly:
             return Poly(()), self
         rem = list(self.coeffs)
         lead = other.coeffs[-1]
+        monic = lead == 1
         body = other.coeffs[:-1]
         quot = [0] * (da - db + 1)
         for i in range(da, db - 1, -1):
             c = rem[i]
             if c == 0:
                 continue
-            f = coeff_div(c, lead)
+            f = c if monic else coeff_div(c, lead)
             quot[i - db] = f
             rem[i] = 0
             off = i - db

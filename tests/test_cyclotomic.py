@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -73,6 +74,54 @@ def test_reduce_matches_schoolbook_randomised():
         p = Poly([rng.randint(-50, 50) for _ in range(rng.randint(0, 40))])
         _, oracle = schoolbook_divmod(p, cyclotomic_poly(n) ** e)
         assert reduce_mod_phi_power(p, n, e) == oracle
+
+
+def _fold_by_long_division(p, n, e):
+    # the remainder of p modulo (q^n - 1)^e by long division: the loop that
+    # the binomial-moment fold replaced, kept as an oracle
+    coeffs = list(p.coeffs)
+    lower = [(n * j, (-1) ** (e - j) * comb(e, j)) for j in range(e)]
+    top = n * e
+    for i in range(len(coeffs) - 1, top - 1, -1):
+        c = coeffs[i]
+        if c:
+            coeffs[i] = 0
+            for off, fac in lower:
+                coeffs[i - top + off] -= c * fac
+    return Poly(coeffs)
+
+
+def test_reduce_fold_matches_schoolbook_large():
+    """The binomial-moment fold against long division, for n <= 40, e <= 4.
+
+    Directly against schoolbook division by Phi_n^e at lengths 0, n*e - 1,
+    n*e and n*e + 1, around where folding starts, and at 3n^2 for n <= 10.
+    At length 3n^2 for every n, against schoolbook division of what long
+    division by (q^n - 1)^e leaves, which keeps the oracle's cost in
+    bounds.  Coefficients alternate between ints and Fractions.
+    """
+    rng = random.Random(8128)
+    kinds = (int, Fraction)
+
+    def dense(length, kind):
+        if kind is int:
+            return Poly([rng.randint(-50, 50) for _ in range(length)])
+        return Poly(
+            [Fraction(rng.randint(-50, 50), rng.randint(1, 6)) for _ in range(length)]
+        )
+
+    for n in range(1, 41):
+        for e in range(1, 5):
+            top = n * e
+            divisor = cyclotomic_poly(n) ** e
+            lengths = [0, top - 1, top, top + 1] + [3 * n * n] * (n <= 10)
+            for i, length in enumerate(lengths):
+                p = dense(length, kinds[(i + n + e) % 2])
+                _, oracle = schoolbook_divmod(p, divisor)
+                assert reduce_mod_phi_power(p, n, e) == oracle, (n, e, length)
+            p = dense(max(3 * n * n, top + 1), kinds[(n + e + 1) % 2])
+            _, oracle = schoolbook_divmod(_fold_by_long_division(p, n, e), divisor)
+            assert reduce_mod_phi_power(p, n, e) == oracle, (n, e)
 
 
 def test_root_power_examples():

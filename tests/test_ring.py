@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -115,3 +116,40 @@ def test_immutability():
     p = Poly([1, 2])
     with pytest.raises(AttributeError):
         p.coeffs = (3,)
+
+
+def test_trusted_paths_keep_normal_form():
+    p = Poly([Fraction(1, 3), 2, Fraction(-5, 2)])
+    assert (p - p).coeffs == ()
+    s = Poly([Fraction(1, 3)]) + Poly([Fraction(2, 3), 5])
+    assert s.coeffs == (1, 5) and all(type(c) is int for c in s.coeffs)
+    half = Poly([Fraction(1, 2), Fraction(-3, 2), 4])
+    for r in (-half * -2, half.shift(3) * 2, 2 * half, -(half * 2)):
+        assert all(type(c) is int for c in r.coeffs)
+    assert (-half).coeffs == (Fraction(-1, 2), Fraction(3, 2), -4)
+    assert half.shift(2).coeffs == (0, 0) + half.coeffs
+    assert (half * 2).coeffs == (1, -3, 8)
+    for bad in ([0.5], [1, 0.5], [1, "2"]):
+        with pytest.raises(TypeError):
+            Poly(bad)
+    rng = random.Random(271828)
+
+    def mixed():
+        return Poly(
+            [
+                Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                if rng.random() < 0.5
+                else rng.randint(-6, 6)
+                for _ in range(rng.randint(0, 8))
+            ]
+        )
+
+    for _ in range(2000):
+        a, b = mixed(), mixed()
+        pairs = list(zip_longest(a.coeffs, b.coeffs, fillvalue=0))
+        assert a + b == Poly([x + y for x, y in pairs])
+        assert a - b == Poly([x - y for x, y in pairs])
+        for r in (a + b, a - b, b - a, -a, a.shift(rng.randint(0, 3))):
+            fresh = Poly(list(r.coeffs))
+            assert r == fresh and hash(r) == hash(fresh)
+            assert [type(c) for c in r.coeffs] == [type(c) for c in fresh.coeffs]
