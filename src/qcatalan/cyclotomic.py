@@ -374,6 +374,7 @@ class CycloElem:
 
     __rmul__ = __mul__
 
+    @lru_cache(maxsize=256)
     def inv(self) -> "CycloElem":
         """Multiplicative inverse by the field norm.
 
@@ -384,6 +385,11 @@ class CycloElem:
 
         Each conjugate is the index map x^i -> x^(i*j mod m) on the integer
         numerator, so the whole product stays in integer lists.
+
+        Results are memoised process-wide for the 256 most recently inverted
+        elements (keyed by the element, whose form is canonical), so an
+        evaluator that divides by the same field element again and again,
+        such as the qdsl corpus sweeps, inverts it once.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")

@@ -30,7 +30,7 @@ load_corpus for the parameter sweep syntax.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 from typing import Iterator, Optional, Union
@@ -307,7 +307,6 @@ class EvalContext:
     mode: str
     bindings: dict[str, int]
     field: Optional[tuple[int, int]] = None
-    _inv_cache: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.mode not in ("poly", "cyclo"):
@@ -431,7 +430,7 @@ def _evaluate(e: Expr, ctx: EvalContext):
                 raise EvalError(str(exc), e) from None
         if _is_zero(b):
             raise EvalError("division by a zero field element", e)
-        return a * _cy_inv(ctx, b)
+        return a * b.inv()
     if isinstance(e, Pow):
         ex = _int(_scalar(e.exponent, ctx), e)
         if not poly_mode and isinstance(e.base, Var) and e.base.name == "q":
@@ -452,7 +451,7 @@ def _evaluate(e: Expr, ctx: EvalContext):
         if ex < 0 and _is_zero(base):
             raise EvalError("zero to a negative power", e)
         if ex < 0:
-            return _cy_inv(ctx, base) ** (-ex)
+            return base.inv() ** (-ex)
         return base**ex
     if isinstance(e, Sum):
         lo = _int(_scalar(e.lower, ctx), e)
@@ -505,14 +504,6 @@ def _poly_at_root(ctx: EvalContext, p: Poly) -> CycloElem:
     for i, c in enumerate(p.coeffs):
         folded[(i * j) % m] += c
     return CycloElem.from_poly(m, Poly(folded))
-
-
-def _cy_inv(ctx: EvalContext, v: CycloElem) -> CycloElem:
-    inv = ctx._inv_cache.get(v)
-    if inv is None:
-        inv = v.inv()
-        ctx._inv_cache[v] = inv
-    return inv
 
 
 def eval_poly(e: Expr, bindings: Optional[dict[str, int]] = None) -> Poly:
@@ -700,7 +691,6 @@ def _sweep(
 
 def run_corpus_entry(entry: CorpusEntry, max_cases: Optional[int] = None) -> VerificationReport:
     """Check one corpus identity across its whole parameter sweep."""
-    shared_inverses: dict = {}
     case_count = [0]
 
     def witness() -> Optional[str]:
@@ -721,7 +711,7 @@ def run_corpus_entry(entry: CorpusEntry, max_cases: Optional[int] = None) -> Ver
                     return f"{binding}: {(lhs - rhs).render()}"
             else:
                 m, j = binding["m"], binding["j"]
-                ctx = EvalContext("cyclo", dict(binding), (m, j), shared_inverses)
+                ctx = EvalContext("cyclo", dict(binding), (m, j))
                 lhs = _evaluate(entry.lhs, ctx)
                 rhs = _evaluate(entry.rhs, ctx)
                 if lhs != rhs:

@@ -11,8 +11,9 @@ Normalisation happens in the constructor, which skips the work when every
 coefficient is already exactly an ``int``, and in the overlapping part of
 ``+`` / ``-``, where two coefficients meet (a scalar product is checked
 the same way).  Everything else an operation copies from a normalised
-input stays normalised: the tail of a sum, negation and ``shift`` build
-their result with ``Poly._trusted`` without looking at it again.
+input stays normalised: the tail of a sum, negation, ``shift`` and a
+``monomial`` with an ``int`` coefficient build their result with
+``Poly._trusted`` without looking at it again.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ class Poly:
     def monomial(cls, c: Coeff, k: int) -> "Poly":
         if k < 0:
             raise ValueError("monomial exponent must be nonnegative")
+        if type(c) is int:
+            return cls._trusted([0] * k + [c])
         return cls((0,) * k + (c,))
 
     # -- basic queries -----------------------------------------------------

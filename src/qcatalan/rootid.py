@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import add
 from typing import Callable, Iterator, Optional
@@ -22,15 +23,9 @@ from .congruence import VerificationReport, run_check
 from .cyclotomic import CycloElem, CycloField
 from .ring import Coeff
 
-_FIELDS: dict[int, CycloField] = {}
-
-
+@lru_cache(maxsize=256)
 def _field(m: int) -> CycloField:
-    f = _FIELDS.get(m)
-    if f is None:
-        f = CycloField(m)
-        _FIELDS[m] = f
-    return f
+    return CycloField(m)
 
 
 def _require_coprime(j: int, m: int) -> None:
@@ -557,6 +552,54 @@ def _mid_rhs(n: int, w: Fraction) -> Fraction:
     return total
 
 
+# A side of the identity as const + sum c * w^e / (1 - t * w^s) over
+# (c, e, s, t), t = +-1; the same terms as _mid_lhs / _mid_rhs.
+_MidSide = tuple[Fraction, list[tuple[Fraction, int, int, int]]]
+
+
+def _mid_lhs_terms(n: int) -> _MidSide:
+    terms = [
+        (Fraction((-1) ** k), k * (3 * k - 1), 2 * (3 * k - 1), 1)
+        for k in range(1, n + 1)
+    ]
+    terms += [(Fraction((-1) ** k), k * (3 * k + 5), 6 * k, 1) for k in range(1, n)]
+    return Fraction(0), terms
+
+
+def _mid_rhs_terms(n: int) -> _MidSide:
+    sign = Fraction((-1) ** (n - 1), 2)
+    terms = []
+    for k in range(1, n):
+        e = k * (3 * n + 2)
+        terms.append((sign, e, 3 * k, -1))
+        terms.append((Fraction((-1) ** k, 2), e, 3 * k, 1))
+    terms += [(Fraction(1), 0, 2 * (3 * k - 1), 1) for k in range(1, n + 1)]
+    terms += [
+        (Fraction(-1), 0, 2 * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)
+    ]
+    return -Fraction(2 * n - 1 + (-1) ** n, 4), terms
+
+
+def _mid_int(w: Fraction, side: _MidSide) -> tuple[int, int]:
+    """The side at w as an integer pair (num, den), num / den its value.
+
+    With w = a/b each term is c a^e b^(s-e) / (b^s - t a^s).  One power
+    b^top, top = max(e - s, 0), clears every negative power of b, and the
+    terms are added over b^top times the product of their denominators,
+    with no gcd taken.  den == 0 exactly when some 1 - t w^s vanishes,
+    i.e. w is a pole.
+    """
+    a, b = w.numerator, w.denominator
+    const, terms = side
+    top = max([0] + [e - s for _, e, s, _ in terms])
+    num, den = const.numerator * b**top, const.denominator
+    for c, e, s, t in terms:
+        td = c.denominator * (b**s - t * a**s)
+        num = num * td + c.numerator * a**e * b ** (s - e + top) * den
+        den *= td
+    return num, den * b**top
+
+
 def mid_degree_bound(n: int) -> int:
     """Bound for the numerator degree of (lhs - rhs) over the common
     denominator, after the substitution z = w^2."""
@@ -600,23 +643,29 @@ def verify_mid_identity(n: int, retries: int = 4) -> VerificationReport:
     then compare both sides at (degree bound + 1) distinct rational w.
     Rational w with |w| not in {0, 1} can never hit a pole, so agreement
     everywhere is a proof, not a sampling heuristic.
+
+    At each point w = a/b both sides are evaluated in integers, each as one
+    numerator over one denominator (N_l / D_l and N_r / D_r, see _mid_int),
+    and compared by cross-multiplication, N_l * D_r == N_r * D_l.  No gcd
+    is taken; the reduced difference is formed only for the witness.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     needed = mid_degree_bound(n) + 1
 
     def witness() -> Optional[str]:
+        lhs, rhs = _mid_lhs_terms(n), _mid_rhs_terms(n)
         checked = 0
         for w in _mid_points(needed + retries):
             if checked >= needed:
                 break
-            try:
-                lhs = _mid_lhs(n, w)
-                rhs = _mid_rhs(n, w)
-            except ZeroDivisionError:
+            n_l, d_l = _mid_int(w, lhs)
+            n_r, d_r = _mid_int(w, rhs)
+            if d_l == 0 or d_r == 0:
                 continue  # defensive; cannot happen for |w| not in {0, 1}
-            if lhs != rhs:
-                return f"disagreement at w = {w}: lhs - rhs = {lhs - rhs}"
+            if n_l * d_r != n_r * d_l:
+                diff = Fraction(n_l * d_r - n_r * d_l, d_l * d_r)
+                return f"disagreement at w = {w}: lhs - rhs = {diff}"
             checked += 1
         if checked < needed:
             return f"only {checked} of {needed} points evaluated cleanly"

@@ -1,6 +1,10 @@
 """Command-line interface: commands, exit codes, report streams."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qcatalan.cli import SUITES, main
 
@@ -176,3 +180,17 @@ def test_verify_without_checks_exits_3(capsys):
         assert code == 3, argv
         assert out == ""
         assert "no checks" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cases = ((["phi", "6"], 0), (["verify", "tauraso-phi", "--n", "1"], 3))
+    for argv, want_code in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "qcatalan", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        code, out, _ = run_cli(argv, capsys)
+        assert done.returncode == code == want_code, argv
+        assert done.stdout == out

@@ -83,6 +83,26 @@ def test_main_theorem():
         assert verify_main_theorem(n).passed, n
 
 
+def test_main_theorem_witness_is_the_unscaled_residue(monkeypatch):
+    # the zero test runs on 3 * (lhs - rhs); a failure still shows lhs - rhs
+    from fractions import Fraction
+
+    from qcatalan import congruence
+
+    def perturbed(n):
+        return catalan_sum(n) + Poly.monomial(Fraction(1, 3), n * n) + 2 * Q
+
+    monkeypatch.setattr(congruence, "catalan_sum", perturbed)
+    for n in (3, 9):
+        rhs = Poly.monomial(1, n * (2 * n + 1) // 3) + (
+            Poly.monomial(1, n) - 1
+        ) * (Poly.monomial(n + 1, 2 * n // 3) + 2) * Fraction(1, 3)
+        rem = reduce_mod_phi_power(perturbed(n) - rhs, n, 2)
+        rep = verify_main_theorem(n)
+        assert not rep.passed and any(type(c) is Fraction for c in rem.coeffs)
+        assert rep.witness == rem.render()
+
+
 def test_main_theorem_n3_by_hand():
     # 1 + q + q^2 + q^4 vs q^7 + (1/3)(q^3 - 1)(2 + 4 q^2) mod (q^2+q+1)^2
     from fractions import Fraction

@@ -195,6 +195,30 @@ def test_inverse_matches_xgcd_oracle():
             CycloElem.zero(m).inv()
 
 
+def test_inverse_memo_is_bounded_and_exact():
+    CycloElem.inv.cache_clear()
+    assert CycloElem.inv.cache_info().maxsize == 256
+    a = CycloElem(7, [3, -1, 4, 1, -5, 9], 2)
+    first = a.inv()
+    # an equal element built separately is served from the memo
+    assert CycloElem(7, [3, -1, 4, 1, -5, 9], 2).inv() == first
+    info = CycloElem.inv.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    rng = random.Random(14142)
+    distinct = set()
+    for m in rng.choices(range(3, 30), k=320):
+        num = [rng.randint(-9, 9) for _ in range(euler_phi(m))]
+        distinct.add(CycloElem(m, num, rng.randint(1, 9)))
+    distinct = [e for e in distinct if not e.is_zero()]
+    assert len(distinct) > 256
+    for e in distinct:
+        e.inv()
+    assert CycloElem.inv.cache_info().currsize == 256
+    for e in [a] + distinct:
+        assert e.inv() == _xgcd_inverse(e), e
+    assert a.inv() == first
+
+
 def test_division_errors():
     a = CycloElem.one(3)
     with pytest.raises(ZeroDivisionError):

@@ -132,6 +132,12 @@ def test_trusted_paths_keep_normal_form():
     for bad in ([0.5], [1, 0.5], [1, "2"]):
         with pytest.raises(TypeError):
             Poly(bad)
+    for c, k in ((3, 4), (-7, 0), (0, 5), (Fraction(4, 2), 3), (Fraction(1, 3), 2)):
+        r, fresh = Poly.monomial(c, k), Poly([0] * k + [c])
+        assert r == fresh and r.coeffs == fresh.coeffs
+        assert [type(x) for x in r.coeffs] == [type(x) for x in fresh.coeffs]
+    with pytest.raises(TypeError):
+        Poly.monomial(0.5, 2)
     rng = random.Random(271828)
 
     def mixed():

@@ -23,7 +23,15 @@ from qcatalan.rootid import (
     verify_sawtooth,
     verify_trig_identity,
 )
-from qcatalan.rootid import _mid_lhs, _mid_rhs
+from qcatalan import rootid
+from qcatalan.rootid import (
+    _mid_int,
+    _mid_lhs,
+    _mid_lhs_terms,
+    _mid_points,
+    _mid_rhs,
+    _mid_rhs_terms,
+)
 
 
 def test_root_context_validation():
@@ -187,6 +195,50 @@ def test_mid_identity_point_values():
         assert _mid_lhs(5, w) == _mid_rhs(5, w)
         count += 1
     assert count == 200
+
+
+def test_mid_integer_sides_match_fraction_oracle():
+    for n in range(2, 9):
+        lhs, rhs = _mid_lhs_terms(n), _mid_rhs_terms(n)
+        for w in _mid_points(300):
+            assert Fraction(*_mid_int(w, lhs)) == _mid_lhs(n, w), (n, w)
+            assert Fraction(*_mid_int(w, rhs)) == _mid_rhs(n, w), (n, w)
+
+
+def test_mid_mismatch_witness(monkeypatch):
+    # an off-by-one right side: the witness is the one the Fraction sides give
+    real = rootid._mid_rhs_terms
+    monkeypatch.setattr(
+        rootid, "_mid_rhs_terms", lambda n: (real(n)[0] + 1, real(n)[1])
+    )
+    for n in (2, 5):
+        w = next(_mid_points(1))
+        lhs, rhs = _mid_lhs(n, w), _mid_rhs(n, w) + 1
+        rep = verify_mid_identity(n)
+        assert not rep.passed
+        assert rep.witness == f"disagreement at w = {w}: lhs - rhs = {lhs - rhs}"
+
+
+def test_mid_poles_are_skipped(monkeypatch):
+    # w = +-1 are poles: the Fraction sides raise, the integer denominators vanish
+    poles = [Fraction(1), Fraction(-1)]
+    for w in poles:
+        with pytest.raises(ZeroDivisionError):
+            _mid_lhs(3, w) + _mid_rhs(3, w)
+        assert _mid_int(w, _mid_lhs_terms(3))[1] == 0
+        assert _mid_int(w, _mid_rhs_terms(3))[1] == 0
+    real = rootid._mid_points
+    monkeypatch.setattr(
+        rootid, "_mid_points", lambda count: iter(poles + list(real(count - 2)))
+    )
+    rep = verify_mid_identity(3)
+    assert rep.passed and rep.params["points"] == mid_degree_bound(3) + 1
+    monkeypatch.setattr(
+        rootid, "_mid_points", lambda count: iter(poles * 3 + list(real(count - 6)))
+    )
+    rep = verify_mid_identity(3)
+    needed = mid_degree_bound(3) + 1
+    assert rep.witness == f"only {needed - 2} of {needed} points evaluated cleanly"
 
 
 def test_mid_identity_certificates():
