@@ -14,6 +14,7 @@ even-modulus machinery would be dead weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Optional
 
@@ -49,12 +50,8 @@ class _GroupData:
     dlogs: tuple[dict[int, int], ...]  # residue -> discrete log, per factor
 
 
-_GROUPS: dict[int, _GroupData] = {}
-
-
+@lru_cache(maxsize=256)
 def _group_data(m: int) -> _GroupData:
-    if m in _GROUPS:
-        return _GROUPS[m]
     if m < 3 or m % 2 == 0:
         raise ValueError("modulus must be an odd integer >= 3")
     pps, gens, orders, dlogs = [], [], [], []
@@ -71,7 +68,7 @@ def _group_data(m: int) -> _GroupData:
         gens.append(g)
         orders.append(order)
         dlogs.append(table)
-    data = _GroupData(
+    return _GroupData(
         m,
         tuple(pps),
         tuple(gens),
@@ -79,8 +76,6 @@ def _group_data(m: int) -> _GroupData:
         lcm(*orders) if orders else 1,
         tuple(dlogs),
     )
-    _GROUPS[m] = data
-    return data
 
 
 @dataclass(frozen=True)

@@ -328,32 +328,43 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
         print("no checks to run: the requested sweeps select no parameters", file=sys.stderr)
         return 3
 
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(execute_task, tasks, chunksize=8))
-    else:
-        reports = [execute_task(t) for t in tasks]
-
     out_file = open(config.out, "w", encoding="utf-8") if config.out else None
     try:
-        counts = {"pass": 0, "fail": 0, "skipped": 0}
-        for rep in reports:
-            counts[rep.status] += 1
-            if config.as_json:
-                stdout.write(rep.to_json() + "\n")
-            else:
-                stdout.write(rep.summary() + "\n")
-            if out_file is not None:
-                out_file.write(rep.to_json() + "\n")
-        if not config.as_json:
-            stdout.write(
-                f"total: {counts['pass']} passed, {counts['fail']} failed, "
-                f"{counts['skipped']} skipped\n"
-            )
+        if config.jobs > 1:
+            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+                reports = pool.map(execute_task, tasks, chunksize=8)
+                counts = _write_reports(config, reports, stdout, out_file)
+        else:
+            reports = (execute_task(t) for t in tasks)
+            counts = _write_reports(config, reports, stdout, out_file)
     finally:
         if out_file is not None:
             out_file.close()
     return 0 if counts["fail"] == 0 else 1
+
+
+def _write_reports(
+    config: RunConfig,
+    reports: Iterable[VerificationReport],
+    stdout: TextIO,
+    out_file: Optional[TextIO],
+) -> dict[str, int]:
+    """Write each report as it arrives; reports come in task order, so a
+    line is written as soon as it and every line before it are done."""
+    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    for rep in reports:
+        counts[rep.status] += 1
+        stdout.write((rep.to_json() if config.as_json else rep.summary()) + "\n")
+        stdout.flush()
+        if out_file is not None:
+            out_file.write(rep.to_json() + "\n")
+            out_file.flush()
+    if not config.as_json:
+        stdout.write(
+            f"total: {counts['pass']} passed, {counts['fail']} failed, "
+            f"{counts['skipped']} skipped\n"
+        )
+    return counts
 
 
 # ---------------------------------------------------------------------------

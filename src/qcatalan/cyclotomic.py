@@ -1,23 +1,28 @@
 """Cyclotomic polynomials and exact arithmetic in Q(zeta_m) = Q[x]/Phi_m(x).
 
 Phi_n is computed by recursive exact division, Phi_n = (q^n - 1) / prod of
-Phi_d over proper divisors d | n, and memoised.  The memo is an idempotent
-map: concurrent callers computing the same n store identical values, so a
-plain dict under the GIL is safe.  The powers Phi_n^e that reductions
-divide by are kept in a bounded LRU cache.
+Phi_d over proper divisors d | n.  Every module-level memo here (Phi_n,
+its integer coefficients, the powers Phi_n^e, field inverses and binomial
+inverses) is a bounded functools.lru_cache.  Each memoises a pure function,
+so two threads that miss on the same key store equal values.
 
-Field elements are residues mod Phi_m, held as an integer coefficient
-vector of length phi(m) over a single positive denominator in lowest
-terms, which keeps the hot arithmetic in machine integers.
+Q(zeta_m) has two representations.  A CycloElem is a residue mod Phi_m:
+an integer coefficient vector of length phi(m) over a single positive
+denominator in lowest terms, so equality is structural.  A
+GroupAlgebraElem is a lazy value in the group algebra Q[x]/(x^m - 1),
+which maps onto Q(zeta_m) = Q[x]/Phi_m: sums and products are plain
+vector operations, and a value is reduced mod Phi_m only when it is
+read, tested for zero, or inverted with three or more terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import comb, gcd
-from operator import mul
-from typing import Iterable, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Optional, Sequence
 
 from .ring import Coeff, Poly, as_coeff
 
@@ -80,9 +85,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 
-_PHI_CACHE: dict[int, Poly] = {}
-
-
+@lru_cache(maxsize=256)
 def cyclotomic_poly(n: int) -> Poly:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
 
@@ -93,14 +96,10 @@ def cyclotomic_poly(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    cached = _PHI_CACHE.get(n)
-    if cached is not None:
-        return cached
     p = Poly((-1,) + (0,) * (n - 1) + (1,))  # q^n - 1
     for d in divisors(n):
         if d < n:
             p = p.exact_div(cyclotomic_poly(d))
-    _PHI_CACHE[n] = p
     return p
 
 
@@ -271,9 +270,9 @@ class CycloElem:
 
     @classmethod
     def from_rational(cls, m: int, c: Coeff) -> "CycloElem":
+        if m < 1:
+            raise ValueError("field order must be a positive integer")
         c = Fraction(c)
-        if euler_phi(m) == 0:
-            raise ValueError("bad modulus")
         return cls(m, [c.numerator], c.denominator)
 
     @classmethod
@@ -457,38 +456,25 @@ class CycloElem:
         return acc / self.den
 
 
-_PHI_INT_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=256)
 def _phi_int_coeffs(m: int) -> tuple[int, ...]:
-    cached = _PHI_INT_CACHE.get(m)
-    if cached is None:
-        cached = tuple(int(c) for c in cyclotomic_poly(m).coeffs)
-        _PHI_INT_CACHE[m] = cached
-    return cached
+    return tuple(int(c) for c in cyclotomic_poly(m).coeffs)
 
 
 # ---------------------------------------------------------------------------
-# working context for a fixed field
+# the group algebra Q[x]/(x^m - 1), a lazy form of Q(zeta_m)
 
 
 class CycloField:
-    """Shared context for computations in one Q(zeta_m).
+    """Shared context for computations in one Q(zeta_m): m, the integer
+    coefficients of Phi_m, and constructors for CycloElem values.
 
-    Besides plain element construction this caches inverses of 1 -+ x^s in a
-    redundant "group algebra" form: an integer vector v of length m plus a
-    denominator d, standing for (1/d) * sum v[i] x^i taken mod Phi_m.  Sums
-    of many such terms can then be accumulated with integer rotations and
-    reduced modulo Phi_m once at the end.
-
-    The inverses come from the norm factorisation over the roots of unity:
-    if z has exact order d then prod_{u=1}^{d-1} (1 - z^u) = d, hence
-
-        1/(1 - z) = (1/d) * prod_{u=2}^{d-1} (1 - z^u),
-
-    and for odd d similarly prod_{u=1}^{d-1} (1 + z^u) = 1 gives
-
-        1/(1 + z) = prod_{u=2}^{d-1} (1 + z^u).
+    inv_one_minus / inv_one_plus give group-algebra representatives
+    (vector, denominator) of 1/(1 - x^s) and 1/(1 + x^s), i.e. integer
+    vectors v of length m with (1/d) * sum v[i] x^i equal to the inverse
+    mod Phi_m.  They come from the closed forms of _binomial_inverse, so
+    sums of many such terms are accumulated with integer rotations in a
+    GroupAlgebraElem and reduced mod Phi_m once at the end.
     """
 
     def __init__(self, m: int):
@@ -497,8 +483,6 @@ class CycloField:
         self.m = m
         self.phi = _phi_int_coeffs(m)
         self.deg = len(self.phi) - 1
-        self._inv_minus: dict[int, tuple[tuple[int, ...], int]] = {}
-        self._inv_plus: dict[int, tuple[tuple[int, ...], int]] = {}
 
     # -- element constructors ------------------------------------------------
 
@@ -520,62 +504,240 @@ class CycloField:
         _reduce_int_vec(out, self.phi)
         return CycloElem(self.m, out, den)
 
-    # -- cached inverses of 1 -+ x^s ------------------------------------------
-
-    def _product_vec(self, exponents: list[int], sign: int) -> list[int]:
-        """prod over t in exponents of (1 + sign*x^t), in Z[x]/(x^m - 1)."""
-        m = self.m
-        vec = [0] * m
-        vec[0] = 1
-        for t in exponents:
-            nxt = vec[:]
-            if sign > 0:
-                for i in range(m):
-                    c = vec[i]
-                    if c:
-                        nxt[(i + t) % m] += c
-            else:
-                for i in range(m):
-                    c = vec[i]
-                    if c:
-                        nxt[(i + t) % m] -= c
-            vec = nxt
-        return vec
+    # -- inverses of 1 -+ x^s --------------------------------------------------
 
     def inv_one_minus(self, s: int) -> tuple[tuple[int, ...], int]:
         """Group-algebra representative of 1/(1 - x^s); s must not be 0 mod m."""
-        s %= self.m
-        cached = self._inv_minus.get(s)
-        if cached is not None:
-            return cached
-        if s == 0:
-            raise ZeroDivisionError("1 - x^0 is zero")
-        d = self.m // gcd(self.m, s)
-        vec = self._product_vec([(s * u) % self.m for u in range(2, d)], -1)
-        result = (tuple(vec), d)
-        self._inv_minus[s] = result
-        return result
+        return _binomial_inverse(self.m, s % self.m, 1)
 
     def inv_one_plus(self, s: int) -> tuple[tuple[int, ...], int]:
         """Group-algebra representative of 1/(1 + x^s)."""
-        s %= self.m
-        cached = self._inv_plus.get(s)
-        if cached is not None:
-            return cached
-        if self.m % 2 == 0:
-            if (s + self.m // 2) % self.m == 0:
-                raise ZeroDivisionError("1 + x^s is zero")
-            result = self.inv_one_minus((s + self.m // 2) % self.m)
-        elif s == 0:
-            vec = [0] * self.m
-            vec[0] = 1
-            result = (tuple(vec), 2)
-        else:
-            d = self.m // gcd(self.m, s)
-            # m odd forces d odd, so 1 + x^s is a unit
-            vec = self._product_vec([(s * u) % self.m for u in range(2, d)], +1)
-            result = (tuple(vec), 1)
-        self._inv_plus[s] = result
+        return _binomial_inverse(self.m, s % self.m, -1)
+
+
+@lru_cache(maxsize=1024)
+def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int]:
+    """(vec, den) with (1/den) * sum vec[i] x^i = 1/(1 - c x^s) in Q(zeta_m).
+
+    s is taken in [0, m) and c is a nonzero rational.  Let d = m / gcd(m, s)
+    be the order of z = x^s, so z^d = 1 already in Q[x]/(x^m - 1).
+
+    * c^d != 1: (1 - c z) * sum_{u<d} (c z)^u = 1 - c^d, so
+
+          1/(1 - c z) = sum_{u<d} c^u z^u / (1 - c^d),
+
+      an inverse in the group algebra itself.
+    * c = 1: the discrete sawtooth.  For d > 1, zeta^s is a primitive d-th
+      root of unity, so sum_{u<d} zeta^(su) = 0 and
+
+          1/(1 - z) = -(1/d) * sum_{u<d} u z^u   in Q(zeta_m).
+
+      For d = 1, 1 - z is zero.
+    * c = -1 with d even: m is even and x^(m/2) = -1 in Q(zeta_m), so
+      1 + z = 1 - x^(s + m/2), which is the case c = 1.
+
+    So 1 - c z is zero in Q(zeta_m) exactly when c = 1 and s = 0, or
+    c = -1 and s = m/2; both raise ZeroDivisionError.  The 1024 most
+    recently used inverses are memoised, keyed by (m, s, c).
+    """
+    d = m // gcd(m, s)
+    if c == -1 and d % 2 == 0:
+        return _binomial_inverse(m, (s + m // 2) % m, 1)
+    vec = [0] * m
+    if c == 1:
+        if d == 1:
+            raise ZeroDivisionError(f"1 - x^{s} is zero in Q(zeta_{m})")
+        for u in range(1, d):
+            vec[s * u % m] = -u
+        return tuple(vec), d
+    p, q = c.numerator, c.denominator
+    den = q**d - p**d
+    for u in range(d):
+        vec[s * u % m] = p**u * q ** (d - u)
+    g = gcd(den, *vec)
+    if den < 0:
+        g = -g
+    return tuple(v // g for v in vec), den // g
+
+
+class GroupAlgebraElem:
+    """A lazy element of Q(zeta_m): an integer vector v of length m over one
+    positive denominator, standing for (1/den) * sum v[i] x^i in the group
+    algebra Q[x]/(x^m - 1).
+
+    The field is the quotient by Phi_m, so equal field elements have many
+    representatives, and nothing is reduced until value() is read:
+
+    * ``+`` / ``-`` / negation are vector operations over the lcm of the
+      denominators, with no gcd taken;
+    * ``*`` is a rotation when one factor has a single nonzero entry, and a
+      cyclic convolution otherwise;
+    * inv() inverts a monomial directly and a two-term value a x^p + b x^r
+      by the closed form of _binomial_inverse; anything else is reduced
+      mod Phi_m and inverted with the memoised CycloElem.inv.  A value that
+      is zero in Q(zeta_m) raises ZeroDivisionError there;
+    * is_zero() tests a value with at most one nonzero entry directly and
+      reduces any other value, so (1 + x + x^2) is zero at m = 3.
+
+    The operators build new values.  add_vec / add_monomial instead add into
+    this value in place, for sums of many terms c * x^e * v over cached
+    inverses v.
+
+    >>> f = CycloField(3)
+    >>> one = GroupAlgebraElem.monomial(f, 1)
+    >>> (one - GroupAlgebraElem.monomial(f, 1, 1)).inv().value()
+    CycloElem('2/3 + 1/3*x (mod Phi_3)')
+    """
+
+    __slots__ = ("field", "vec", "den")
+
+    def __init__(
+        self, field: CycloField, vec: Optional[list[int]] = None, den: int = 1
+    ):
+        self.field = field
+        self.vec = [0] * field.m if vec is None else vec
+        self.den = den
+
+    @classmethod
+    def monomial(
+        cls, field: CycloField, c: Coeff, e: int = 0
+    ) -> "GroupAlgebraElem":
+        """c * x^e; c is an int or a Fraction."""
+        vec = [0] * field.m
+        vec[e % field.m] = c.numerator
+        return cls(field, vec, c.denominator)
+
+    def value(self) -> CycloElem:
+        """The field element: the vector reduced mod Phi_m."""
+        return self.field.element(self.vec, self.den)
+
+    def _support(self) -> list[int]:
+        """Indices of the nonzero entries."""
+        return list(compress(range(len(self.vec)), self.vec))
+
+    def is_zero(self) -> bool:
+        """Whether the value is zero in Q(zeta_m)."""
+        support = self._support()
+        if len(support) <= 1:
+            return not support
+        return self.value().is_zero()
+
+    # -- in-place accumulation ---------------------------------------------
+
+    def _merge_den(self, extra_den: int) -> int:
+        """Bring this value to a denominator divisible by extra_den;
+        returns the factor the incoming numerator must be scaled by."""
+        g = gcd(self.den, extra_den)
+        scale_self = extra_den // g
+        if scale_self != 1:
+            self.vec = [c * scale_self for c in self.vec]
+            self.den *= scale_self
+        return self.den // extra_den
+
+    def add_vec(self, inv: tuple[Sequence[int], int], e: int = 0, c: Coeff = 1) -> None:
+        """Add c * x^e * (vector, denominator) in place."""
+        if c == 0:
+            return
+        vec, vden = inv
+        factor = self._merge_den(vden * c.denominator) * c.numerator
+        m = self.field.m
+        e %= m
+        cut = m - e
+        head, tail = vec[:cut], vec[cut:]
+        self.vec[e:] = list(map(add, self.vec[e:], (v * factor for v in head)))
+        if tail:
+            self.vec[:e] = list(map(add, self.vec[:e], (v * factor for v in tail)))
+
+    def add_monomial(self, c: Coeff, e: int = 0) -> None:
+        """Add c * x^e in place."""
+        if c == 0:
+            return
+        factor = self._merge_den(c.denominator) * c.numerator
+        self.vec[e % self.field.m] += factor
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _combine(self, other: "GroupAlgebraElem", op) -> "GroupAlgebraElem":
+        da, db = self.den, other.den
+        if da == db:
+            return GroupAlgebraElem(self.field, list(map(op, self.vec, other.vec)), da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = [op(a * fa, b * fb) for a, b in zip(self.vec, other.vec)]
+        return GroupAlgebraElem(self.field, out, da * fa)
+
+    def __add__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+        return self._combine(other, add)
+
+    def __sub__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+        return self._combine(other, sub)
+
+    def __neg__(self) -> "GroupAlgebraElem":
+        return GroupAlgebraElem(self.field, [-c for c in self.vec], self.den)
+
+    def _rotated(self, t: int, factor: int) -> list[int]:
+        """The vector of factor * x^t * self."""
+        vec = self.vec
+        cut = len(vec) - t
+        out = vec[cut:] + vec[:cut]
+        return out if factor == 1 else [c * factor for c in out]
+
+    def __mul__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+        den = self.den * other.den
+        sb = other._support()
+        if len(sb) == 1:
+            t = sb[0]
+            return GroupAlgebraElem(self.field, self._rotated(t, other.vec[t]), den)
+        sa = self._support()
+        if len(sa) == 1:
+            t = sa[0]
+            return GroupAlgebraElem(self.field, other._rotated(t, self.vec[t]), den)
+        m = self.field.m
+        a, b = self.vec, other.vec
+        out = [0] * m
+        for i in sa:
+            ai = a[i]
+            for j in sb:
+                k = i + j
+                out[k - m if k >= m else k] += ai * b[j]
+        return GroupAlgebraElem(self.field, out, den)
+
+    def inv(self) -> "GroupAlgebraElem":
+        """Multiplicative inverse in Q(zeta_m); ZeroDivisionError for zero."""
+        field, vec = self.field, self.vec
+        support = self._support()
+        if len(support) == 1:
+            (p,) = support
+            a = vec[p]
+            out = [0] * field.m
+            out[-p % field.m] = self.den if a > 0 else -self.den
+            return GroupAlgebraElem(field, out, abs(a))
+        if len(support) == 2:
+            # a x^p + b x^r = a x^p (1 - c x^s) with c = -b/a, s = r - p
+            p, r = support
+            a, b = vec[p], vec[r]
+            c = -b // a if b % a == 0 else Fraction(-b, a)  # an int key hashes fast
+            bvec, bden = _binomial_inverse(field.m, r - p, c)
+            factor = self.den if a > 0 else -self.den
+            out = [v * factor for v in bvec[p:] + bvec[:p]]  # times x^-p
+            return GroupAlgebraElem(field, out, bden * abs(a))
+        if not support:
+            raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
+        inverse = self.value().inv()
+        out = list(inverse.num)
+        return GroupAlgebraElem(field, out + [0] * (field.m - len(out)), inverse.den)
+
+    def __pow__(self, e: int) -> "GroupAlgebraElem":
+        if e < 0:
+            return self.inv() ** (-e)
+        result = GroupAlgebraElem.monomial(self.field, 1)
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            e >>= 1
+            if e:
+                base = base * base
         return result
 
 

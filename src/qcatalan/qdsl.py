@@ -10,10 +10,20 @@ Grammar (whitespace-insensitive)::
             | 'sum' '(' NAME '=' expr '..' expr ',' expr ')'
 
 Expressions evaluate either to an exact Poly (q is the indeterminate) or
-to a CycloElem at q = zeta_m^j.  Exponents, summation bounds and the
-arguments of qbin/qcat/legendre3 are integer positions: they are computed
-in exact rational arithmetic and must come out integral, which is checked
-at evaluation time.
+to an element of Q(zeta_m) at q = zeta_m^j.  Exponents, summation bounds
+and the arguments of qbin/qcat/legendre3 are integer positions: they are
+computed in int (a Fraction appears only for a non-integral quotient or a
+negative power) and must come out integral, which is checked at
+evaluation time.
+
+In cyclo mode every subexpression is a lazy cyclotomic.GroupAlgebraElem:
+q^e is a unit vector, a rational is a scalar, and sums and products are
+vector operations in Q[x]/(x^m - 1).  Divisions by the two-term values
+1 - t*q^s that the paper's identities are made of use the closed-form
+binomial inverses.  A value is reduced mod Phi_m only where the field
+matters: to invert a value with three or more terms, to test a left factor
+of '*' for zero, once per case for lhs - rhs in run_corpus_entry, and for
+the CycloElem that eval_cyclo returns.
 
 One deliberate semantic: a product whose left factor has already
 evaluated to exactly zero short-circuits without evaluating the right
@@ -29,6 +39,7 @@ load_corpus for the parameter sweep syntax.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +47,7 @@ from math import floor, gcd
 from typing import Iterator, Optional, Union
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import CycloElem, reduce_mod_phi_power
+from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem, reduce_mod_phi_power
 from .qcomb import gaussian_binomial, legendre3, q_catalan
 from .ring import Poly
 from .rootid import galois_orbit
@@ -307,6 +318,9 @@ class EvalContext:
     mode: str
     bindings: dict[str, int]
     field: Optional[tuple[int, int]] = None
+    algebra: Optional[CycloField] = dataclasses.field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         if self.mode not in ("poly", "cyclo"):
@@ -317,24 +331,30 @@ class EvalContext:
             m, j = self.field
             if gcd(j, m) != 1:
                 raise ValueError(f"j = {j} is not coprime to m = {m}")
+            self.algebra = CycloField(m)
 
 
-def _scalar(e: Expr, ctx: EvalContext) -> Fraction:
-    """Evaluate an integer-position subexpression to an exact rational."""
+def _scalar(e: Expr, ctx: EvalContext) -> Union[int, Fraction]:
+    """Evaluate an integer-position subexpression exactly.
+
+    The arithmetic is in int; a Fraction appears only for a non-integral
+    quotient or a negative power, so a power never yields a float.
+    """
     if isinstance(e, Num):
-        return e.value
+        v = e.value
+        return v.numerator if v.denominator == 1 else v
     if isinstance(e, Var):
         if e.name == "q":
             raise EvalError("q is not allowed in an integer position", e)
         if e.name not in ctx.bindings:
             raise EvalError(f"unbound variable {e.name!r}", e)
-        return Fraction(ctx.bindings[e.name])
+        return ctx.bindings[e.name]
     if isinstance(e, Neg):
         return -_scalar(e.operand, ctx)
     if isinstance(e, Bin):
         a = _scalar(e.left, ctx)
         if e.op == "*" and a == 0:
-            return Fraction(0)
+            return 0
         b = _scalar(e.right, ctx)
         if e.op == "+":
             return a + b
@@ -344,17 +364,21 @@ def _scalar(e: Expr, ctx: EvalContext) -> Fraction:
             return a * b
         if b == 0:
             raise EvalError("division by zero", e)
-        return a / b
+        if type(a) is int and type(b) is int and a % b == 0:
+            return a // b
+        return Fraction(a) / b
     if isinstance(e, Pow):
         ex = _int(_scalar(e.exponent, ctx), e)
         base = _scalar(e.base, ctx)
-        if ex < 0 and base == 0:
-            raise EvalError("zero to a negative power", e)
+        if ex < 0:
+            if base == 0:
+                raise EvalError("zero to a negative power", e)
+            return Fraction(base) ** ex
         return base**ex
     if isinstance(e, Sum):
         lo = _int(_scalar(e.lower, ctx), e)
         hi = _int(_scalar(e.upper, ctx), e)
-        total = Fraction(0)
+        total = 0
         saved = ctx.bindings.get(e.var)
         try:
             for v in range(lo, hi + 1):
@@ -366,15 +390,17 @@ def _scalar(e: Expr, ctx: EvalContext) -> Fraction:
     if isinstance(e, Call):
         if e.name == "legendre3":
             _arity(e, 1)
-            return Fraction(legendre3(_int(_scalar(e.args[0], ctx), e)))
+            return legendre3(_int(_scalar(e.args[0], ctx), e))
         if e.name == "floor":
             _arity(e, 1)
-            return Fraction(floor(_scalar(e.args[0], ctx)))
+            return floor(_scalar(e.args[0], ctx))
         raise EvalError(f"{e.name} is not scalar-valued", e)
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _int(value: Fraction, e: Expr) -> int:
+def _int(value: Union[int, Fraction], e: Expr) -> int:
+    if type(value) is int:
+        return value
     if value.denominator != 1:
         raise EvalError(f"expected an integer, got {value}", e)
     return value.numerator
@@ -398,10 +424,7 @@ def _evaluate(e: Expr, ctx: EvalContext):
         return Poly.constant(e.value) if poly_mode else _cy_rat(ctx, e.value)
     if isinstance(e, Var):
         if e.name == "q":
-            if poly_mode:
-                return Poly.monomial(1, 1)
-            m, j = ctx.field
-            return CycloElem.root_power(m, j)
+            return Poly.monomial(1, 1) if poly_mode else _cy_root(ctx, 1)
         if e.name not in ctx.bindings:
             raise EvalError(f"unbound variable {e.name!r}", e)
         c = ctx.bindings[e.name]
@@ -410,7 +433,7 @@ def _evaluate(e: Expr, ctx: EvalContext):
         return -_evaluate(e.operand, ctx)
     if isinstance(e, Bin):
         a = _evaluate(e.left, ctx)
-        if e.op == "*" and _is_zero(a):
+        if e.op == "*" and a.is_zero():
             return a  # zero short-circuit; right factor may be undefined
         if e.op == "+":
             return a + _evaluate(e.right, ctx)
@@ -420,7 +443,7 @@ def _evaluate(e: Expr, ctx: EvalContext):
             return a * _evaluate(e.right, ctx)
         b = _evaluate(e.right, ctx)
         if poly_mode:
-            if _is_zero(b):
+            if b.is_zero():
                 raise EvalError("division by zero", e)
             if b.degree == 0:
                 return a * (Fraction(1) / Fraction(b.coeffs[0]))
@@ -428,14 +451,14 @@ def _evaluate(e: Expr, ctx: EvalContext):
                 return a.exact_div(b)
             except ValueError as exc:
                 raise EvalError(str(exc), e) from None
-        if _is_zero(b):
-            raise EvalError("division by a zero field element", e)
-        return a * b.inv()
+        try:
+            return a * b.inv()
+        except ZeroDivisionError:
+            raise EvalError("division by a zero field element", e) from None
     if isinstance(e, Pow):
         ex = _int(_scalar(e.exponent, ctx), e)
         if not poly_mode and isinstance(e.base, Var) and e.base.name == "q":
-            m, j = ctx.field
-            return CycloElem.root_power(m, j * ex)  # q^e = zeta_m^(j*e)
+            return _cy_root(ctx, ex)
         base = _evaluate(e.base, ctx)
         if poly_mode:
             if base.degree <= 0:
@@ -448,11 +471,12 @@ def _evaluate(e: Expr, ctx: EvalContext):
                     "negative power of a non-constant polynomial", e
                 )
             return base**ex
-        if ex < 0 and _is_zero(base):
-            raise EvalError("zero to a negative power", e)
         if ex < 0:
-            return base.inv() ** (-ex)
-        return base**ex
+            try:
+                base = base.inv()
+            except ZeroDivisionError:
+                raise EvalError("zero to a negative power", e) from None
+        return base ** abs(ex)
     if isinstance(e, Sum):
         lo = _int(_scalar(e.lower, ctx), e)
         hi = _int(_scalar(e.upper, ctx), e)
@@ -478,32 +502,31 @@ def _evaluate(e: Expr, ctx: EvalContext):
                 raise EvalError("qcat needs a nonnegative index", e)
             p = q_catalan(k)
         else:
-            return (
-                Poly.constant(_scalar(e, ctx))
-                if poly_mode
-                else _cy_rat(ctx, _scalar(e, ctx))
-            )
+            c = _scalar(e, ctx)
+            return Poly.constant(c) if poly_mode else _cy_rat(ctx, c)
         if poly_mode:
             return p
         return _poly_at_root(ctx, p)
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _is_zero(v) -> bool:
-    return v.is_zero()
+def _cy_rat(ctx: EvalContext, c: Union[int, Fraction]) -> GroupAlgebraElem:
+    return GroupAlgebraElem.monomial(ctx.algebra, c)
 
 
-def _cy_rat(ctx: EvalContext, c) -> CycloElem:
-    return CycloElem.from_rational(ctx.field[0], Fraction(c))
+def _cy_root(ctx: EvalContext, e: int) -> GroupAlgebraElem:
+    """q^e = zeta_m^(j*e), a unit vector."""
+    return GroupAlgebraElem.monomial(ctx.algebra, 1, ctx.field[1] * e)
 
 
-def _poly_at_root(ctx: EvalContext, p: Poly) -> CycloElem:
-    """Evaluate a polynomial at q = zeta_m^j by folding q^i onto x^(ij)."""
+def _poly_at_root(ctx: EvalContext, p: Poly) -> GroupAlgebraElem:
+    """Evaluate an integer polynomial at q = zeta_m^j by folding q^i onto
+    x^(ij); the folded vector is not reduced mod Phi_m."""
     m, j = ctx.field
     folded = [0] * m
     for i, c in enumerate(p.coeffs):
         folded[(i * j) % m] += c
-    return CycloElem.from_poly(m, Poly(folded))
+    return GroupAlgebraElem(ctx.algebra, folded)
 
 
 def eval_poly(e: Expr, bindings: Optional[dict[str, int]] = None) -> Poly:
@@ -521,11 +544,15 @@ def eval_poly(e: Expr, bindings: Optional[dict[str, int]] = None) -> Poly:
 def eval_cyclo(
     e: Expr, m: int, j: int, bindings: Optional[dict[str, int]] = None
 ) -> CycloElem:
-    """Evaluate an expression in Q(zeta_m) with q bound to zeta_m^j."""
+    """Evaluate an expression in Q(zeta_m) with q bound to zeta_m^j.
+
+    >>> eval_cyclo(parse("1/(1 - q)"), 3, 1)
+    CycloElem('2/3 + 1/3*x (mod Phi_3)')
+    """
     ctx = EvalContext("cyclo", dict(bindings or {}), (m, j))
     value = _evaluate(e, ctx)
-    assert isinstance(value, CycloElem)
-    return value
+    assert isinstance(value, GroupAlgebraElem)
+    return value.value()
 
 
 # ---------------------------------------------------------------------------
@@ -713,9 +740,9 @@ def run_corpus_entry(entry: CorpusEntry, max_cases: Optional[int] = None) -> Ver
                 m, j = binding["m"], binding["j"]
                 ctx = EvalContext("cyclo", dict(binding), (m, j))
                 lhs = _evaluate(entry.lhs, ctx)
-                rhs = _evaluate(entry.rhs, ctx)
-                if lhs != rhs:
-                    return f"{binding}: {(lhs - rhs).render()}"
+                diff = (lhs - _evaluate(entry.rhs, ctx)).value()
+                if not diff.is_zero():
+                    return f"{binding}: {diff.render()}"
         return None
 
     report = run_check("dsl-corpus", {"line": entry.line_no}, witness)

@@ -1,12 +1,14 @@
 """Root-of-unity identity suites, evaluated exactly in Q(zeta_m).
 
 Every suite assembles (left side) - (right side) as an exact linear
-combination of terms c * x^e / (1 -+ x^s), accumulated in the group
-algebra Q[x]/(x^m - 1) over one common denominator and reduced modulo
-Phi_m only for the final zero test.  The inverses come from the cached
-norm-product representatives in CycloField.  The partial fractions, the
-logarithmic-derivative sums and the sawtooth left side invert single field
-elements with CycloElem.inv, which is a norm product as well.
+combination of terms c * x^e / (1 -+ x^s), accumulated in place in one
+cyclotomic.GroupAlgebraElem (the group algebra Q[x]/(x^m - 1) over one
+common denominator) and reduced modulo Phi_m only for the final zero test.
+The inverses 1/(1 -+ x^s) are the closed forms of CycloField.inv_one_minus
+and inv_one_plus (the discrete sawtooth -(1/d) sum_{u<d} u x^(su) and its
+alternating variant).  The partial fractions, the logarithmic-derivative
+sums and the sawtooth left side invert single field elements with
+CycloElem.inv, a product of Galois conjugates over the field norm.
 """
 
 from __future__ import annotations
@@ -14,18 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
-from operator import add
 from typing import Callable, Iterator, Optional
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import CycloElem, CycloField
-from .ring import Coeff
-
-@lru_cache(maxsize=256)
-def _field(m: int) -> CycloField:
-    return CycloField(m)
+from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem
 
 
 def _require_coprime(j: int, m: int) -> None:
@@ -33,54 +28,7 @@ def _require_coprime(j: int, m: int) -> None:
         raise ValueError(f"j = {j} is not coprime to {m}")
 
 
-class _Accum:
-    """Exact accumulator for sums of terms c * x^e * v in Q[x]/(x^m - 1),
-    where v is a cached group-algebra vector with its own denominator."""
-
-    __slots__ = ("field", "vec", "den")
-
-    def __init__(self, field: CycloField):
-        self.field = field
-        self.vec = [0] * field.m
-        self.den = 1
-
-    def _merge_den(self, extra_den: int) -> int:
-        """Bring the accumulator to a denominator divisible by extra_den;
-        returns the factor the incoming numerator must be scaled by."""
-        g = gcd(self.den, extra_den)
-        scale_self = extra_den // g
-        if scale_self != 1:
-            self.vec = [c * scale_self for c in self.vec]
-            self.den *= scale_self
-        return self.den // extra_den
-
-    def add_vec(self, inv: tuple[tuple[int, ...], int], e: int = 0, c: Coeff = 1) -> None:
-        """Accumulate c * x^e * (vector, denominator)."""
-        vec, vden = inv
-        c = Fraction(c)
-        if c == 0:
-            return
-        factor = self._merge_den(vden * c.denominator) * c.numerator
-        m = self.field.m
-        e %= m
-        cut = m - e
-        head, tail = vec[:cut], vec[cut:]
-        self.vec[e:] = list(map(add, self.vec[e:], (v * factor for v in head)))
-        if tail:
-            self.vec[:e] = list(map(add, self.vec[:e], (v * factor for v in tail)))
-
-    def add_monomial(self, c: Coeff, e: int = 0) -> None:
-        c = Fraction(c)
-        if c == 0:
-            return
-        factor = self._merge_den(c.denominator) * c.numerator
-        self.vec[e % self.field.m] += factor
-
-    def value(self) -> CycloElem:
-        return self.field.element(self.vec, self.den)
-
-
-def _zero_witness(acc: _Accum) -> Optional[str]:
+def _zero_witness(acc: GroupAlgebraElem) -> Optional[str]:
     elem = acc.value()
     return None if elem.is_zero() else elem.render()
 
@@ -102,8 +50,8 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
     _require_coprime(j, m)
 
     def witness() -> Optional[str]:
-        f = _field(m)
-        acc = _Accum(f)
+        f = CycloField(m)
+        acc = GroupAlgebraElem(f)
         for k in range(1, n + 1):
             num = k * (3 * k - 1)
             assert num % 2 == 0
@@ -131,8 +79,8 @@ def verify_explicit(n: int, j: int) -> VerificationReport:
     _require_coprime(j, m)
 
     def witness() -> Optional[str]:
-        f = _field(m)
-        acc = _Accum(f)
+        f = CycloField(m)
+        acc = GroupAlgebraElem(f)
         for k in range(1, n + 1):
             acc.add_vec(f.inv_one_minus(j * (3 * k - 1) % m))
         acc.add_monomial(Fraction(-n, 3))
@@ -156,8 +104,8 @@ def verify_main3n_new(n: int, j: int) -> VerificationReport:
     m = 6 * n
 
     def witness() -> Optional[str]:
-        f = _field(m)
-        acc = _Accum(f)
+        f = CycloField(m)
+        acc = GroupAlgebraElem(f)
         half_sign = Fraction((-1) ** (n - 1), 2)
         for k in range(1, n):
             e = j * k * (3 * n + 2) % m
@@ -198,9 +146,9 @@ def verify_even_case(N: int, j: int) -> VerificationReport:
     assert j % 6 in (1, 5)
 
     def witness() -> Optional[str]:
-        f = _field(m)
+        f = CycloField(m)
 
-        def shared(acc: _Accum) -> None:
+        def shared(acc: GroupAlgebraElem) -> None:
             for k in range(1, N):
                 acc.add_vec(f.inv_one_minus(6 * k * j % m), j * (2 * N + k))
             for k in range(1, N + 1):
@@ -208,7 +156,7 @@ def verify_even_case(N: int, j: int) -> VerificationReport:
             for k in range(1, N + 1):
                 acc.add_vec(f.inv_one_minus((3 * k - 2) * j % m), 0, -1)
 
-        display = _Accum(f)
+        display = GroupAlgebraElem(f)
         shared(display)
         display.add_monomial(Fraction(2 * N, 3))
         display.add_monomial(Fraction(-2 * N, 3), 2 * N * j)
@@ -216,7 +164,7 @@ def verify_even_case(N: int, j: int) -> VerificationReport:
         display.add_monomial(Fraction(-1, 3))
         display.add_monomial(Fraction(6 * N + 1, 6), N * j)
 
-        core = _Accum(f)
+        core = GroupAlgebraElem(f)
         shared(core)
         core.add_monomial(Fraction(N, 3) - Fraction(1, 3))
         core.add_monomial(Fraction(N, 3) + Fraction(1, 6), N * j)
@@ -248,9 +196,9 @@ def verify_odd_case(N: int, j: int) -> VerificationReport:
     _require_coprime(j, m)
 
     def witness() -> Optional[str]:
-        f = _field(m)
+        f = CycloField(m)
 
-        def shared(acc: _Accum) -> None:
+        def shared(acc: GroupAlgebraElem) -> None:
             for k in range(1, N):
                 s = 6 * k * j % m
                 acc.add_vec(f.inv_one_minus(s), j * (2 * N - 1 + k))
@@ -258,7 +206,7 @@ def verify_odd_case(N: int, j: int) -> VerificationReport:
             for k in range(1, N + 1):
                 acc.add_vec(f.inv_one_minus((3 * k - 2) * j % m), 0, -1)
 
-        display = _Accum(f)
+        display = GroupAlgebraElem(f)
         shared(display)
         display.add_monomial(Fraction(2 * N - 1, 3))
         display.add_monomial(Fraction(-(2 * N - 1), 3), (2 * N - 1) * j)
@@ -266,7 +214,7 @@ def verify_odd_case(N: int, j: int) -> VerificationReport:
         display.add_monomial(Fraction(-1, 3))
         display.add_monomial(-(N - Fraction(1, 3)), 2 * (2 * N - 1) * j)
 
-        core = _Accum(f)
+        core = GroupAlgebraElem(f)
         shared(core)
         core.add_monomial(Fraction(N, 3))
         core.add_monomial(Fraction(-N, 3), 2 * (2 * N - 1) * j)
@@ -311,7 +259,7 @@ class EvenOddAuxiliaries:
 def _sum_inverses(
     f: CycloField, kind: Callable[[int], tuple[tuple[int, ...], int]], exps: list[int]
 ) -> CycloElem:
-    acc = _Accum(f)
+    acc = GroupAlgebraElem(f)
     for s in exps:
         acc.add_vec(kind(s))
     return acc.value()
@@ -324,7 +272,7 @@ def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
     if case == "even":
         m = 6 * N
         _require_coprime(j, m)
-        f = _field(m)
+        f = CycloField(m)
         ks = range(1, N)
         a1 = _sum_inverses(f, f.inv_one_minus, [j * k % m for k in ks])
         a2 = _sum_inverses(f, f.inv_one_minus, [j * (N + k) % m for k in ks])
@@ -343,7 +291,7 @@ def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
     if case == "odd":
         m = 6 * N - 3
         _require_coprime(j, m)
-        f = _field(m)
+        f = CycloField(m)
         ks = range(1, N)
         two = 2 * (2 * N - 1)
         a1 = _sum_inverses(f, f.inv_one_minus, [j * k % m for k in ks])
@@ -395,14 +343,14 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
                     failures.append(f"A{idx}+A{7 - idx} != N-1: {(lo + hi).render()}")
         else:
             m = 6 * N - 3
-            f = _field(m)
+            f = CycloField(m)
             rel = aux.a1 + aux.a3 - aux.a4 - aux.a5 - aux.a5 + aux.a6
             if not rel.is_zero():
                 failures.append(f"A-relation residue: {rel.render()}")
 
             a = 2 * (2 * N - 1) * j  # w = -x^a
-            sum3 = _Accum(f)
-            sum4 = _Accum(f)
+            sum3 = GroupAlgebraElem(f)
+            sum4 = GroupAlgebraElem(f)
             for k in range(1, N):
                 s3 = 3 * j * k % m
                 # q^k (1 - q^k) / (1 + q^{3k})
@@ -427,7 +375,7 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
             if w4 is not None:
                 failures.append(f"product-form residue: {w4}")
 
-            sides = _Accum(f)
+            sides = GroupAlgebraElem(f)
             for k in range(1, N):
                 sides.add_vec(f.inv_one_minus(-2 * k * j % m))
                 sides.add_vec(f.inv_one_minus(-(2 * k - 1) * j % m))
@@ -482,7 +430,7 @@ def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
     """
     if kind not in ("pfd3", "pfd6", "cube"):
         raise ValueError("kind must be one of pfd3, pfd6, cube")
-    f = _field(6)
+    f = CycloField(6)
     one = f.one()
     w = f.root(1)
     w2 = f.root(2)
@@ -693,7 +641,7 @@ def verify_extan(m: int, z: Fraction) -> VerificationReport:
     params = {"m": m, "z_num": z.numerator, "z_den": z.denominator}
 
     def witness() -> Optional[str]:
-        f = _field(m)
+        f = CycloField(m)
         zinv = 1 / z
         total = f.zero()
         for k in range(1, m + 1):
@@ -755,9 +703,9 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
     assert f6 != 0, "q^{6k} = 1 despite the precondition"
 
     def witness() -> Optional[str]:
-        f = _field(m)
+        f = CycloField(m)
         lhs = (f.one() - f.root(f6)).inv()
-        acc = _Accum(f)
+        acc = GroupAlgebraElem(f)
         for u in range(2 * N - 1):
             acc.add_monomial(Fraction(-u, 2 * N - 1), u * f6)
         diff = lhs - acc.value()

@@ -85,7 +85,7 @@ def test_criterion_07_central_and_row_to_40():
 
 def test_criterion_08_root_identity_full_orbits_to_40():
     # pinned base case: n = 1, j = 1 gives lhs = rhs = (-1 - 2q)/3 in Q(zeta_3)
-    from qcatalan.rootid import _Accum, _field
+    from qcatalan.cyclotomic import CycloField as _field, GroupAlgebraElem as _Accum
 
     f = _field(3)
     lhs = _Accum(f)

@@ -194,3 +194,28 @@ def test_python_dash_m_runs_the_cli(capsys):
         code, out, _ = run_cli(argv, capsys)
         assert done.returncode == code == want_code, argv
         assert done.stdout == out
+
+
+def test_serial_verify_writes_each_report_before_the_next_task(monkeypatch):
+    from qcatalan import cli
+
+    events = []
+    inner = cli.execute_task
+
+    def recording(task):
+        events.append("start")
+        return inner(task)
+
+    class Stream:
+        def write(self, text):
+            events.append("write")
+            return len(text)
+
+        def flush(self):
+            events.append("flush")
+
+    monkeypatch.setattr(cli, "execute_task", recording)
+    config = cli.RunConfig(suites=["sawtooth"], n_max=4, as_json=True)
+    assert cli.run_verify(config, Stream()) == 0
+    assert events.count("start") >= 3
+    assert events == ["start", "write", "flush"] * events.count("start")

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 from qcatalan.cyclotomic import (
     CycloElem,
     CycloField,
+    GroupAlgebraElem,
+    _binomial_inverse,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -276,9 +278,7 @@ def test_negative_power_reduced_mod_m():
 def test_memo_idempotent_under_threads():
     import threading
 
-    from qcatalan import cyclotomic as cy
-
-    cy._PHI_CACHE.pop(105, None)
+    cyclotomic_poly.cache_clear()
     results = []
 
     def worker():
@@ -313,3 +313,100 @@ def test_field_inverse_helpers_cover_all_exponents():
             assert (f.one() + f.root(s)) * f.element(list(vec), den) == 1
         with pytest.raises(ZeroDivisionError):
             f.inv_one_minus(0)
+
+
+def _conjugate(a, u):
+    """sigma_u(a), the automorphism x -> x^u of Q(zeta_m) for a unit u."""
+    vec = [0] * a.m
+    for i, c in enumerate(a.num):
+        vec[i * u % a.m] += c
+    return CycloField(a.m).element(vec, a.den)
+
+
+def test_binomial_inverse_matches_norm_product():
+    # 1/(1 - c x^s) in closed form against the norm product CycloElem.inv.
+    # With g = gcd(s, m) and u a unit with g*u = s mod m, 1 - c x^s is the
+    # conjugate sigma_u(1 - c x^g), so one norm product per divisor g of m
+    # covers every s.
+    for m in range(1, 61):
+        f = CycloField(m)
+        for c in (1, -1, 2, Fraction(-1, 2), Fraction(3, 5)):
+            norm_inverse = {}
+            for g in divisors(m):
+                try:
+                    norm_inverse[g] = (f.one() - f.root(g) * c).inv()
+                except ZeroDivisionError:
+                    norm_inverse[g] = None
+            for s in range(m):
+                g = gcd(s, m)
+                units = range(s // g, s // g + m * m, m // g)
+                u = next(u for u in units if gcd(u, m) == 1)
+                # 1 - c zeta^s = 0 only for zeta^s = 1 / c, i.e. these two cases
+                zero = (c == 1 and s == 0) or (c == -1 and 2 * s == m)
+                assert (norm_inverse[g] is None) == zero, (m, s, c)
+                if zero:
+                    with pytest.raises(ZeroDivisionError):
+                        _binomial_inverse(m, s, c)
+                    continue
+                vec, den = _binomial_inverse(m, s, c)
+                assert len(vec) == m and den > 0
+                assert f.element(vec, den) == _conjugate(norm_inverse[g], u), (m, s, c)
+
+
+def _random_algebra_value(rng, f):
+    """A monomial, a two-term value or a sparse value, over a small denominator."""
+    vec = [0] * f.m
+    for _ in range(rng.choice((1, 2, 2, rng.randint(3, 5)))):
+        vec[rng.randrange(f.m)] += rng.randint(-4, 4)
+    return GroupAlgebraElem(f, vec, rng.randint(1, 6))
+
+
+def test_group_algebra_ops_match_field_arithmetic():
+    # random operation sequences on the lazy value against CycloElem arithmetic
+    rng = random.Random(1618)
+    ops = ("add", "sub", "neg", "mul", "inv", "pow", "add_vec", "add_monomial", "zero")
+    for _ in range(200):
+        m = rng.randint(1, 60)
+        f = CycloField(m)
+        x = _random_algebra_value(rng, f)
+        oracle = x.value()
+        for _ in range(8):
+            op = rng.choice(ops)
+            y = _random_algebra_value(rng, f)
+            if op == "add":
+                x, oracle = x + y, oracle + y.value()
+            elif op == "sub":
+                x, oracle = x - y, oracle - y.value()
+            elif op == "neg":
+                x, oracle = -x, -oracle
+            elif op == "mul":
+                x, oracle = x * y, oracle * y.value()
+            elif op == "inv":
+                if oracle.is_zero():
+                    with pytest.raises(ZeroDivisionError):
+                        x.inv()
+                    continue
+                x, oracle = x.inv(), oracle.inv()
+            elif op == "pow":
+                e = rng.randint(-2, 3)
+                if e < 0 and oracle.is_zero():
+                    continue
+                x, oracle = x**e, oracle**e
+            elif op == "add_vec" and m > 1:
+                s, e = rng.randrange(1, m), rng.randrange(-m, m)
+                c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                x.add_vec(f.inv_one_minus(s), e, c)
+                oracle = oracle + f.root(e) * c * (f.one() - f.root(s)).inv()
+            elif op == "add_monomial":
+                c, e = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randrange(m)
+                x.add_monomial(c, e)
+                oracle = oracle + f.root(e) * c
+            elif op == "zero":
+                # a multiple of Phi_m: zero in the field, not in the group algebra
+                phi = [0] * m
+                for i, c in enumerate(f.phi):
+                    phi[i % m] += c  # folded mod x^m - 1 (Phi_1 = x - 1)
+                x = x + GroupAlgebraElem(f, phi) * y
+            assert x.den > 0 and len(x.vec) == m
+            assert x.value() == oracle, (m, op)
+            assert x.is_zero() == oracle.is_zero(), (m, op)

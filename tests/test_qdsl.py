@@ -9,12 +9,14 @@ from qcatalan.cyclotomic import CycloElem
 from qcatalan.qdsl import (
     Bin,
     Call,
+    EvalContext,
     EvalError,
     Num,
     ParseError,
     Pow,
     Sum,
     Var,
+    _scalar,
     eval_cyclo,
     eval_poly,
     parse,
@@ -119,6 +121,44 @@ def test_eval_cyclo_errors():
     assert "1 - q^3" in str(exc.value)
     with pytest.raises(ValueError):
         eval_cyclo(parse("q"), 6, 2)  # j not coprime
+
+
+def test_cyclo_edge_cases_pinned():
+    # a left factor that is zero only mod Phi_3 still short-circuits '*'
+    assert eval_cyclo(parse("(1 + q + q^2) * (1/(1 - q^0))"), 3, 1).is_zero()
+    with pytest.raises(EvalError) as exc:
+        eval_poly(parse("(1 + q + q^2) * (1/(1 - q^0))"))
+    assert str(exc.value) == "division by zero (in: 1 / (1 - q^0))"
+    # a divisor that is zero only mod Phi_3 is caught by the inverse
+    with pytest.raises(EvalError) as exc:
+        eval_cyclo(parse("1/(1 + q + q^2)"), 3, 1)
+    assert str(exc.value) == "division by a zero field element (in: 1 / (1 + q + q^2))"
+    with pytest.raises(EvalError) as exc:
+        eval_poly(parse("1/(1 + q + q^2)"))
+    assert str(exc.value) == (
+        "inexact polynomial division (remainder 1) (in: 1 / (1 + q + q^2))"
+    )
+
+
+def test_integer_positions_stay_exact():
+    for evaluate in (eval_poly, lambda e: eval_cyclo(e, 3, 1)):
+        with pytest.raises(EvalError) as exc:
+            evaluate(parse("q^(2^(-1))"))
+        assert str(exc.value) == "expected an integer, got 1/2 (in: q^2^-1)"
+    assert eval_poly(parse("q^(4^(-1)*8)")) == Poly([0, 0, 1])
+    assert eval_cyclo(parse("q^(4^(-1)*8)"), 3, 1) == CycloElem(3, [-1, -1])
+    # int arithmetic, with a Fraction only for a non-integral quotient or a
+    # negative power; never a float
+    ctx = EvalContext("poly", {"n": 7})
+    for text, value in (
+        ("2^3 + n/7 - floor(n/2)", 6),
+        ("2^(-2)", Fraction(1, 4)),
+        ("(-2)^(0-3)", Fraction(-1, 8)),
+        ("n/2", Fraction(7, 2)),
+        ("sum(k=1..n, k)", 28),
+    ):
+        result = _scalar(parse(text), ctx)
+        assert result == value and type(result) is type(value), text
 
 
 def test_negative_exponents_in_cyclo():

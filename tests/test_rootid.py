@@ -55,7 +55,7 @@ def test_root_context_primitivity():
 def test_main3n_base_case_value():
     # n = 1, j = 1: both sides equal (-1 - 2q)/3 in Q(zeta_3)
     assert verify_main3n(1, 1).passed
-    from qcatalan.rootid import _Accum, _field
+    from qcatalan.cyclotomic import CycloField as _field, GroupAlgebraElem as _Accum
 
     f = _field(3)
     lhs = _Accum(f)
@@ -302,7 +302,7 @@ def test_empty_sum_convention():
 
 def test_exact_vs_float_consistency():
     # exact pass implies the complex embedding is numerically tiny
-    from qcatalan.rootid import _Accum, _field
+    from qcatalan.cyclotomic import CycloField as _field, GroupAlgebraElem as _Accum
 
     for (n, j) in ((2, 1), (3, 2), (4, 5)):
         m = 3 * n
