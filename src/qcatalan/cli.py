@@ -3,7 +3,9 @@ expressions, and run verification suites over parameter sweeps with
 JSON-lines reporting.
 
 Exit codes: 0 when every executed check passes, 1 when any check fails,
-2 on usage errors, 3 when the requested sweeps select no checks at all.
+2 on usage errors, 3 when the requested sweeps select no checks at all,
+4 when any check raised.  A check that raises does not stop the run: it
+is reported with status "error" and the exception as its witness.
 Report streams are deterministic: tasks are generated in sorted parameter
 order and the writer preserves that order regardless of worker completion
 order, so reruns are byte-identical apart from the elapsed_ms timing field.
@@ -14,6 +16,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -270,7 +274,7 @@ SUITE_TABLE = (
     ),
     Suite(
         "maj-oracle",
-        lambda c: ({"k": k} for k in range(min(c.n_max, qcomb.MAJ_ORACLE_BOUND) + 1)),
+        lambda c: ({"k": k} for k in _ns(c, 0) if k <= qcomb.MAJ_ORACLE_BOUND),
         lambda p, mode, tol: congruence.verify_maj_oracle(**p),
         default_max=8,
     ),
@@ -301,8 +305,18 @@ def generate_tasks(config: RunConfig, suite: str) -> Iterator[Task]:
 
 # top-level function so process pools can pickle it
 def execute_task(task: tuple[str, dict, str, float]) -> VerificationReport:
+    """Run one check; an exception becomes that check's "error" report, and
+    its traceback goes to stderr."""
     suite, params, mode, tol = task
-    return _suite(suite).run(params, mode, tol)
+    row = _suite(suite)
+    start = time.perf_counter()
+    try:
+        return row.run(params, mode, tol)
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
+        witness = f"{type(exc).__name__}: {exc}"
+        elapsed = time.perf_counter() - start
+        return VerificationReport(suite, dict(params), congruence.ERROR, witness, elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +334,9 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
                 file=sys.stderr,
             )
             return 2
+    if not config.tol > 0:  # also rejects nan
+        print("--tol must be positive", file=sys.stderr)
+        return 2
     tasks: list[tuple[str, dict, str, float]] = []
     for suite in config.suites:
         for sid, params in generate_tasks(config, suite):
@@ -340,6 +357,8 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
     finally:
         if out_file is not None:
             out_file.close()
+    if counts["error"]:
+        return 4
     return 0 if counts["fail"] == 0 else 1
 
 
@@ -351,7 +370,7 @@ def _write_reports(
 ) -> dict[str, int]:
     """Write each report as it arrives; reports come in task order, so a
     line is written as soon as it and every line before it are done."""
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    counts = {"pass": 0, "fail": 0, "skipped": 0, "error": 0}
     for rep in reports:
         counts[rep.status] += 1
         stdout.write((rep.to_json() if config.as_json else rep.summary()) + "\n")
@@ -360,9 +379,10 @@ def _write_reports(
             out_file.write(rep.to_json() + "\n")
             out_file.flush()
     if not config.as_json:
+        errors = f", {counts['error']} errors" if counts["error"] else ""
         stdout.write(
             f"total: {counts['pass']} passed, {counts['fail']} failed, "
-            f"{counts['skipped']} skipped\n"
+            f"{counts['skipped']} skipped{errors}\n"
         )
     return counts
 

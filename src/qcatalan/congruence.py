@@ -30,14 +30,15 @@ from .ring import Poly
 PASS = "pass"
 FAIL = "fail"
 SKIPPED = "skipped"
+ERROR = "error"
 
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Structured outcome of one check.
 
-    witness is present exactly when the check failed; it renders the
-    nonzero residue (or a diagnostic) for inspection.
+    witness is present exactly when the check failed or raised; it renders
+    the nonzero residue (or a diagnostic, or the exception) for inspection.
     """
 
     suite_id: str
@@ -47,9 +48,9 @@ class VerificationReport:
     elapsed: float = 0.0
 
     def __post_init__(self):
-        if self.status not in (PASS, FAIL, SKIPPED):
+        if self.status not in (PASS, FAIL, SKIPPED, ERROR):
             raise ValueError(f"bad status {self.status!r}")
-        if self.status == FAIL and not self.witness:
+        if self.status in (FAIL, ERROR) and not self.witness:
             raise ValueError("failing reports carry a nonzero witness")
         if self.status == PASS and self.witness is not None:
             raise ValueError("passing reports carry no witness")

@@ -467,7 +467,8 @@ def _phi_int_coeffs(m: int) -> tuple[int, ...]:
 
 class CycloField:
     """Shared context for computations in one Q(zeta_m): m, the integer
-    coefficients of Phi_m, and constructors for CycloElem values.
+    coefficients of Phi_m, and element(), which reduces a group-algebra
+    vector into a CycloElem.
 
     inv_one_minus / inv_one_plus give group-algebra representatives
     (vector, denominator) of 1/(1 - x^s) and 1/(1 + x^s), i.e. integer
@@ -482,21 +483,6 @@ class CycloField:
             raise ValueError("field order must be a positive integer")
         self.m = m
         self.phi = _phi_int_coeffs(m)
-        self.deg = len(self.phi) - 1
-
-    # -- element constructors ------------------------------------------------
-
-    def zero(self) -> CycloElem:
-        return CycloElem.zero(self.m)
-
-    def one(self) -> CycloElem:
-        return CycloElem.one(self.m)
-
-    def rational(self, c: Coeff) -> CycloElem:
-        return CycloElem.from_rational(self.m, c)
-
-    def root(self, t: int) -> CycloElem:
-        return CycloElem.root_power(self.m, t)
 
     def element(self, vec: Sequence[int], den: int = 1) -> CycloElem:
         """Reduce a group-algebra vector mod Phi_m into a field element."""

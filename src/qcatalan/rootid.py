@@ -8,7 +8,9 @@ The inverses 1/(1 -+ x^s) are the closed forms of CycloField.inv_one_minus
 and inv_one_plus (the discrete sawtooth -(1/d) sum_{u<d} u x^(su) and its
 alternating variant).  The partial fractions, the logarithmic-derivative
 sums and the sawtooth left side invert single field elements with
-CycloElem.inv, a product of Galois conjugates over the field norm.
+CycloElem.inv, a product of Galois conjugates over the field norm.  The
+rearrangement lemma (mid) is the one identity in a free variable w: it is
+certified by the integer Taylor series of lhs - rhs (verify_mid_identity).
 """
 
 from __future__ import annotations
@@ -286,7 +288,7 @@ def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
         b3 = _sum_inverses(f, f.inv_one_plus, [j * (N + 2 * k - 1) % m for k in kb])
         c1 = _sum_inverses(f, f.inv_one_minus, [j * (3 * k - 1) % m for k in kb])
         c2 = _sum_inverses(f, f.inv_one_minus, [j * (3 * k - 2) % m for k in kb])
-        omega = f.root(j * N)
+        omega = CycloElem.root_power(m, j * N)
         return EvenOddAuxiliaries(a1, a2, a3, a4, a5, a6, b1, b2, b3, c1, c2, omega)
     if case == "odd":
         m = 6 * N - 3
@@ -303,7 +305,7 @@ def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
         kb = range(1, N + 1)
         c1 = _sum_inverses(f, f.inv_one_minus, [j * (3 * k - 1) % m for k in kb])
         c2 = _sum_inverses(f, f.inv_one_minus, [j * (3 * k - 2) % m for k in kb])
-        omega = -f.root(two * j)
+        omega = -CycloElem.root_power(m, two * j)
         return EvenOddAuxiliaries(a1, a2, a3, a4, a5, a6, None, None, None, c1, c2, omega)
     raise ValueError("case must be 'even' or 'odd'")
 
@@ -430,33 +432,32 @@ def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
     """
     if kind not in ("pfd3", "pfd6", "cube"):
         raise ValueError("kind must be one of pfd3, pfd6, cube")
-    f = CycloField(6)
-    one = f.one()
-    w = f.root(1)
-    w2 = f.root(2)
+    one = CycloElem.one(6)
+    w = CycloElem.root_power(6, 1)
+    w2 = CycloElem.root_power(6, 2)
 
     def sides(x: Fraction) -> tuple[CycloElem, CycloElem]:
         if kind == "pfd6":
-            lhs = f.rational(6 * x / (1 - x**6))
+            lhs = CycloElem.from_rational(6, 6 * x / (1 - x**6))
             rhs = (
-                f.rational(Fraction(1) / (1 - x))
+                CycloElem.from_rational(6, Fraction(1) / (1 - x))
                 - w * (one - w2 * x).inv()
                 + w2 * (one + w * x).inv()
-                - f.rational(Fraction(1) / (1 + x))
+                - CycloElem.from_rational(6, Fraction(1) / (1 + x))
                 + w * (one + w2 * x).inv()
                 - w2 * (one - w * x).inv()
             )
         elif kind == "pfd3":
-            lhs = f.rational(3 * x / (1 - x**3))
+            lhs = CycloElem.from_rational(6, 3 * x / (1 - x**3))
             rhs = (
-                f.rational(Fraction(1) / (1 - x))
+                CycloElem.from_rational(6, Fraction(1) / (1 - x))
                 - w * (one - w2 * x).inv()
                 + w2 * (one + w * x).inv()
             )
         else:
-            lhs = f.rational(3 * x * (1 - x) / (1 + x**3))
+            lhs = CycloElem.from_rational(6, 3 * x * (1 - x) / (1 + x**3))
             rhs = (
-                f.rational(Fraction(-2) / (1 + x))
+                CycloElem.from_rational(6, Fraction(-2) / (1 + x))
                 + (one - w * x).inv()
                 + (one + w2 * x).inv()
             )
@@ -474,7 +475,7 @@ def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# rational-sample certification of the rearrangement identity
+# power-series certification of the rearrangement identity
 
 
 def _mid_lhs(n: int, w: Fraction) -> Fraction:
@@ -501,7 +502,7 @@ def _mid_rhs(n: int, w: Fraction) -> Fraction:
 
 
 # A side of the identity as const + sum c * w^e / (1 - t * w^s) over
-# (c, e, s, t), t = +-1; the same terms as _mid_lhs / _mid_rhs.
+# (c, e, s, t), t = +-1, e >= 0, s >= 1; the same terms as _mid_lhs / _mid_rhs.
 _MidSide = tuple[Fraction, list[tuple[Fraction, int, int, int]]]
 
 
@@ -528,98 +529,48 @@ def _mid_rhs_terms(n: int) -> _MidSide:
     return -Fraction(2 * n - 1 + (-1) ** n, 4), terms
 
 
-def _mid_int(w: Fraction, side: _MidSide) -> tuple[int, int]:
-    """The side at w as an integer pair (num, den), num / den its value.
-
-    With w = a/b each term is c a^e b^(s-e) / (b^s - t a^s).  One power
-    b^top, top = max(e - s, 0), clears every negative power of b, and the
-    terms are added over b^top times the product of their denominators,
-    with no gcd taken.  den == 0 exactly when some 1 - t w^s vanishes,
-    i.e. w is a pole.
-    """
-    a, b = w.numerator, w.denominator
-    const, terms = side
-    top = max([0] + [e - s for _, e, s, _ in terms])
-    num, den = const.numerator * b**top, const.denominator
-    for c, e, s, t in terms:
-        td = c.denominator * (b**s - t * a**s)
-        num = num * td + c.numerator * a**e * b ** (s - e + top) * den
-        den *= td
-    return num, den * b**top
-
-
 def mid_degree_bound(n: int) -> int:
-    """Bound for the numerator degree of (lhs - rhs) over the common
-    denominator, after the substitution z = w^2."""
-    db_l = sum(2 * (3 * k - 1) for k in range(1, n + 1)) + sum(
-        6 * k for k in range(1, n)
-    )
-    extra_l = max(
-        [0]
-        + [k * (3 * k - 1) - 2 * (3 * k - 1) for k in range(1, n + 1)]
-        + [k * (3 * k + 5) - 6 * k for k in range(1, n)]
-    )
-    db_r = (
-        2 * sum(3 * k for k in range(1, n))
-        + sum(2 * (3 * k - 1) for k in range(1, n + 1))
-        + sum(2 * (3 * k - 2) for k in range(1, (n + 1) // 2 + 1))
-    )
-    extra_r = max([0] + [k * (3 * n + 2) - 3 * k for k in range(1, n)])
-    return max(db_l + extra_l + db_r, db_r + extra_r + db_l)
+    """Bound on deg P, P = (lhs - rhs) * Q and Q the product of every
+    term's denominator 1 - t w^s on both sides: the sum of all s plus the
+    largest of 0 and every e - s (c w^e Q / (1 - t w^s) has degree
+    e - s + deg Q)."""
+    terms = _mid_lhs_terms(n)[1] + _mid_rhs_terms(n)[1]
+    return sum(s for _, _, s, _ in terms) + max([0] + [e - s for _, e, s, _ in terms])
 
 
-def _mid_points(count: int) -> Iterator[Fraction]:
-    h = 2
-    produced = 0
-    while produced < count:
-        for p in range(1, h):
-            if gcd(p, h) == 1:
-                yield Fraction(h, p)
-                produced += 1
-                if produced >= count:
-                    return
-                yield Fraction(p, h)
-                produced += 1
-                if produced >= count:
-                    return
-        h += 1
-
-
-def verify_mid_identity(n: int, retries: int = 4) -> VerificationReport:
+def verify_mid_identity(n: int) -> VerificationReport:
     """Certify the rearrangement identity behind main3n-new as an identity
-    of rational functions: substitute z = w^2 to clear the half powers,
-    then compare both sides at (degree bound + 1) distinct rational w.
-    Rational w with |w| not in {0, 1} can never hit a pole, so agreement
-    everywhere is a proof, not a sampling heuristic.
+    of rational functions in w, by the Taylor series of lhs - rhs.
 
-    At each point w = a/b both sides are evaluated in integers, each as one
-    numerator over one denominator (N_l / D_l and N_r / D_r, see _mid_int),
-    and compared by cross-multiplication, N_l * D_r == N_r * D_l.  No gcd
-    is taken; the reduced difference is formed only for the witness.
+    Every term is c * w^e / (1 - t w^s) with s >= 1, so the common
+    denominator Q (the product of all 1 - t w^s) has Q(0) = 1 and is a
+    unit in Q[[w]], and the numerator P = (lhs - rhs) * Q has degree at
+    most B = mid_degree_bound(n).  Hence P = 0 exactly when the series of
+    lhs - rhs vanishes through w^B (Stanley, Enumerative Combinatorics I,
+    section 4.1).  Each term adds c * t^i at position e + i*s; the sides
+    are scaled by the lcm of the coefficient denominators, so the B + 1
+    coefficients are integers.  The witness is the lowest nonzero one.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    needed = mid_degree_bound(n) + 1
+    size = mid_degree_bound(n) + 1
 
     def witness() -> Optional[str]:
-        lhs, rhs = _mid_lhs_terms(n), _mid_rhs_terms(n)
-        checked = 0
-        for w in _mid_points(needed + retries):
-            if checked >= needed:
-                break
-            n_l, d_l = _mid_int(w, lhs)
-            n_r, d_r = _mid_int(w, rhs)
-            if d_l == 0 or d_r == 0:
-                continue  # defensive; cannot happen for |w| not in {0, 1}
-            if n_l * d_r != n_r * d_l:
-                diff = Fraction(n_l * d_r - n_r * d_l, d_l * d_r)
-                return f"disagreement at w = {w}: lhs - rhs = {diff}"
-            checked += 1
-        if checked < needed:
-            return f"only {checked} of {needed} points evaluated cleanly"
-        return None
+        (c_l, lhs), (c_r, rhs) = _mid_lhs_terms(n), _mid_rhs_terms(n)
+        # the constants enter as c / (1 - w^size), which is c through w^B
+        terms = [(c_l - c_r, 0, size, 1)] + lhs + [(-c, e, s, t) for c, e, s, t in rhs]
+        scale = math.lcm(*(c.denominator for c, _, _, _ in terms))
+        series = [0] * size
+        for c, e, s, t in terms:
+            c = c.numerator * (scale // c.denominator)
+            for i, pos in enumerate(range(e, size, s)):
+                series[pos] += c * t**i
+        low = next((p for p, v in enumerate(series) if v), None)
+        if low is None:
+            return None
+        return f"lhs - rhs = {Fraction(series[low], scale)}*w^{low} + O(w^{low + 1})"
 
-    return run_check("mid", {"n": n, "points": needed}, witness)
+    return run_check("mid", {"n": n, "points": size}, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -641,12 +592,12 @@ def verify_extan(m: int, z: Fraction) -> VerificationReport:
     params = {"m": m, "z_num": z.numerator, "z_den": z.denominator}
 
     def witness() -> Optional[str]:
-        f = CycloField(m)
         zinv = 1 / z
-        total = f.zero()
+        one = CycloElem.one(m)
+        total = CycloElem.zero(m)
         for k in range(1, m + 1):
-            total = total + (f.one() - f.root(k) * zinv).inv()
-        diff = total - f.rational(Fraction(m) / (1 - zinv**m))
+            total = total + (one - CycloElem.root_power(m, k) * zinv).inv()
+        diff = total - CycloElem.from_rational(m, Fraction(m) / (1 - zinv**m))
         return None if diff.is_zero() else diff.render()
 
     return run_check("extan", params, witness)
@@ -704,7 +655,7 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
 
     def witness() -> Optional[str]:
         f = CycloField(m)
-        lhs = (f.one() - f.root(f6)).inv()
+        lhs = (CycloElem.one(m) - CycloElem.root_power(m, f6)).inv()
         acc = GroupAlgebraElem(f)
         for u in range(2 * N - 1):
             acc.add_monomial(Fraction(-u, 2 * N - 1), u * f6)

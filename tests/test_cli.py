@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, report streams."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -86,6 +87,13 @@ def test_float_mode_restriction(capsys):
     code, _, err = run_cli(["verify", "main-phi2", "--mode", "float"], capsys)
     assert code == 2
     assert "float mode" in err
+
+
+def test_nonpositive_tol_is_a_usage_error(capsys):
+    for tol in ("0", "-1", "nan"):
+        code, out, err = run_cli(["verify", "trig", "--n", "2", "--tol", tol], capsys)
+        assert code == 2 and out == "", tol
+        assert "--tol must be positive" in err
 
 
 def test_verify_text_output(capsys):
@@ -219,3 +227,55 @@ def test_serial_verify_writes_each_report_before_the_next_task(monkeypatch):
     assert cli.run_verify(config, Stream()) == 0
     assert events.count("start") >= 3
     assert events == ["start", "write", "flush"] * events.count("start")
+
+
+def test_maj_oracle_honours_n(capsys):
+    from qcatalan.qcomb import MAJ_ORACLE_BOUND
+
+    for k in (5, MAJ_ORACLE_BOUND):
+        code, out, _ = run_cli(["verify", "maj-oracle", "--n", str(k), "--json"], capsys)
+        assert code == 0
+        assert [json.loads(line)["params"] for line in out.splitlines()] == [{"k": k}]
+    # past the bound the sweep selects nothing
+    for k in (MAJ_ORACLE_BOUND + 1, 50):
+        code, out, err = run_cli(["verify", "maj-oracle", "--n", str(k)], capsys)
+        assert code == 3 and out == "" and "no checks" in err
+
+
+def test_raising_check_is_reported_and_the_run_goes_on(monkeypatch, capsys):
+    from qcatalan import congruence
+
+    inner = congruence.verify_tauraso_mod_phi
+
+    def raising(n):
+        if n == 3:
+            raise ValueError("injected")
+        return inner(n)
+
+    monkeypatch.setattr(congruence, "verify_tauraso_mod_phi", raising)
+    code, out, err = run_cli(["verify", "tauraso-phi", "--n-max", "5", "--json"], capsys)
+    assert code == 4
+    assert err.startswith("Traceback") and err.rstrip().endswith("ValueError: injected")
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["params"]["n"] for r in reports] == [2, 3, 4, 5]
+    assert [r["status"] for r in reports] == ["pass", "error", "pass", "pass"]
+    assert reports[1]["witness"] == "ValueError: injected"
+    code, out, _ = run_cli(["verify", "tauraso-phi", "--n-max", "5"], capsys)
+    assert code == 4
+    assert out.splitlines()[1].startswith("ERROR tauraso-phi n=3 (")
+    assert out.splitlines()[-1] == "total: 3 passed, 0 failed, 0 skipped, 1 errors"
+
+
+def test_verify_all_stream_matches_bench_digest(capsys):
+    # the verify-all benchmark workload: every suite at --n-max 6
+    bench = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+    want = json.loads(bench.read_text())["workloads"]["verify-all"]["full"]
+    code, out, _ = run_cli(["verify", "all", "--n-max", "6", "--json"], capsys)
+    assert code == 0
+    canon = []
+    for line in out.splitlines():
+        obj = json.loads(line)
+        obj.pop("elapsed_ms")
+        canon.append(json.dumps(obj, sort_keys=True) + "\n")
+    assert len(canon) == want["checks"]
+    assert hashlib.sha256("".join(canon).encode()).hexdigest() == want["sha256"]

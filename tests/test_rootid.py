@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,14 +25,7 @@ from qcatalan.rootid import (
     verify_trig_identity,
 )
 from qcatalan import rootid
-from qcatalan.rootid import (
-    _mid_int,
-    _mid_lhs,
-    _mid_lhs_terms,
-    _mid_points,
-    _mid_rhs,
-    _mid_rhs_terms,
-)
+from qcatalan.rootid import _mid_lhs, _mid_lhs_terms, _mid_rhs, _mid_rhs_terms
 
 
 def test_root_context_validation():
@@ -62,7 +56,7 @@ def test_main3n_base_case_value():
     lhs.add_vec(f.inv_one_minus(2), 1, -1)  # -q / (1 - q^2)
     expected = CycloElem(3, [-1, -2], 3)
     assert lhs.value() == expected
-    rhs = f.rational(Fraction(1, 3)) + f.root(2) * Fraction(4, 6)
+    rhs = CycloElem.from_rational(3, Fraction(1, 3)) + CycloElem.root_power(3, 2) * Fraction(4, 6)
     assert rhs == expected
 
 
@@ -183,62 +177,120 @@ def test_pfd():
         verify_pfd("pfd9")
 
 
+def _mid_points(count):
+    """count distinct rationals h/p and p/h with gcd(p, h) = 1 and p < h,
+    so |w| is never 0 or 1 and no denominator 1 - t w^s vanishes."""
+    out, h = [], 2
+    while len(out) < count:
+        for p in range(1, h):
+            if gcd(p, h) == 1:
+                out += [Fraction(h, p), Fraction(p, h)]
+        h += 1
+    return out[:count]
+
+
+def _side_value(side, w):
+    """A term list evaluated at w in Fraction: const + sum c w^e / (1 - t w^s)."""
+    const, terms = side
+    return const + sum(c * w**e / (1 - t * w**s) for c, e, s, t in terms)
+
+
+def _old_mid_degree_bound(n):
+    # the closed formula mid_degree_bound had before it was derived from the terms
+    db_l = sum(2 * (3 * k - 1) for k in range(1, n + 1)) + sum(6 * k for k in range(1, n))
+    extra_l = max(
+        [0]
+        + [k * (3 * k - 1) - 2 * (3 * k - 1) for k in range(1, n + 1)]
+        + [k * (3 * k + 5) - 6 * k for k in range(1, n)]
+    )
+    db_r = (
+        2 * sum(3 * k for k in range(1, n))
+        + sum(2 * (3 * k - 1) for k in range(1, n + 1))
+        + sum(2 * (3 * k - 2) for k in range(1, (n + 1) // 2 + 1))
+    )
+    extra_r = max([0] + [k * (3 * n + 2) - 3 * k for k in range(1, n)])
+    return max(db_l + extra_l + db_r, db_r + extra_r + db_l)
+
+
 def test_mid_identity_point_values():
     # n = 2, w = 2 (z = 4): both sides evaluate to the same exact rational
     assert _mid_lhs(2, Fraction(2)) == _mid_rhs(2, Fraction(2))
     assert _mid_lhs(3, Fraction(3, 2)) == _mid_rhs(3, Fraction(3, 2))
     # 200 sample points for n = 5
-    from qcatalan.rootid import _mid_points
-
-    count = 0
-    for w in _mid_points(200):
+    points = _mid_points(200)
+    assert len(set(points)) == 200
+    for w in points:
         assert _mid_lhs(5, w) == _mid_rhs(5, w)
-        count += 1
-    assert count == 200
+    # w = +-1 are poles of both Fraction sides
+    for w in (Fraction(1), Fraction(-1)):
+        with pytest.raises(ZeroDivisionError):
+            _mid_lhs(3, w)
+        with pytest.raises(ZeroDivisionError):
+            _mid_rhs(3, w)
 
 
 def test_mid_integer_sides_match_fraction_oracle():
     for n in range(2, 9):
         lhs, rhs = _mid_lhs_terms(n), _mid_rhs_terms(n)
         for w in _mid_points(300):
-            assert Fraction(*_mid_int(w, lhs)) == _mid_lhs(n, w), (n, w)
-            assert Fraction(*_mid_int(w, rhs)) == _mid_rhs(n, w), (n, w)
+            assert _side_value(lhs, w) == _mid_lhs(n, w), (n, w)
+            assert _side_value(rhs, w) == _mid_rhs(n, w), (n, w)
+
+
+def test_mid_degree_bound_matches_closed_formula():
+    for n in range(2, 61):
+        assert mid_degree_bound(n) == _old_mid_degree_bound(n), n
+
+
+def _point_certificate(n):
+    """The term lists (as rootid holds them) agree at mid_degree_bound(n) + 1
+    rational points."""
+    lhs, rhs = rootid._mid_lhs_terms(n), rootid._mid_rhs_terms(n)
+    points = _mid_points(mid_degree_bound(n) + 1)
+    return all(_side_value(lhs, w) == _side_value(rhs, w) for w in points)
+
+
+def test_mid_series_verdict_matches_point_certificate():
+    for n in range(2, 7):
+        points = _mid_points(mid_degree_bound(n) + 1)
+        assert all(_mid_lhs(n, w) == _mid_rhs(n, w) for w in points), n
+        assert verify_mid_identity(n).passed, n
+
+
+def _perturbations(n):
+    """(name, new rhs term list, lowest power of lhs - rhs, its coefficient)."""
+    const, terms = _mid_rhs_terms(n)
+    high = mid_degree_bound(n) // 2 + 1
+    c, e, s, t = terms[0]  # flipping t changes c t^i at w^(e+i*s) for odd i
+    return [
+        ("constant + 1", (const + 1, terms), 0, Fraction(-1)),
+        ("extra term", (const, terms + [(Fraction(1, 2), high, 5, 1)]), high, Fraction(-1, 2)),
+        ("t flipped", (const, [(c, e, s, -t)] + terms[1:]), e + s, 2 * c * t),
+    ]
+
+
+def test_mid_perturbations_are_rejected(monkeypatch):
+    for n in (2, 5):
+        for name, side, low, coeff in _perturbations(n):
+            monkeypatch.setattr(rootid, "_mid_rhs_terms", lambda m, side=side: side)
+            assert not _point_certificate(n), (n, name)
+            rep = verify_mid_identity(n)
+            assert not rep.passed, (n, name)
+            assert rep.witness == f"lhs - rhs = {coeff}*w^{low} + O(w^{low + 1})", (n, name)
+            assert rep.params["points"] == mid_degree_bound(n) + 1
+            monkeypatch.undo()
 
 
 def test_mid_mismatch_witness(monkeypatch):
-    # an off-by-one right side: the witness is the one the Fraction sides give
+    # an off-by-one right side: lhs - rhs = -1 + O(w), the lowest power named
     real = rootid._mid_rhs_terms
     monkeypatch.setattr(
         rootid, "_mid_rhs_terms", lambda n: (real(n)[0] + 1, real(n)[1])
     )
     for n in (2, 5):
-        w = next(_mid_points(1))
-        lhs, rhs = _mid_lhs(n, w), _mid_rhs(n, w) + 1
         rep = verify_mid_identity(n)
         assert not rep.passed
-        assert rep.witness == f"disagreement at w = {w}: lhs - rhs = {lhs - rhs}"
-
-
-def test_mid_poles_are_skipped(monkeypatch):
-    # w = +-1 are poles: the Fraction sides raise, the integer denominators vanish
-    poles = [Fraction(1), Fraction(-1)]
-    for w in poles:
-        with pytest.raises(ZeroDivisionError):
-            _mid_lhs(3, w) + _mid_rhs(3, w)
-        assert _mid_int(w, _mid_lhs_terms(3))[1] == 0
-        assert _mid_int(w, _mid_rhs_terms(3))[1] == 0
-    real = rootid._mid_points
-    monkeypatch.setattr(
-        rootid, "_mid_points", lambda count: iter(poles + list(real(count - 2)))
-    )
-    rep = verify_mid_identity(3)
-    assert rep.passed and rep.params["points"] == mid_degree_bound(3) + 1
-    monkeypatch.setattr(
-        rootid, "_mid_points", lambda count: iter(poles * 3 + list(real(count - 6)))
-    )
-    rep = verify_mid_identity(3)
-    needed = mid_degree_bound(3) + 1
-    assert rep.witness == f"only {needed - 2} of {needed} points evaluated cleanly"
+        assert rep.witness == "lhs - rhs = -1*w^0 + O(w^1)"
 
 
 def test_mid_identity_certificates():
