@@ -154,7 +154,7 @@ SUITE_TABLE = (
     ),
     Suite(
         "lucas",
-        _lucas_tuples,
+        lambda c: (p for p in _lucas_tuples(c) if p["n"] in _ns(c, 2)),
         lambda p, mode, tol: congruence.verify_lucas_qbinom(**p),
         default_max=30,
     ),

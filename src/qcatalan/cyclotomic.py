@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb, gcd
+from math import comb, gcd, prod
 from operator import add, mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -38,18 +38,7 @@ def euler_phi(n: int) -> int:
     """
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return prod(p ** (a - 1) * (p - 1) for p, a in factorize(n))
 
 
 def divisors(n: int) -> list[int]:

@@ -89,96 +89,98 @@ def legendre3(a: int) -> int:
 # ---------------------------------------------------------------------------
 # MacMahon q-Catalan polynomials and the partial sums of the left-hand sides
 #
-# The suites sweep these over large parameter ranges, so the central
-# binomials are grown incrementally,
+# Since C_k = [2k, k] - q[2k, k+1], the Catalan partial sum
+# sum_{k<n} q^k C_k is the central sum minus the shifted one, so only
+# those two prefix tables are stored (row n holds the sum over k < n);
+# C_k and the Catalan sums are read off them.  The central binomials grow
+# incrementally by the defining product of quotients, shared across k,
 #
 #     [2k+2, k+1] = [2k, k] * (1 - q^{2k+1})(1 - q^{2k+2}) / (1 - q^{k+1})^2,
 #
-# which is the same defining product of quotients, shared across k.  A lock
-# keeps the shared tables consistent for concurrent callers.
+# and [2k, k+1] = [2k, k] * (1 - q^k) / (1 - q^{k+1}).  A lock keeps the
+# shared tables consistent for concurrent callers.
 
 _chain_lock = threading.Lock()
-_central: list[int] = [1]  # [2k, k] for the current k
-_central_k = 0
-_qcat: list[list[int]] = []  # C_k
-_cat_sums: list[list[int]] = [[]]  # sum_{i<k} q^i C_i
-_cen_sums: list[list[int]] = [[]]  # sum_{i<k} q^i [2i, i]
-_shifted_sums: list[list[int]] = [[]]  # sum_{i<k} q^{i+1} [2i, i+1]
+_central: list[int] = [1]  # [2k, k] for the next k, k = len(_cen_sums) - 1
+_cen_sums: list[list[int]] = [[]]  # row n: sum_{k<n} q^k [2k, k]
+_shifted_sums: list[list[int]] = [[]]  # row n: sum_{k<n} q^{k+1} [2k, k+1]
 
 
-def _add_shifted(a: list[int], b: list[int], k: int) -> list[int]:
-    """a + q^k * b on raw coefficient lists."""
+def _add_shifted(a: list[int], b: list[int], k: int, op=add) -> list[int]:
+    """a + q^k * b on raw coefficient lists; a - q^k * b when op is sub."""
     bb = [0] * k + b
-    if len(a) < len(bb):
-        a, bb = bb, a
-    out = list(map(add, a, bb))
-    out += a[len(bb):]
+    out = list(map(op, a, bb))
+    out += a[len(bb):]  # at most one of the two tails is nonempty
+    out += [op(0, c) for c in bb[len(a):]]
     return out
 
 
-def _advance_chain(upto: int) -> None:
-    global _central, _central_k
-    while len(_qcat) <= upto:
-        k = len(_qcat)
-        while _central_k < k:
-            nxt = _mul_one_minus(_central, 2 * _central_k + 1)
-            nxt = _mul_one_minus(nxt, 2 * _central_k + 2)
-            nxt = _div_one_minus(nxt, _central_k + 1)
-            nxt = _div_one_minus(nxt, _central_k + 1)
-            _central = nxt
-            _central_k += 1
-        if k == 0:
-            above: list[int] = []  # [0, 1] = 0
-        else:
+def _sums(n: int) -> tuple[list[int], list[int]]:
+    """Row n of the two prefix tables, extending both one k at a time."""
+    global _central
+    with _chain_lock:
+        while len(_cen_sums) <= n:
+            k = len(_cen_sums) - 1
+            # [2k, k+1]; its factor 1 - q^0 makes it zero at k = 0
             above = _div_one_minus(_mul_one_minus(_central, k), k + 1)
-        _qcat.append(_add_shifted(_central, [-c for c in above], 1))
-        _cat_sums.append(_add_shifted(_cat_sums[-1], _qcat[k], k))
-        _cen_sums.append(_add_shifted(_cen_sums[-1], _central, k))
-        _shifted_sums.append(_add_shifted(_shifted_sums[-1], above, k + 1))
+            _cen_sums.append(_add_shifted(_cen_sums[k], _central, k))
+            _shifted_sums.append(_add_shifted(_shifted_sums[k], above, k + 1))
+            nxt = _mul_one_minus(_central, 2 * k + 1)
+            nxt = _mul_one_minus(nxt, 2 * k + 2)
+            nxt = _div_one_minus(nxt, k + 1)
+            _central = _div_one_minus(nxt, k + 1)
+        return _cen_sums[n], _shifted_sums[n]
+
+
+def _catalan_row(n: int) -> list[int]:
+    """sum_{k<n} q^k C_k as a raw list, possibly with trailing zeros."""
+    cen, shifted = _sums(n)
+    return _add_shifted(cen, shifted, 0, sub)
 
 
 def q_catalan(k: int) -> Poly:
     """MacMahon's q-Catalan polynomial C_k = [2k, k] - q*[2k, k+1].
+
+    Read off the partial sums: q^k C_k = catalan_sum(k+1) - catalan_sum(k),
+    whose k lowest coefficients are zero.
 
     >>> q_catalan(3)
     Poly('1 + q^2 + q^3 + q^4 + q^6')
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    with _chain_lock:
-        _advance_chain(k)
-        return Poly._trusted(list(_qcat[k]))
+    diff = _add_shifted(_catalan_row(k + 1), _catalan_row(k), 0, sub)
+    return Poly._trusted(diff[k:])
 
 
 def catalan_sum(n: int) -> Poly:
     """The partial sum sum_{k=0}^{n-1} q^k C_k(q).
 
+    It is central_sum(n) - shifted_central_sum(n): row n of the one stored
+    prefix table minus row n of the other, on the raw coefficient lists.
+
     >>> catalan_sum(3)
     Poly('1 + q + q^2 + q^4')
+    >>> catalan_sum(4) == central_sum(4) - shifted_central_sum(4)
+    True
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    with _chain_lock:
-        _advance_chain(n - 1)
-        return Poly._trusted(list(_cat_sums[n]))
+    return Poly._trusted(_catalan_row(n))
 
 
 def central_sum(n: int) -> Poly:
     """The partial sum sum_{k=0}^{n-1} q^k [2k, k]."""
     if n < 1:
         raise ValueError("need n >= 1")
-    with _chain_lock:
-        _advance_chain(n - 1)
-        return Poly._trusted(list(_cen_sums[n]))
+    return Poly._trusted(list(_sums(n)[0]))
 
 
 def shifted_central_sum(n: int) -> Poly:
     """The partial sum sum_{k=0}^{n-1} q^{k+1} [2k, k+1]."""
     if n < 1:
         raise ValueError("need n >= 1")
-    with _chain_lock:
-        _advance_chain(n - 1)
-        return Poly._trusted(list(_shifted_sums[n]))
+    return Poly._trusted(list(_sums(n)[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -242,6 +242,16 @@ def test_maj_oracle_honours_n(capsys):
         assert code == 3 and out == "" and "no checks" in err
 
 
+def test_lucas_honours_n(capsys):
+    code, out, _ = run_cli(["verify", "lucas", "--n", "5", "--json"], capsys)
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert reports and all(r["params"]["n"] == 5 for r in reports)
+    # the tuples are drawn for n <= 30, so n = 50 selects nothing
+    code, out, err = run_cli(["verify", "lucas", "--n", "50"], capsys)
+    assert code == 3 and out == "" and "no checks" in err
+
+
 def test_raising_check_is_reported_and_the_run_goes_on(monkeypatch, capsys):
     from qcatalan import congruence
 

@@ -1,10 +1,14 @@
 """q-combinatorics: Gaussian binomials, q-Catalan polynomials, maj oracle."""
 
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from math import comb
 
 import pytest
 
+from qcatalan import qcomb
 from qcatalan.qcomb import (
     ballot_words,
     catalan_sum,
@@ -174,3 +178,70 @@ def test_partial_sums_match_direct():
         assert catalan_sum(n) == cat
         assert central_sum(n) == cen
         assert shifted_central_sum(n) == shifted
+
+
+def _fresh_chain(monkeypatch):
+    """Empty prefix tables, as in a process that has not touched the chain."""
+    monkeypatch.setattr(qcomb, "_central", [1])
+    monkeypatch.setattr(qcomb, "_cen_sums", [[]])
+    monkeypatch.setattr(qcomb, "_shifted_sums", [[]])
+
+
+def _chain_oracle(n_max):
+    """Every chain accessor's value for n <= n_max, built only from
+    gaussian_binomial and C_k = [2k, k] - q [2k, k+1]."""
+    want = {}
+    cat = cen = shifted = Poly.zero()
+    for k in range(n_max + 1):
+        central = gaussian_binomial(2 * k, k)
+        above = gaussian_binomial(2 * k, k + 1).shift(1)
+        want["q_catalan", k] = ck = central - above
+        cat = cat + ck.shift(k)
+        cen = cen + central.shift(k)
+        shifted = shifted + above.shift(k)
+        want["catalan_sum", k + 1] = cat
+        want["central_sum", k + 1] = cen
+        want["shifted_central_sum", k + 1] = shifted
+    return want
+
+
+def test_chain_matches_binomial_oracle_in_any_order(monkeypatch):
+    want = _chain_oracle(40)
+    _fresh_chain(monkeypatch)
+    # a late C_k first, then an early sum, then every n descending with
+    # the four accessors interleaved
+    requests = [(q_catalan, 30), (catalan_sum, 3)]
+    for n in range(40, 0, -1):
+        requests += [(central_sum, n), (q_catalan, n), (shifted_central_sum, n)]
+        requests += [(catalan_sum, n)]
+    requests.append((q_catalan, 0))
+    for f, n in requests:
+        assert f(n) == want[f.__name__, n], (f.__name__, n)
+    assert len(qcomb._cen_sums) == len(qcomb._shifted_sums) == 42
+
+
+def test_chain_concurrent_callers_match_serial(monkeypatch):
+    accessors = (catalan_sum, central_sum, shifted_central_sum, q_catalan)
+    requests = [(f, n) for f in accessors for n in range(1, 41)]
+    _fresh_chain(monkeypatch)
+    serial = {(f.__name__, n): f(n) for f, n in requests}
+
+    start = threading.Barrier(8)
+
+    def run(seed):
+        order = list(requests)
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=60)  # all eight threads enter the empty chain together
+        return [((f.__name__, n), f(n)) for f, n in order]
+
+    _fresh_chain(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the chain steps
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(run, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    for result in results:
+        assert dict(result) == serial
