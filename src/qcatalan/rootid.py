@@ -1,16 +1,22 @@
 """Root-of-unity identity suites, evaluated exactly in Q(zeta_m).
 
-Every suite assembles (left side) - (right side) as an exact linear
-combination of terms c * x^e / (1 -+ x^s), accumulated in place in one
-cyclotomic.GroupAlgebraElem (the group algebra Q[x]/(x^m - 1) over one
-common denominator) and reduced modulo Phi_m only for the final zero test.
-The inverses 1/(1 -+ x^s) are the closed forms of CycloField.inv_one_minus
-and inv_one_plus (the discrete sawtooth -(1/d) sum_{u<d} u x^(su) and its
-alternating variant).  The partial fractions, the logarithmic-derivative
-sums and the sawtooth left side invert single field elements with
-CycloElem.inv, a product of Galois conjugates over the field norm.  The
-rearrangement lemma (mid) is the one identity in a free variable w: it is
-certified by the integer Taylor series of lhs - rhs (verify_mid_identity).
+Every field identity is (left side) - (right side) as one list of terms
+(c, e, s, t), each c * x^e / (1 - t * x^s) with c and t rational; t = 0 is
+the monomial c * x^e.  _field_sum adds a list into one GroupAlgebraElem (the
+group algebra Q[x]/(x^m - 1) over one common denominator), taking each
+1/(1 - t x^s) from the closed forms of cyclotomic._binomial_inverse, and
+_residue reduces the sum mod Phi_m once, for the zero test.  Inverses:
+
+* t = +-1 (main3n, explicit, main3n-new, even, odd, aux): the discrete
+  sawtooth -(1/d) sum_{u<d} u x^(su) and its alternating variant;
+* t = 1/z (extan), t = +-x at each rational point x (pfd): the geometric
+  series sum_{u<d} t^u x^(su) / (1 - t^d);
+* sawtooth inverts its left side with CycloElem.inv, a product of Galois
+  conjugates over the field norm, so it does not use the expansion it tests.
+
+The rearrangement lemma (mid) is the one identity in a free variable w: its
+terms have the same shape, and it is certified by the integer Taylor series
+of lhs - rhs (verify_mid_identity).
 """
 
 from __future__ import annotations
@@ -18,21 +24,59 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice
 from math import gcd
-from typing import Callable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem
+from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem, _binomial_inverse
+
+# A term (c, e, s, t) is c * x^e / (1 - t * x^s), with c and t int or Fraction;
+# t = 0 is the monomial c * x^e.  Term lists are written as plain tuples.
+_Term = NamedTuple("_Term", [("c", Fraction), ("e", int), ("s", int), ("t", Fraction)])
 
 
-def _require_coprime(j: int, m: int) -> None:
+def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
+    """The sum of the terms in the group algebra of Q(zeta_m).  A
+    denominator 1 - t x^s that is zero in Q(zeta_m) raises ZeroDivisionError.
+
+    >>> _field_sum(3, [(1, 0, 1, 1)]).value()  # 1/(1 - x)
+    CycloElem('2/3 + 1/3*x (mod Phi_3)')
+    """
+    acc = GroupAlgebraElem(CycloField(m))
+    for c, e, s, t in terms:
+        if t:
+            acc.add_vec(_binomial_inverse(m, s % m, t), e, c)
+        else:
+            acc.add_monomial(c, e)
+    return acc
+
+
+def _residue(m: int, terms: list[_Term]) -> Optional[str]:
+    """None if the terms sum to zero in Q(zeta_m), else the rendered sum."""
+    elem = _field_sum(m, terms).value()
+    return None if elem.is_zero() else elem.render()
+
+
+def _residues(m: int, named: Iterable[tuple[str, list[_Term]]]) -> Iterator[str]:
+    """'<name> residue: <sum>' for each named term list with a nonzero sum."""
+    for name, terms in named:
+        residue = _residue(m, terms)
+        if residue is not None:
+            yield f"{name} residue: {residue}"
+
+
+def _require_root(name: str, n: int, j: int, m: int) -> None:
+    """Preconditions of q = zeta_m^j for a parameter n: n >= 1, gcd(j, m) = 1."""
+    if n < 1:
+        raise ValueError(f"need {name} >= 1")
     if gcd(j, m) != 1:
         raise ValueError(f"j = {j} is not coprime to {m}")
 
 
-def _zero_witness(acc: GroupAlgebraElem) -> Optional[str]:
-    elem = acc.value()
-    return None if elem.is_zero() else elem.render()
+def _half(v: int) -> int:
+    assert v % 2 == 0
+    return v // 2
 
 
 # ---------------------------------------------------------------------------
@@ -46,48 +90,29 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
       + sum_{k=1}^{n-1} (-1)^k q^{k(3k+5)/2} / (1 - q^{3k})
       = 1/3 + (3n+1)/6 * q^{2n}.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     m = 3 * n
-    _require_coprime(j, m)
+    _require_root("n", n, j, m)
 
     def witness() -> Optional[str]:
-        f = CycloField(m)
-        acc = GroupAlgebraElem(f)
+        terms = [(Fraction(-1, 3), 0, 0, 0), (Fraction(-3 * n - 1, 6), 2 * n * j, 0, 0)]
         for k in range(1, n + 1):
-            num = k * (3 * k - 1)
-            assert num % 2 == 0
-            s = j * (3 * k - 1) % m
-            assert s != 0, "denominator 1 - q^(3k-1) vanished"
-            acc.add_vec(f.inv_one_minus(s), j * (num // 2), (-1) ** k)
+            terms.append(((-1) ** k, j * _half(k * (3 * k - 1)), j * (3 * k - 1), 1))
         for k in range(1, n):
-            num = k * (3 * k + 5)
-            assert num % 2 == 0
-            s = 3 * j * k % m
-            assert s != 0, "denominator 1 - q^(3k) vanished"
-            acc.add_vec(f.inv_one_minus(s), j * (num // 2), (-1) ** k)
-        acc.add_monomial(Fraction(-1, 3))
-        acc.add_monomial(Fraction(-(3 * n + 1), 6), 2 * n * j)
-        return _zero_witness(acc)
+            terms.append(((-1) ** k, j * _half(k * (3 * k + 5)), 3 * j * k, 1))
+        return _residue(m, terms)
 
     return run_check("main3n", {"n": n, "j": j}, witness)
 
 
 def verify_explicit(n: int, j: int) -> VerificationReport:
     """At q = zeta_{3n}^j: sum_{k=1}^{n} 1/(1 - q^{3k-1}) = (n/3)(1 - q^n)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
     m = 3 * n
-    _require_coprime(j, m)
+    _require_root("n", n, j, m)
 
     def witness() -> Optional[str]:
-        f = CycloField(m)
-        acc = GroupAlgebraElem(f)
-        for k in range(1, n + 1):
-            acc.add_vec(f.inv_one_minus(j * (3 * k - 1) % m))
-        acc.add_monomial(Fraction(-n, 3))
-        acc.add_monomial(Fraction(n, 3), j * n)
-        return _zero_witness(acc)
+        terms = [(1, 0, j * (3 * k - 1), 1) for k in range(1, n + 1)]
+        terms += [(Fraction(-n, 3), 0, 0, 0), (Fraction(n, 3), j * n, 0, 0)]
+        return _residue(m, terms)
 
     return run_check("explicit", {"n": n, "j": j}, witness)
 
@@ -102,26 +127,22 @@ def verify_main3n_new(n: int, j: int) -> VerificationReport:
       + (n/3)(1 - q^n) - sum_{k=1}^{floor((n+1)/2)} 1/(1 - q^{3k-2})
       - (2n - 1 + (-1)^n)/4  =  1/3 + (3n+1)/6 * q^{2n}.
     """
-    _require_coprime(j, 3 * n)
+    _require_root("n", n, j, 3 * n)
     m = 6 * n
 
     def witness() -> Optional[str]:
-        f = CycloField(m)
-        acc = GroupAlgebraElem(f)
         half_sign = Fraction((-1) ** (n - 1), 2)
+        terms: list[_Term] = []
         for k in range(1, n):
-            e = j * k * (3 * n + 2) % m
-            s = 3 * j * k % m
-            acc.add_vec(f.inv_one_plus(s), e, half_sign)
-            acc.add_vec(f.inv_one_minus(s), e, Fraction((-1) ** k, 2))
-        acc.add_monomial(Fraction(n, 3))
-        acc.add_monomial(Fraction(-n, 3), 2 * j * n)
-        for k in range(1, (n + 1) // 2 + 1):
-            acc.add_vec(f.inv_one_minus(2 * j * (3 * k - 2) % m), 0, -1)
-        acc.add_monomial(Fraction(-(2 * n - 1 + (-1) ** n), 4))
-        acc.add_monomial(Fraction(-1, 3))
-        acc.add_monomial(Fraction(-(3 * n + 1), 6), 4 * j * n)
-        return _zero_witness(acc)
+            e, s = j * k * (3 * n + 2), 3 * j * k
+            terms += [(half_sign, e, s, -1), (Fraction((-1) ** k, 2), e, s, 1)]
+        terms += [(-1, 0, 2 * j * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)]
+        terms += [
+            (Fraction(n - 1, 3) - Fraction(2 * n - 1 + (-1) ** n, 4), 0, 0, 0),
+            (Fraction(-n, 3), 2 * j * n, 0, 0),
+            (Fraction(-(3 * n + 1), 6), 4 * j * n, 0, 0),
+        ]
+        return _residue(m, terms)
 
     return run_check("main3n-new", {"n": n, "j": j}, witness)
 
@@ -144,40 +165,21 @@ def verify_even_case(N: int, j: int) -> VerificationReport:
         - sum_{k<=N} 1/(1-q^{3k-2}) = -(N/3)(1+w) + 1/3 - w/6.
     """
     m = 6 * N
-    _require_coprime(j, m)
+    _require_root("N", N, j, m)
     assert j % 6 in (1, 5)
 
     def witness() -> Optional[str]:
-        f = CycloField(m)
-
-        def shared(acc: GroupAlgebraElem) -> None:
-            for k in range(1, N):
-                acc.add_vec(f.inv_one_minus(6 * k * j % m), j * (2 * N + k))
-            for k in range(1, N + 1):
-                acc.add_vec(f.inv_one_minus((6 * k - 3) * j % m), j * (2 * k - 1))
-            for k in range(1, N + 1):
-                acc.add_vec(f.inv_one_minus((3 * k - 2) * j % m), 0, -1)
-
-        display = GroupAlgebraElem(f)
-        shared(display)
-        display.add_monomial(Fraction(2 * N, 3))
-        display.add_monomial(Fraction(-2 * N, 3), 2 * N * j)
-        display.add_monomial(-N)
-        display.add_monomial(Fraction(-1, 3))
-        display.add_monomial(Fraction(6 * N + 1, 6), N * j)
-
-        core = GroupAlgebraElem(f)
-        shared(core)
-        core.add_monomial(Fraction(N, 3) - Fraction(1, 3))
-        core.add_monomial(Fraction(N, 3) + Fraction(1, 6), N * j)
-
-        w1 = _zero_witness(display)
-        if w1 is not None:
-            return f"display residue: {w1}"
-        w2 = _zero_witness(core)
-        if w2 is not None:
-            return f"core residue: {w2}"
-        return None
+        shared = [(1, j * (2 * N + k), 6 * k * j, 1) for k in range(1, N)]
+        shared += [(1, j * (2 * k - 1), (6 * k - 3) * j, 1) for k in range(1, N + 1)]
+        shared += [(-1, 0, (3 * k - 2) * j, 1) for k in range(1, N + 1)]
+        display = shared + [
+            (Fraction(2 * N, 3) - N - Fraction(1, 3), 0, 0, 0),
+            (Fraction(-2 * N, 3), 2 * N * j, 0, 0),
+            (Fraction(6 * N + 1, 6), N * j, 0, 0),
+        ]
+        core = shared + [(Fraction(N - 1, 3), 0, 0, 0)]
+        core.append((Fraction(2 * N + 1, 6), N * j, 0, 0))
+        return next(_residues(m, [("display", display), ("core", core)]), None)
 
     return run_check("even", {"N": N, "j": j}, witness)
 
@@ -195,39 +197,22 @@ def verify_odd_case(N: int, j: int) -> VerificationReport:
         - sum_{k<=N} 1/(1-q^{3k-2}) = -(N/3)(1+w).
     """
     m = 6 * N - 3
-    _require_coprime(j, m)
+    _require_root("N", N, j, m)
 
     def witness() -> Optional[str]:
-        f = CycloField(m)
-
-        def shared(acc: GroupAlgebraElem) -> None:
-            for k in range(1, N):
-                s = 6 * k * j % m
-                acc.add_vec(f.inv_one_minus(s), j * (2 * N - 1 + k))
-                acc.add_vec(f.inv_one_minus(s), 2 * k * j)
-            for k in range(1, N + 1):
-                acc.add_vec(f.inv_one_minus((3 * k - 2) * j % m), 0, -1)
-
-        display = GroupAlgebraElem(f)
-        shared(display)
-        display.add_monomial(Fraction(2 * N - 1, 3))
-        display.add_monomial(Fraction(-(2 * N - 1), 3), (2 * N - 1) * j)
-        display.add_monomial(-(N - 1))
-        display.add_monomial(Fraction(-1, 3))
-        display.add_monomial(-(N - Fraction(1, 3)), 2 * (2 * N - 1) * j)
-
-        core = GroupAlgebraElem(f)
-        shared(core)
-        core.add_monomial(Fraction(N, 3))
-        core.add_monomial(Fraction(-N, 3), 2 * (2 * N - 1) * j)
-
-        w1 = _zero_witness(display)
-        if w1 is not None:
-            return f"display residue: {w1}"
-        w2 = _zero_witness(core)
-        if w2 is not None:
-            return f"core residue: {w2}"
-        return None
+        shared: list[_Term] = []
+        for k in range(1, N):
+            s = 6 * k * j
+            shared += [(1, j * (2 * N - 1 + k), s, 1), (1, 2 * k * j, s, 1)]
+        shared += [(-1, 0, (3 * k - 2) * j, 1) for k in range(1, N + 1)]
+        display = shared + [
+            (Fraction(2 * N - 1, 3) - (N - 1) - Fraction(1, 3), 0, 0, 0),
+            (Fraction(-(2 * N - 1), 3), (2 * N - 1) * j, 0, 0),
+            (Fraction(1, 3) - N, 2 * (2 * N - 1) * j, 0, 0),
+        ]
+        core = shared + [(Fraction(N, 3), 0, 0, 0)]
+        core.append((Fraction(-N, 3), 2 * (2 * N - 1) * j, 0, 0))
+        return next(_residues(m, [("display", display), ("core", core)]), None)
 
     return run_check("odd", {"N": N, "j": j}, witness)
 
@@ -258,56 +243,40 @@ class EvenOddAuxiliaries:
     omega: CycloElem
 
 
-def _sum_inverses(
-    f: CycloField, kind: Callable[[int], tuple[tuple[int, ...], int]], exps: list[int]
-) -> CycloElem:
-    acc = GroupAlgebraElem(f)
-    for s in exps:
-        acc.add_vec(kind(s))
-    return acc.value()
+def _sum_inverses(m: int, t: int, exps: Iterable[int]) -> CycloElem:
+    """sum 1/(1 - t x^s) over s in exps, in Q(zeta_m)."""
+    return _field_sum(m, [(1, 0, s, t) for s in exps]).value()
 
 
 def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
     """A1..A6 (k = 1..N-1), B1..B3 and C1, C2 (k = 1..N) by exact field
     arithmetic; `case` selects the parity branch ("even": q = zeta_{6N}^j,
-    w = q^N; "odd": q = zeta_{3(2N-1)}^j, w = -q^{2(2N-1)})."""
+    w = q^N; "odd": q = zeta_{3(2N-1)}^j, w = -q^{2(2N-1)}).
+
+    A_l = sum_k 1/(1 - t q^{h+k}) for the (t, h) of row l below; C1 and C2
+    sum 1/(1 - q^{3k-1}) and 1/(1 - q^{3k-2}).
+    """
     if case == "even":
         m = 6 * N
-        _require_coprime(j, m)
-        f = CycloField(m)
-        ks = range(1, N)
-        a1 = _sum_inverses(f, f.inv_one_minus, [j * k % m for k in ks])
-        a2 = _sum_inverses(f, f.inv_one_minus, [j * (N + k) % m for k in ks])
-        a3 = _sum_inverses(f, f.inv_one_minus, [j * (2 * N + k) % m for k in ks])
-        a4 = _sum_inverses(f, f.inv_one_plus, [j * k % m for k in ks])
-        a5 = _sum_inverses(f, f.inv_one_plus, [j * (N + k) % m for k in ks])
-        a6 = _sum_inverses(f, f.inv_one_plus, [j * (2 * N + k) % m for k in ks])
-        kb = range(1, N + 1)
-        b1 = _sum_inverses(f, f.inv_one_minus, [j * (2 * k - 1) % m for k in kb])
-        b2 = _sum_inverses(f, f.inv_one_minus, [j * (2 * N + 2 * k - 1) % m for k in kb])
-        b3 = _sum_inverses(f, f.inv_one_plus, [j * (N + 2 * k - 1) % m for k in kb])
-        c1 = _sum_inverses(f, f.inv_one_minus, [j * (3 * k - 1) % m for k in kb])
-        c2 = _sum_inverses(f, f.inv_one_minus, [j * (3 * k - 2) % m for k in kb])
-        omega = CycloElem.root_power(m, j * N)
-        return EvenOddAuxiliaries(a1, a2, a3, a4, a5, a6, b1, b2, b3, c1, c2, omega)
+        a_rows = [(1, 0), (1, N), (1, 2 * N), (-1, 0), (-1, N), (-1, 2 * N)]
+    elif case == "odd":
+        m, two = 6 * N - 3, 2 * (2 * N - 1)
+        a_rows = [(1, 0), (-1, two), (1, 2 * N - 1), (-1, 0), (1, two), (-1, 2 * N - 1)]
+    else:
+        raise ValueError("case must be 'even' or 'odd'")
+    _require_root("N", N, j, m)
+    ks, kb = range(1, N), range(1, N + 1)
+    a = [_sum_inverses(m, t, [j * (h + k) for k in ks]) for t, h in a_rows]
+    c1 = _sum_inverses(m, 1, [j * (3 * k - 1) for k in kb])
+    c2 = _sum_inverses(m, 1, [j * (3 * k - 2) for k in kb])
     if case == "odd":
-        m = 6 * N - 3
-        _require_coprime(j, m)
-        f = CycloField(m)
-        ks = range(1, N)
-        two = 2 * (2 * N - 1)
-        a1 = _sum_inverses(f, f.inv_one_minus, [j * k % m for k in ks])
-        a2 = _sum_inverses(f, f.inv_one_plus, [j * (two + k) % m for k in ks])
-        a3 = _sum_inverses(f, f.inv_one_minus, [j * (2 * N - 1 + k) % m for k in ks])
-        a4 = _sum_inverses(f, f.inv_one_plus, [j * k % m for k in ks])
-        a5 = _sum_inverses(f, f.inv_one_minus, [j * (two + k) % m for k in ks])
-        a6 = _sum_inverses(f, f.inv_one_plus, [j * (2 * N - 1 + k) % m for k in ks])
-        kb = range(1, N + 1)
-        c1 = _sum_inverses(f, f.inv_one_minus, [j * (3 * k - 1) % m for k in kb])
-        c2 = _sum_inverses(f, f.inv_one_minus, [j * (3 * k - 2) % m for k in kb])
         omega = -CycloElem.root_power(m, two * j)
-        return EvenOddAuxiliaries(a1, a2, a3, a4, a5, a6, None, None, None, c1, c2, omega)
-    raise ValueError("case must be 'even' or 'odd'")
+        return EvenOddAuxiliaries(*a, None, None, None, c1, c2, omega)
+    b1 = _sum_inverses(m, 1, [j * (2 * k - 1) for k in kb])
+    b2 = _sum_inverses(m, 1, [j * (2 * N + 2 * k - 1) for k in kb])
+    b3 = _sum_inverses(m, -1, [j * (N + 2 * k - 1) for k in kb])
+    omega = CycloElem.root_power(m, j * N)
+    return EvenOddAuxiliaries(*a, b1, b2, b3, c1, c2, omega)
 
 
 def multiset_identity_holds(N: int) -> bool:
@@ -329,6 +298,8 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
     """
     if case not in ("even", "odd"):
         raise ValueError("case must be 'even' or 'odd'")
+    if N < 1:
+        raise ValueError("need N >= 1")
     params = {"N": N, "j": j, "even": 1 if case == "even" else 0}
 
     def witness() -> Optional[str]:
@@ -344,48 +315,34 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
                 if lo + hi != N - 1:
                     failures.append(f"A{idx}+A{7 - idx} != N-1: {(lo + hi).render()}")
         else:
-            m = 6 * N - 3
-            f = CycloField(m)
             rel = aux.a1 + aux.a3 - aux.a4 - aux.a5 - aux.a5 + aux.a6
             if not rel.is_zero():
                 failures.append(f"A-relation residue: {rel.render()}")
 
             a = 2 * (2 * N - 1) * j  # w = -x^a
-            sum3 = GroupAlgebraElem(f)
-            sum4 = GroupAlgebraElem(f)
+            sum3: list[_Term] = []
+            sum4: list[_Term] = []
             for k in range(1, N):
-                s3 = 3 * j * k % m
-                # q^k (1 - q^k) / (1 + q^{3k})
-                sum3.add_vec(f.inv_one_plus(s3), j * k)
-                sum3.add_vec(f.inv_one_plus(s3), 2 * j * k, -1)
-                # 3 w q^k (1 - w q^k) / (1 - q^{3k}), w q^k = -x^{a+jk}
-                sum3.add_vec(f.inv_one_minus(s3), a + j * k, -3)
-                sum3.add_vec(f.inv_one_minus(s3), 2 * (a + j * k), -3)
-                # - w^2 q^k (1 - w^2 q^k) / (1 + q^{3k}), w^2 q^k = x^{2a+jk}
-                sum3.add_vec(f.inv_one_plus(s3), 2 * a + j * k, -1)
-                sum3.add_vec(f.inv_one_plus(s3), 4 * a + 2 * j * k)
+                s3, s6 = 3 * j * k, 6 * j * k
+                sum3 += [
+                    # q^k (1 - q^k) / (1 + q^{3k})
+                    (1, j * k, s3, -1),
+                    (-1, 2 * j * k, s3, -1),
+                    # 3 w q^k (1 - w q^k) / (1 - q^{3k}), w q^k = -x^{a+jk}
+                    (-3, a + j * k, s3, 1),
+                    (-3, 2 * (a + j * k), s3, 1),
+                    # - w^2 q^k (1 - w^2 q^k) / (1 + q^{3k}), w^2 q^k = x^{2a+jk}
+                    (-1, 2 * a + j * k, s3, -1),
+                    (1, 4 * a + 2 * j * k, s3, -1),
+                ]
                 # q^k (1 + w q^{3k})(1 - w q^k) / (1 - q^{6k})
-                s6 = 6 * j * k % m
-                sum4.add_vec(f.inv_one_minus(s6), j * k)
-                sum4.add_vec(f.inv_one_minus(s6), a + 2 * j * k)
-                sum4.add_vec(f.inv_one_minus(s6), a + 4 * j * k, -1)
-                sum4.add_vec(f.inv_one_minus(s6), 2 * a + 5 * j * k, -1)
-            w3 = _zero_witness(sum3)
-            if w3 is not None:
-                failures.append(f"three-term reformulation residue: {w3}")
-            w4 = _zero_witness(sum4)
-            if w4 is not None:
-                failures.append(f"product-form residue: {w4}")
-
-            sides = GroupAlgebraElem(f)
-            for k in range(1, N):
-                sides.add_vec(f.inv_one_minus(-2 * k * j % m))
-                sides.add_vec(f.inv_one_minus(-(2 * k - 1) * j % m))
-            for k in range(1, 2 * N - 1):
-                sides.add_vec(f.inv_one_minus(-k * j % m), 0, -1)
-            ws = _zero_witness(sides)
-            if ws is not None:
-                failures.append(f"two-sided sum residue: {ws}")
+                sum4 += [(1, j * k, s6, 1), (1, a + 2 * j * k, s6, 1)]
+                sum4 += [(-1, a + 4 * j * k, s6, 1), (-1, 2 * a + 5 * j * k, s6, 1)]
+            sides = [(1, 0, -2 * k * j, 1) for k in range(1, N)]
+            sides += [(1, 0, -(2 * k - 1) * j, 1) for k in range(1, N)]
+            sides += [(-1, 0, -k * j, 1) for k in range(1, 2 * N - 1)]
+            named = [("three-term reformulation", sum3), ("product-form", sum4)]
+            failures += _residues(6 * N - 3, named + [("two-sided sum", sides)])
             if not multiset_identity_holds(N):
                 failures.append("multiset identity failed")
         return "; ".join(failures) if failures else None
@@ -396,23 +353,37 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # partial fraction decompositions over Q(zeta_6)
 
+_PFD_SEEDS = (Fraction(2), Fraction(1, 3), Fraction(5, 7))
 
-def _pfd_points(count: int) -> Iterator[Fraction]:
-    yield Fraction(2)
-    yield Fraction(1, 3)
-    yield Fraction(5, 7)
-    produced = 3
-    h = 2
-    while produced < count:
-        for p in range(1, h):
-            if gcd(p, h) == 1:
-                for t in (Fraction(h, p), Fraction(p, h), Fraction(-h, p)):
-                    if t not in (Fraction(2), Fraction(1, 3), Fraction(5, 7)):
-                        yield t
-                        produced += 1
-                        if produced >= count:
-                            return
-        h += 1
+
+def _pfd_points(points: int) -> Iterator[Fraction]:
+    """The first `points` of 2, 1/3, 5/7 and then h/p, p/h, -h/p for
+    coprime 1 <= p < h, h = 2, 3, ... (without the three seeds again);
+    all distinct, and none of them 0 or +-1."""
+    rest = (
+        t
+        for h in count(2)
+        for p in range(1, h)
+        if gcd(p, h) == 1
+        for t in (Fraction(h, p), Fraction(p, h), Fraction(-h, p))
+        if t not in _PFD_SEEDS
+    )
+    return islice(chain(_PFD_SEEDS, rest), points)
+
+
+def _pfd_terms(kind: str, x: Fraction) -> list[_Term]:
+    """lhs - rhs of one identity at the rational point x, as terms in
+    w = zeta_6: each 1/(1 -+ w^s x) is a term with t = +-x."""
+    pfd3 = [(1, 0, 0, x), (-1, 1, 2, x), (1, 2, 1, -x)]
+    if kind == "pfd6":
+        lhs = 6 * x / (1 - x**6)
+        rhs = pfd3 + [(-1, 0, 0, -x), (1, 1, 2, -x), (-1, 2, 1, x)]
+    elif kind == "pfd3":
+        lhs, rhs = 3 * x / (1 - x**3), pfd3
+    else:
+        lhs = 3 * x * (1 - x) / (1 + x**3)
+        rhs = [(-2, 0, 0, -x), (1, 0, 1, x), (1, 0, 2, -x)]
+    return [(lhs, 0, 0, 0)] + [(-c, e, s, t) for c, e, s, t in rhs]
 
 
 def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
@@ -426,48 +397,20 @@ def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
 
     (the residues of x(1-x)/(1+x^3) at -1, w^-1, -w^-2 are -2/3, 1/3 and
     1/3, so the cube identity carries the same normalising factor as the
-    other two).  Twenty points exceed every degree bound here, so
-    agreement certifies the rational-function identity, not just a sample
-    of it.
+    other two).  Each 1/(1 - t w^s) is a term with t = +-x.  Twenty points
+    exceed every degree bound here, so agreement certifies the
+    rational-function identity, not just a sample of it.
     """
     if kind not in ("pfd3", "pfd6", "cube"):
         raise ValueError("kind must be one of pfd3, pfd6, cube")
-    one = CycloElem.one(6)
-    w = CycloElem.root_power(6, 1)
-    w2 = CycloElem.root_power(6, 2)
-
-    def sides(x: Fraction) -> tuple[CycloElem, CycloElem]:
-        if kind == "pfd6":
-            lhs = CycloElem.from_rational(6, 6 * x / (1 - x**6))
-            rhs = (
-                CycloElem.from_rational(6, Fraction(1) / (1 - x))
-                - w * (one - w2 * x).inv()
-                + w2 * (one + w * x).inv()
-                - CycloElem.from_rational(6, Fraction(1) / (1 + x))
-                + w * (one + w2 * x).inv()
-                - w2 * (one - w * x).inv()
-            )
-        elif kind == "pfd3":
-            lhs = CycloElem.from_rational(6, 3 * x / (1 - x**3))
-            rhs = (
-                CycloElem.from_rational(6, Fraction(1) / (1 - x))
-                - w * (one - w2 * x).inv()
-                + w2 * (one + w * x).inv()
-            )
-        else:
-            lhs = CycloElem.from_rational(6, 3 * x * (1 - x) / (1 + x**3))
-            rhs = (
-                CycloElem.from_rational(6, Fraction(-2) / (1 + x))
-                + (one - w * x).inv()
-                + (one + w2 * x).inv()
-            )
-        return lhs, rhs
+    if points < 1:
+        raise ValueError("need points >= 1")
 
     def witness() -> Optional[str]:
         for x in _pfd_points(points):
-            lhs, rhs = sides(x)
-            if lhs != rhs:
-                return f"disagreement at x = {x}: {(lhs - rhs).render()}"
+            residue = _residue(6, _pfd_terms(kind, x))
+            if residue is not None:
+                return f"disagreement at x = {x}: {residue}"
         return None
 
     kind_code = {"pfd3": 3, "pfd6": 6, "cube": 0}[kind]
@@ -501,9 +444,9 @@ def _mid_rhs(n: int, w: Fraction) -> Fraction:
     return total
 
 
-# A side of the identity as const + sum c * w^e / (1 - t * w^s) over
-# (c, e, s, t), t = +-1, e >= 0, s >= 1; the same terms as _mid_lhs / _mid_rhs.
-_MidSide = tuple[Fraction, list[tuple[Fraction, int, int, int]]]
+# A side of the identity as const + sum of terms c * w^e / (1 - t * w^s),
+# t = +-1, e >= 0, s >= 1; the same terms as _mid_lhs / _mid_rhs.
+_MidSide = NamedTuple("_MidSide", [("const", Fraction), ("terms", list[_Term])])
 
 
 def _mid_lhs_terms(n: int) -> _MidSide:
@@ -512,7 +455,7 @@ def _mid_lhs_terms(n: int) -> _MidSide:
         for k in range(1, n + 1)
     ]
     terms += [(Fraction((-1) ** k), k * (3 * k + 5), 6 * k, 1) for k in range(1, n)]
-    return Fraction(0), terms
+    return _MidSide(Fraction(0), terms)
 
 
 def _mid_rhs_terms(n: int) -> _MidSide:
@@ -526,7 +469,7 @@ def _mid_rhs_terms(n: int) -> _MidSide:
     terms += [
         (Fraction(-1), 0, 2 * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)
     ]
-    return -Fraction(2 * n - 1 + (-1) ** n, 4), terms
+    return _MidSide(-Fraction(2 * n - 1 + (-1) ** n, 4), terms)
 
 
 def mid_degree_bound(n: int) -> int:
@@ -580,7 +523,9 @@ def verify_mid_identity(n: int) -> VerificationReport:
 def verify_extan(m: int, z: Fraction) -> VerificationReport:
     """For a primitive m-th root a of unity and rational z with z^m != 1:
 
-        sum_{k=1}^{m} 1/(1 - z^{-1} a^k) = m / (1 - z^{-m}).
+        sum_{k=1}^{m} 1/(1 - z^{-1} a^k) = m / (1 - z^{-m}),
+
+    each left term being c * x^e / (1 - t x^s) with t = 1/z.
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -593,12 +538,9 @@ def verify_extan(m: int, z: Fraction) -> VerificationReport:
 
     def witness() -> Optional[str]:
         zinv = 1 / z
-        one = CycloElem.one(m)
-        total = CycloElem.zero(m)
-        for k in range(1, m + 1):
-            total = total + (one - CycloElem.root_power(m, k) * zinv).inv()
-        diff = total - CycloElem.from_rational(m, Fraction(m) / (1 - zinv**m))
-        return None if diff.is_zero() else diff.render()
+        terms = [(1, 0, k, zinv) for k in range(1, m + 1)]
+        terms.append((-m / (1 - zinv**m), 0, 0, 0))
+        return _residue(m, terms)
 
     return run_check("extan", params, witness)
 
@@ -647,19 +589,16 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
     if N < 2:
         raise ValueError("need N >= 2")
     m = 6 * N - 3
-    _require_coprime(j, m)
+    _require_root("N", N, j, m)
     if k % (2 * N - 1) == 0:
         raise ValueError("k must not be divisible by 2N-1")
     f6 = 6 * k * j % m
     assert f6 != 0, "q^{6k} = 1 despite the precondition"
 
     def witness() -> Optional[str]:
-        f = CycloField(m)
         lhs = (CycloElem.one(m) - CycloElem.root_power(m, f6)).inv()
-        acc = GroupAlgebraElem(f)
-        for u in range(2 * N - 1):
-            acc.add_monomial(Fraction(-u, 2 * N - 1), u * f6)
-        diff = lhs - acc.value()
+        rhs = [(Fraction(-u, 2 * N - 1), u * f6, 0, 0) for u in range(2 * N - 1)]
+        diff = lhs - _field_sum(m, rhs).value()
         return None if diff.is_zero() else diff.render()
 
     return run_check("sawtooth", {"N": N, "j": j, "k": k}, witness)

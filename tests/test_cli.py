@@ -276,16 +276,30 @@ def test_raising_check_is_reported_and_the_run_goes_on(monkeypatch, capsys):
     assert out.splitlines()[-1] == "total: 3 passed, 0 failed, 0 skipped, 1 errors"
 
 
+def _stream_digest(out):
+    """(line count, sha256) of a --json report stream without elapsed_ms."""
+    canon = []
+    for line in out.splitlines():
+        obj = json.loads(line)
+        obj.pop("elapsed_ms")
+        canon.append(json.dumps(obj, sort_keys=True) + "\n")
+    return len(canon), hashlib.sha256("".join(canon).encode()).hexdigest()
+
+
 def test_verify_all_stream_matches_bench_digest(capsys):
     # the verify-all benchmark workload: every suite at --n-max 6
     bench = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
     want = json.loads(bench.read_text())["workloads"]["verify-all"]["full"]
     code, out, _ = run_cli(["verify", "all", "--n-max", "6", "--json"], capsys)
     assert code == 0
-    canon = []
-    for line in out.splitlines():
-        obj = json.loads(line)
-        obj.pop("elapsed_ms")
-        canon.append(json.dumps(obj, sort_keys=True) + "\n")
-    assert len(canon) == want["checks"]
-    assert hashlib.sha256("".join(canon).encode()).hexdigest() == want["sha256"]
+    assert _stream_digest(out) == (want["checks"], want["sha256"])
+
+
+def test_verify_all_default_stream_is_pinned(capsys):
+    # every suite at its default bounds, which reach extan m > 6 and aux N > 6
+    code, out, _ = run_cli(["verify", "all", "--json"], capsys)
+    assert code == 0
+    assert _stream_digest(out) == (
+        2170,
+        "d8e15ce7931a186e2fc4dd5d72aa8c25a737ff011968c033ec1849b3ad087d49",
+    )

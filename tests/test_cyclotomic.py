@@ -392,12 +392,16 @@ def test_group_algebra_ops_match_field_arithmetic():
                 if e < 0 and oracle.is_zero():
                     continue
                 x, oracle = x**e, oracle**e
-            elif op == "add_vec" and m > 1:
-                s, e = rng.randrange(1, m), rng.randrange(-m, m)
+            elif op == "add_vec":
+                # c x^e / (1 - t x^s) by the closed form, rational t included
+                s, e = rng.randrange(-m, m), rng.randrange(-m, m)
+                t = rng.choice((1, -1, 2, Fraction(-1, 2), Fraction(3, 5)))
                 c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-                x.add_vec(f.inv_one_minus(s), e, c)
-                inv = (CycloElem.one(m) - CycloElem.root_power(m, s)).inv()
-                oracle = oracle + CycloElem.root_power(m, e) * c * inv
+                denom = CycloElem.one(m) - CycloElem.root_power(m, s) * t
+                if denom.is_zero():
+                    continue
+                x.add_vec(_binomial_inverse(m, s % m, t), e, c)
+                oracle = oracle + CycloElem.root_power(m, e) * c * denom.inv()
             elif op == "add_monomial":
                 c, e = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randrange(m)
                 x.add_monomial(c, e)

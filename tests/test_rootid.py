@@ -177,6 +177,91 @@ def test_pfd():
         verify_pfd("pfd9")
 
 
+def test_pfd_point_count():
+    for count in range(1, 26):
+        points = list(rootid._pfd_points(count))
+        assert len(points) == count and len(set(points)) == count, count
+        assert not set(points) & {0, 1, -1}, count
+    # the default 20 points, as the report stream has always used them
+    assert [str(x) for x in rootid._pfd_points(20)] == [
+        "2", "1/3", "5/7", "1/2", "-2", "3", "-3", "3/2", "2/3", "-3/2",
+        "4", "1/4", "-4", "4/3", "3/4", "-4/3", "5", "1/5", "-5", "5/2",
+    ]
+    rep = verify_pfd("cube", 1)
+    assert rep.passed and rep.params["points"] == 1
+    for points in (0, -3):
+        with pytest.raises(ValueError, match="need points >= 1"):
+            verify_pfd("pfd3", points)
+
+
+def test_parameters_below_one_are_rejected_up_front():
+    calls = [
+        (lambda: verify_main3n_new(0, 1), "need n >= 1"),
+        (lambda: verify_even_case(0, 1), "need N >= 1"),
+        (lambda: verify_odd_case(0, 1), "need N >= 1"),
+        (lambda: verify_aux_properties(0, 1, "even"), "need N >= 1"),
+        (lambda: verify_aux_properties(0, 1, "odd"), "need N >= 1"),
+        (lambda: compute_auxiliaries(0, 1, "even"), "need N >= 1"),
+        (lambda: verify_main3n(0, 1), "need n >= 1"),
+        (lambda: verify_explicit(-1, 1), "need n >= 1"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def _term_value(m, term):
+    """c * x^e / (1 - t x^s) in CycloElem arithmetic (norm-product inverse)."""
+    c, e, s, t = term
+    value = CycloElem.root_power(m, e) * c
+    if t:
+        value = value * (CycloElem.one(m) - CycloElem.root_power(m, s) * t).inv()
+    return value
+
+
+def test_dropped_term_is_caught_with_exact_witness(monkeypatch):
+    # every field suite, with the first term of each list it sums left out,
+    # fails with minus that term as its residue, under its own prefix
+    real, dropped = rootid._residue, []
+
+    def drop_first(m, terms):
+        dropped.append((m, terms[0]))
+        return real(m, terms[1:])
+
+    monkeypatch.setattr(rootid, "_residue", drop_first)
+    pfd = "disagreement at x = 2: {}"
+    cases = [
+        (lambda: verify_main3n(3, 2), ["{}"]),
+        (lambda: verify_explicit(4, 5), ["{}"]),
+        (lambda: verify_main3n_new(4, 7), ["{}"]),
+        (lambda: verify_even_case(3, 5), ["display residue: {}"]),
+        (lambda: verify_odd_case(3, 2), ["display residue: {}"]),
+        (
+            lambda: verify_aux_properties(3, 2, "odd"),
+            [
+                "three-term reformulation residue: {}",
+                "product-form residue: {}",
+                "two-sided sum residue: {}",
+            ],
+        ),
+        (lambda: verify_extan(12, Fraction(7, 3)), ["{}"]),
+        (lambda: verify_extan(5, Fraction(-2)), ["{}"]),
+        (lambda: verify_pfd("pfd3"), [pfd]),
+        (lambda: verify_pfd("pfd6"), [pfd]),
+        (lambda: verify_pfd("cube"), [pfd]),
+    ]
+    for run, prefixes in cases:
+        dropped.clear()
+        rep = run()
+        assert rep.status == "fail", rep.params
+        assert len(dropped) == len(prefixes), rep.params
+        parts = [
+            prefix.format((-_term_value(m, term)).render())
+            for prefix, (m, term) in zip(prefixes, dropped)
+        ]
+        assert rep.witness == "; ".join(parts), rep.params
+
+
 def _mid_points(count):
     """count distinct rationals h/p and p/h with gcd(p, h) = 1 and p < h,
     so |w| is never 0 or 1 and no denominator 1 - t w^s vanishes."""
