@@ -547,6 +547,7 @@ class GroupAlgebraElem:
       denominators, with no gcd taken;
     * ``*`` is a rotation when one factor has a single nonzero entry, and a
       cyclic convolution otherwise;
+    * an int or Fraction operand of ``+`` / ``-`` / ``*`` is lifted to a scalar;
     * inv() inverts a monomial directly and a two-term value a x^p + b x^r
       by the closed form of _binomial_inverse; anything else is reduced
       mod Phi_m and inverted with the memoised CycloElem.inv.  A value that
@@ -632,7 +633,12 @@ class GroupAlgebraElem:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _combine(self, other: "GroupAlgebraElem", op) -> "GroupAlgebraElem":
+    def _lift(self, c) -> "GroupAlgebraElem":
+        """c itself, or the scalar c of this algebra if c is an int or Fraction."""
+        return c if isinstance(c, GroupAlgebraElem) else self.monomial(self.field, c)
+
+    def _combine(self, other, op) -> "GroupAlgebraElem":
+        other = self._lift(other)
         da, db = self.den, other.den
         if da == db:
             return GroupAlgebraElem(self.field, list(map(op, self.vec, other.vec)), da)
@@ -641,11 +647,16 @@ class GroupAlgebraElem:
         out = [op(a * fa, b * fb) for a, b in zip(self.vec, other.vec)]
         return GroupAlgebraElem(self.field, out, da * fa)
 
-    def __add__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+    def __add__(self, other) -> "GroupAlgebraElem":
         return self._combine(other, add)
 
-    def __sub__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "GroupAlgebraElem":
         return self._combine(other, sub)
+
+    def __rsub__(self, other) -> "GroupAlgebraElem":
+        return self._lift(other)._combine(self, sub)
 
     def __neg__(self) -> "GroupAlgebraElem":
         return GroupAlgebraElem(self.field, [-c for c in self.vec], self.den)
@@ -657,7 +668,8 @@ class GroupAlgebraElem:
         out = vec[cut:] + vec[:cut]
         return out if factor == 1 else [c * factor for c in out]
 
-    def __mul__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+    def __mul__(self, other) -> "GroupAlgebraElem":
+        other = self._lift(other)
         den = self.den * other.den
         sb = other._support()
         if len(sb) == 1:
@@ -676,6 +688,8 @@ class GroupAlgebraElem:
                 k = i + j
                 out[k - m if k >= m else k] += ai * b[j]
         return GroupAlgebraElem(self.field, out, den)
+
+    __rmul__ = __mul__
 
     def inv(self) -> "GroupAlgebraElem":
         """Multiplicative inverse in Q(zeta_m); ZeroDivisionError for zero."""

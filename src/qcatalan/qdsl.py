@@ -9,16 +9,22 @@ Grammar (whitespace-insensitive)::
     call   := ('qbin' | 'qcat' | 'legendre3' | 'floor') '(' expr {',' expr} ')'
             | 'sum' '(' NAME '=' expr '..' expr ',' expr ')'
 
-Expressions evaluate either to an exact Poly (q is the indeterminate) or
-to an element of Q(zeta_m) at q = zeta_m^j.  Exponents, summation bounds
-and the arguments of qbin/qcat/legendre3 are integer positions: they are
-computed in int (a Fraction appears only for a non-integral quotient or a
-negative power) and must come out integral, which is checked at
-evaluation time.
+One tree walker, _evaluate, computes every value.  A subexpression
+without q is a Python rational: an int, or a Fraction only for a
+non-integral quotient or a negative power, never a float.  A subexpression
+with q (or a qbin / qcat) is a ring value: an exact Poly in poly mode, where
+q is the indeterminate, and a lazy cyclotomic.GroupAlgebraElem in cyclo
+mode, where q = zeta_m^j.  q^e is one monomial in both modes.  A rational
+is lifted into the ring only where it meets a ring value (the ring
+operators accept int and Fraction operands) and at the exits: eval_poly,
+eval_cyclo and run_corpus_entry.  Exponents, summation bounds and the
+arguments of qbin/qcat/legendre3 are integer positions: _scalar requires
+their value to be rational, and it must also be integral.  The argument of
+floor must be rational.  q is reserved: it cannot be bound, not even as a
+sum variable.
 
-In cyclo mode every subexpression is a lazy cyclotomic.GroupAlgebraElem:
-q^e is a unit vector, a rational is a scalar, and sums and products are
-vector operations in Q[x]/(x^m - 1).  Divisions by the two-term values
+In cyclo mode q^e is a unit vector and sums and products are vector
+operations in Q[x]/(x^m - 1).  Divisions by the two-term values
 1 - t*q^s that the paper's identities are made of use the closed-form
 binomial inverses.  A value is reduced mod Phi_m only where the field
 matters: to invert a value with three or more terms, to test a left factor
@@ -33,8 +39,10 @@ zero; the convention 0 * (anything) = 0 makes such lines directly
 expressible.
 
 Corpus files state one identity per line as ``LHS == RHS @ mode(params)``
-with an optional trailing ``mod Phi(expr)^e`` in poly mode; see
-load_corpus for the parameter sweep syntax.
+with an optional trailing ``mod Phi(expr)^e`` in poly mode.  The params
+sweep left to right: ``name=lo..hi`` or ``name=lo..hi..step`` (step >= 1),
+``name=expr`` from earlier params, and ``j=all`` for the residues coprime
+to m.  Cyclo mode needs m and j.
 """
 
 from __future__ import annotations
@@ -226,7 +234,9 @@ class _Parser:
             self.next()
             if value == "sum":
                 self.expect("(")
-                var = self.expect("name")[1]
+                _, var, var_pos = self.expect("name")
+                if var == "q":
+                    raise ParseError(self.text, var_pos, ["a sum variable other than q"])
                 self.expect("=")
                 lower = self.expr()
                 self.expect("..")
@@ -310,10 +320,13 @@ def render(e: Expr) -> str:
 # evaluation
 
 
+_RATIONAL = (int, Fraction)
+
+
 @dataclass
 class EvalContext:
-    """mode 'poly' or 'cyclo'; bindings map variable names to integers;
-    field = (m, j) fixes q = zeta_m^j in cyclo mode (gcd(j, m) = 1)."""
+    """mode 'poly' or 'cyclo'; bindings map variable names other than q to
+    integers; field = (m, j) fixes q = zeta_m^j in cyclo mode (gcd(j, m) = 1)."""
 
     mode: str
     bindings: dict[str, int]
@@ -325,6 +338,8 @@ class EvalContext:
     def __post_init__(self):
         if self.mode not in ("poly", "cyclo"):
             raise ValueError("mode must be 'poly' or 'cyclo'")
+        if "q" in self.bindings:
+            raise ValueError("q is the indeterminate and cannot be bound")
         if self.mode == "cyclo":
             if self.field is None:
                 raise ValueError("cyclo mode needs field = (m, j)")
@@ -333,69 +348,23 @@ class EvalContext:
                 raise ValueError(f"j = {j} is not coprime to m = {m}")
             self.algebra = CycloField(m)
 
+    def lift(self, value):
+        """A value as an element of the mode's ring: a rational becomes a
+        constant Poly or a scalar GroupAlgebraElem."""
+        if type(value) not in _RATIONAL:
+            return value
+        if self.algebra is None:
+            return Poly.constant(value)
+        return GroupAlgebraElem.monomial(self.algebra, value)
+
 
 def _scalar(e: Expr, ctx: EvalContext) -> Union[int, Fraction]:
-    """Evaluate an integer-position subexpression exactly.
-
-    The arithmetic is in int; a Fraction appears only for a non-integral
-    quotient or a negative power, so a power never yields a float.
-    """
-    if isinstance(e, Num):
-        v = e.value
-        return v.numerator if v.denominator == 1 else v
-    if isinstance(e, Var):
-        if e.name == "q":
-            raise EvalError("q is not allowed in an integer position", e)
-        if e.name not in ctx.bindings:
-            raise EvalError(f"unbound variable {e.name!r}", e)
-        return ctx.bindings[e.name]
-    if isinstance(e, Neg):
-        return -_scalar(e.operand, ctx)
-    if isinstance(e, Bin):
-        a = _scalar(e.left, ctx)
-        if e.op == "*" and a == 0:
-            return 0
-        b = _scalar(e.right, ctx)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0:
-            raise EvalError("division by zero", e)
-        if type(a) is int and type(b) is int and a % b == 0:
-            return a // b
-        return Fraction(a) / b
-    if isinstance(e, Pow):
-        ex = _int(_scalar(e.exponent, ctx), e)
-        base = _scalar(e.base, ctx)
-        if ex < 0:
-            if base == 0:
-                raise EvalError("zero to a negative power", e)
-            return Fraction(base) ** ex
-        return base**ex
-    if isinstance(e, Sum):
-        lo = _int(_scalar(e.lower, ctx), e)
-        hi = _int(_scalar(e.upper, ctx), e)
-        total = 0
-        saved = ctx.bindings.get(e.var)
-        try:
-            for v in range(lo, hi + 1):
-                ctx.bindings[e.var] = v
-                total += _scalar(e.body, ctx)
-        finally:
-            _restore(ctx, e.var, saved)
-        return total
-    if isinstance(e, Call):
-        if e.name == "legendre3":
-            _arity(e, 1)
-            return legendre3(_int(_scalar(e.args[0], ctx), e))
-        if e.name == "floor":
-            _arity(e, 1)
-            return floor(_scalar(e.args[0], ctx))
-        raise EvalError(f"{e.name} is not scalar-valued", e)
-    raise TypeError(f"not an Expr: {e!r}")
+    """Evaluate an integer-position subexpression: its _evaluate value, which
+    must be rational because q may not occur there."""
+    value = _evaluate(e, ctx)
+    if type(value) not in _RATIONAL:
+        raise EvalError("q is not allowed in an integer position", e)
+    return value
 
 
 def _int(value: Union[int, Fraction], e: Expr) -> int:
@@ -411,85 +380,100 @@ def _arity(e: Call, n: int) -> None:
         raise EvalError(f"{e.name} takes {n} argument(s)", e)
 
 
-def _restore(ctx: EvalContext, name: str, saved: Optional[int]) -> None:
-    if saved is None:
-        ctx.bindings.pop(name, None)
-    else:
-        ctx.bindings[name] = saved
-
-
 def _evaluate(e: Expr, ctx: EvalContext):
-    poly_mode = ctx.mode == "poly"
-    if isinstance(e, Num):
-        return Poly.constant(e.value) if poly_mode else _cy_rat(ctx, e.value)
-    if isinstance(e, Var):
-        if e.name == "q":
-            return Poly.monomial(1, 1) if poly_mode else _cy_root(ctx, 1)
-        if e.name not in ctx.bindings:
-            raise EvalError(f"unbound variable {e.name!r}", e)
-        c = ctx.bindings[e.name]
-        return Poly.constant(c) if poly_mode else _cy_rat(ctx, c)
-    if isinstance(e, Neg):
-        return -_evaluate(e.operand, ctx)
+    """The one tree walker: the value of e under ctx.
+
+    A subexpression without q evaluates to an int, or to a Fraction only
+    for a non-integral quotient or a negative power, in exactly that
+    arithmetic.  A subexpression with q, qbin or qcat evaluates to a Poly in
+    poly mode and to a GroupAlgebraElem in cyclo mode.  A rational meets a
+    ring value only in the ring's own + - * (which lift it), as the
+    numerator of an exact Poly division (ctx.lift), and at the exits.
+    """
     if isinstance(e, Bin):
         a = _evaluate(e.left, ctx)
-        if e.op == "*" and a.is_zero():
-            return a  # zero short-circuit; right factor may be undefined
         if e.op == "+":
             return a + _evaluate(e.right, ctx)
         if e.op == "-":
             return a - _evaluate(e.right, ctx)
         if e.op == "*":
+            # zero short-circuit: the right factor may be undefined
+            if type(a) in _RATIONAL:
+                if a == 0:
+                    return 0
+            elif a.is_zero():
+                return a
             return a * _evaluate(e.right, ctx)
         b = _evaluate(e.right, ctx)
-        if poly_mode:
-            if b.is_zero():
+        if type(b) in _RATIONAL:
+            if b == 0:
                 raise EvalError("division by zero", e)
-            if b.degree == 0:
-                return a * (Fraction(1) / Fraction(b.coeffs[0]))
+            if type(a) is int and type(b) is int and a % b == 0:
+                return a // b
+            return a * (Fraction(1) / b)
+        if isinstance(b, GroupAlgebraElem):
             try:
-                return a.exact_div(b)
-            except ValueError as exc:
-                raise EvalError(str(exc), e) from None
+                return a * b.inv()
+            except ZeroDivisionError:
+                raise EvalError("division by a zero field element", e) from None
+        if b.is_zero():
+            raise EvalError("division by zero", e)
         try:
-            return a * b.inv()
-        except ZeroDivisionError:
-            raise EvalError("division by a zero field element", e) from None
+            return ctx.lift(a).exact_div(b)
+        except ValueError as exc:
+            raise EvalError(str(exc), e) from None
+    if isinstance(e, Num):
+        v = e.value
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(e, Var):
+        if e.name == "q":
+            return _q_power(ctx, 1, e)
+        if e.name not in ctx.bindings:
+            raise EvalError(f"unbound variable {e.name!r}", e)
+        return ctx.bindings[e.name]
     if isinstance(e, Pow):
         ex = _int(_scalar(e.exponent, ctx), e)
-        if not poly_mode and isinstance(e.base, Var) and e.base.name == "q":
-            return _cy_root(ctx, ex)
+        if isinstance(e.base, Var) and e.base.name == "q":
+            return _q_power(ctx, ex, e)
         base = _evaluate(e.base, ctx)
-        if poly_mode:
-            if base.degree <= 0:
-                c = base.coeffs[0] if base.coeffs else 0
-                if ex < 0 and c == 0:
-                    raise EvalError("zero to a negative power", e)
-                return Poly.constant(Fraction(c) ** ex)
-            if ex < 0:
-                raise EvalError(
-                    "negative power of a non-constant polynomial", e
-                )
-            return base**ex
         if ex < 0:
+            if isinstance(base, Poly) and base.degree > 0:
+                raise EvalError("negative power of a non-constant polynomial", e)
+            ex = -ex
             try:
-                base = base.inv()
+                if isinstance(base, GroupAlgebraElem):
+                    base = base.inv()
+                elif isinstance(base, Poly):
+                    base = Poly.constant(Fraction(1) / base[0])
+                else:
+                    base = Fraction(1) / base
             except ZeroDivisionError:
                 raise EvalError("zero to a negative power", e) from None
-        return base ** abs(ex)
+        return base**ex
+    if isinstance(e, Neg):
+        return -_evaluate(e.operand, ctx)
     if isinstance(e, Sum):
         lo = _int(_scalar(e.lower, ctx), e)
         hi = _int(_scalar(e.upper, ctx), e)
-        total = Poly.zero() if poly_mode else _cy_rat(ctx, 0)
+        total = 0
         saved = ctx.bindings.get(e.var)
         try:
             for v in range(lo, hi + 1):
                 ctx.bindings[e.var] = v
                 total = total + _evaluate(e.body, ctx)
         finally:
-            _restore(ctx, e.var, saved)
+            if saved is None:
+                ctx.bindings.pop(e.var, None)
+            else:
+                ctx.bindings[e.var] = saved
         return total
     if isinstance(e, Call):
+        if e.name == "legendre3":
+            _arity(e, 1)
+            return legendre3(_int(_scalar(e.args[0], ctx), e))
+        if e.name == "floor":
+            _arity(e, 1)
+            return floor(_scalar(e.args[0], ctx))
         if e.name == "qbin":
             _arity(e, 2)
             p = gaussian_binomial(
@@ -502,21 +486,19 @@ def _evaluate(e: Expr, ctx: EvalContext):
                 raise EvalError("qcat needs a nonnegative index", e)
             p = q_catalan(k)
         else:
-            c = _scalar(e, ctx)
-            return Poly.constant(c) if poly_mode else _cy_rat(ctx, c)
-        if poly_mode:
-            return p
-        return _poly_at_root(ctx, p)
+            raise EvalError(f"unknown function {e.name!r}", e)
+        return p if ctx.algebra is None else _poly_at_root(ctx, p)
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _cy_rat(ctx: EvalContext, c: Union[int, Fraction]) -> GroupAlgebraElem:
-    return GroupAlgebraElem.monomial(ctx.algebra, c)
-
-
-def _cy_root(ctx: EvalContext, e: int) -> GroupAlgebraElem:
-    """q^e = zeta_m^(j*e), a unit vector."""
-    return GroupAlgebraElem.monomial(ctx.algebra, 1, ctx.field[1] * e)
+def _q_power(ctx: EvalContext, ex: int, e: Expr):
+    """q^ex as one monomial: q^ex in poly mode, the unit vector of
+    zeta_m^(j*ex) in cyclo mode."""
+    if ctx.algebra is not None:
+        return GroupAlgebraElem.monomial(ctx.algebra, 1, ctx.field[1] * ex)
+    if ex < 0:
+        raise EvalError("negative power of a non-constant polynomial", e)
+    return Poly.monomial(1, ex)
 
 
 def _poly_at_root(ctx: EvalContext, p: Poly) -> GroupAlgebraElem:
@@ -536,9 +518,7 @@ def eval_poly(e: Expr, bindings: Optional[dict[str, int]] = None) -> Poly:
     Poly('1 + q^2 + q^3 + q^4 + q^6')
     """
     ctx = EvalContext("poly", dict(bindings or {}))
-    value = _evaluate(e, ctx)
-    assert isinstance(value, Poly)
-    return value
+    return ctx.lift(_evaluate(e, ctx))
 
 
 def eval_cyclo(
@@ -550,9 +530,7 @@ def eval_cyclo(
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
     """
     ctx = EvalContext("cyclo", dict(bindings or {}), (m, j))
-    value = _evaluate(e, ctx)
-    assert isinstance(value, GroupAlgebraElem)
-    return value.value()
+    return ctx.lift(_evaluate(e, ctx)).value()
 
 
 # ---------------------------------------------------------------------------
@@ -647,6 +625,8 @@ def parse_corpus_line(line_no: int, line: str) -> CorpusEntry:
     binding_specs = [s for s in _split_top_level(bindings_text, ",") if s.strip()]
     bindings = tuple(_parse_binding(s) for s in binding_specs)
     names = [name for name, _, _ in bindings]
+    if "q" in names:
+        raise ValueError(f"line {line_no}: q is the indeterminate and cannot be bound")
     if mode == "cyclo":
         if "m" not in names or "j" not in names:
             raise ValueError(f"line {line_no}: cyclo mode needs m and j bindings")
@@ -699,6 +679,10 @@ def _sweep(
         lo = _int(_scalar(lo_e, scalar_ctx), lo_e)
         hi = _int(_scalar(hi_e, scalar_ctx), hi_e)
         step = _int(_scalar(step_e, scalar_ctx), step_e) if step_e is not None else 1
+        if step < 1:
+            raise ValueError(
+                f"line {entry.line_no}: range step must be at least 1, got {step}"
+            )
         for v in range(lo, hi + 1, step):
             bound[name] = v
             yield from _sweep(entry, idx + 1, bound)
@@ -716,42 +700,31 @@ def _sweep(
         raise ValueError(f"unknown binding kind {kind!r}")
 
 
-def run_corpus_entry(entry: CorpusEntry, max_cases: Optional[int] = None) -> VerificationReport:
+def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
     """Check one corpus identity across its whole parameter sweep."""
-    case_count = [0]
+    cases = 0
 
     def witness() -> Optional[str]:
+        nonlocal cases
         for binding in _sweep(entry, 0, {}):
-            if max_cases is not None and case_count[0] >= max_cases:
-                break
-            case_count[0] += 1
-            if entry.mode == "poly":
-                lhs = eval_poly(entry.lhs, binding)
-                rhs = eval_poly(entry.rhs, binding)
-                if entry.mod_index is not None:
-                    sc = EvalContext("poly", dict(binding))
-                    n = _int(_scalar(entry.mod_index, sc), entry.mod_index)
-                    rem = reduce_mod_phi_power(lhs - rhs, n, entry.mod_power)
-                    if not rem.is_zero():
-                        return f"{binding}: residue {rem.render()}"
-                elif lhs != rhs:
-                    return f"{binding}: {(lhs - rhs).render()}"
-            else:
-                m, j = binding["m"], binding["j"]
-                ctx = EvalContext("cyclo", dict(binding), (m, j))
-                lhs = _evaluate(entry.lhs, ctx)
-                diff = (lhs - _evaluate(entry.rhs, ctx)).value()
-                if not diff.is_zero():
-                    return f"{binding}: {diff.render()}"
+            cases += 1
+            field = (binding["m"], binding["j"]) if entry.mode == "cyclo" else None
+            ctx = EvalContext(entry.mode, dict(binding), field)
+            diff = ctx.lift(_evaluate(entry.lhs, ctx) - _evaluate(entry.rhs, ctx))
+            label = ""
+            if field is not None:
+                diff = diff.value()
+            elif entry.mod_index is not None:
+                n = _int(_scalar(entry.mod_index, ctx), entry.mod_index)
+                diff = reduce_mod_phi_power(diff, n, entry.mod_power)
+                label = "residue "
+            if not diff.is_zero():
+                return f"{binding}: {label}{diff.render()}"
         return None
 
     report = run_check("dsl-corpus", {"line": entry.line_no}, witness)
     if report.passed:
-        params = dict(report.params)
-        params["cases"] = case_count[0]
-        report = VerificationReport(
-            report.suite_id, params, report.status, report.witness, report.elapsed
-        )
+        report = dataclasses.replace(report, params={**report.params, "cases": cases})
     return report
 
 

@@ -63,6 +63,12 @@ def test_eval_domain_error_exits_2(capsys):
     assert "error" in err
 
 
+def test_eval_binding_q_exits_2(capsys):
+    code, out, err = run_cli(["eval", "q+1", "--poly", "--bind", "q=3"], capsys)
+    assert code == 2 and out == ""
+    assert "q is the indeterminate and cannot be bound" in err
+
+
 def test_chars(capsys):
     code, out, _ = run_cli(["chars", "--modulus", "5"], capsys)
     assert code == 0

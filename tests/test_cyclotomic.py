@@ -364,7 +364,9 @@ def _random_algebra_value(rng, f):
 def test_group_algebra_ops_match_field_arithmetic():
     # random operation sequences on the lazy value against CycloElem arithmetic
     rng = random.Random(1618)
-    ops = ("add", "sub", "neg", "mul", "inv", "pow", "add_vec", "add_monomial", "zero")
+    ops = (
+        "add", "sub", "neg", "mul", "inv", "pow", "add_vec", "add_monomial", "zero", "scalar"
+    )
     for _ in range(200):
         m = rng.randint(1, 60)
         f = CycloField(m)
@@ -406,6 +408,14 @@ def test_group_algebra_ops_match_field_arithmetic():
                 c, e = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randrange(m)
                 x.add_monomial(c, e)
                 oracle = oracle + CycloElem.root_power(m, e) * c
+            elif op == "scalar":
+                # an int or Fraction on either side of + - * is a scalar
+                c = rng.choice((0, 1, -3, Fraction(2, 3), Fraction(-5, 4)))
+                cv = CycloElem.one(m) * c
+                x, oracle = rng.choice(
+                    ((c + x, cv + oracle), (x - c, oracle - cv), (c - x, cv - oracle),
+                     (x * c, oracle * cv), (c * x, cv * oracle))
+                )
             elif op == "zero":
                 # a multiple of Phi_m: zero in the field, not in the group algebra
                 phi = [0] * m

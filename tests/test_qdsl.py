@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,6 +12,7 @@ from qcatalan.qdsl import (
     Call,
     EvalContext,
     EvalError,
+    Neg,
     Num,
     ParseError,
     Pow,
@@ -161,6 +163,49 @@ def test_integer_positions_stay_exact():
         assert result == value and type(result) is type(value), text
 
 
+def test_eval_error_texts_pinned():
+    in_integer_position = "q is not allowed in an integer position"
+    for text, message, modes in (
+        ("qcat(q)", f"{in_integer_position} (in: q)", "pc"),
+        ("q^qbin(2, 1)", f"{in_integer_position} (in: qbin(2, 1))", "pc"),
+        ("1/0", "division by zero (in: 1 / 0)", "pc"),
+        ("floor(q)", f"{in_integer_position} (in: q)", "pc"),
+        ("q^(-1)", "negative power of a non-constant polynomial (in: q^-1)", "p"),
+        ("q^(q*0)", f"{in_integer_position} (in: q * 0)", "pc"),
+    ):
+        for mode in modes:
+            with pytest.raises(EvalError) as exc:
+                if mode == "p":
+                    eval_poly(parse(text))
+                else:
+                    eval_cyclo(parse(text), 5, 2)
+            assert str(exc.value) == message, (text, mode)
+
+
+def test_q_cannot_be_bound():
+    with pytest.raises(ValueError, match="q is the indeterminate"):
+        eval_poly(parse("q + 1"), {"q": 3})
+    with pytest.raises(ValueError, match="line 7: q is the indeterminate"):
+        parse_corpus_line(7, "q == 3 @ poly(q=3)")
+    with pytest.raises(ParseError) as exc:
+        parse("sum(q=1..3, q)")
+    assert exc.value.pos == 4
+
+
+def test_corpus_range_step():
+    # 1..5..2 sweeps exactly 1, 3, 5
+    entry = parse_corpus_line(3, "(k - 1)*(k - 3)*(k - 5) == 0 @ poly(k=1..5..2)")
+    report = run_corpus_entry(entry)
+    assert report.passed and report.params["cases"] == 3
+    report = run_corpus_entry(parse_corpus_line(3, "k == 1 @ poly(k=1..5..2)"))
+    assert report.witness == "{'k': 3}: 2"
+    for step in ("-1", "0"):
+        entry = parse_corpus_line(9, f"k == k @ poly(k=5..1..{step})")
+        message = f"line 9: range step must be at least 1, got {step}"
+        with pytest.raises(ValueError, match=message):
+            run_corpus_entry(entry)
+
+
 def test_negative_exponents_in_cyclo():
     assert eval_cyclo(parse("q^(-1)"), 5, 2) == CycloElem.root_power(5, -2)
     assert eval_cyclo(parse("q^(-7)"), 5, 1) == CycloElem.root_power(5, 3)
@@ -206,8 +251,6 @@ def test_render_round_trip_random():
         if pick == 4:
             return Sum("t", gen(depth - 1), gen(depth - 1), gen(depth - 1)) if depth else Var("q")
         if pick == 5:
-            from qcatalan.qdsl import Neg
-
             return Neg(gen(depth - 1))
         if pick == 6:
             return Bin(rng.choice("+-*/"), gen(depth - 1), gen(depth - 1))
@@ -233,15 +276,59 @@ def test_mode_consistency():
         for _ in range(6):
             n = rng.randint(1, 6)
             m = rng.randint(1, 12)
-            js = [j for j in range(1, m + 1) if __import__("math").gcd(j, m) == 1]
+            js = [j for j in range(1, m + 1) if gcd(j, m) == 1]
             j = rng.choice(js)
             direct = eval_cyclo(e, m, j, {"n": n})
-            via_poly = eval_poly(e, {"n": n})
-            # substitute q -> zeta_m^j by mapping q^i to x^(i*j)
-            lifted = CycloElem.zero(m)
-            for i, c in enumerate(via_poly.coeffs):
-                lifted = lifted + CycloElem.root_power(m, i * j) * c
-            assert direct == lifted, (text, n, m, j)
+            assert direct == _at_root(eval_poly(e, {"n": n}), m, j), (text, n, m, j)
+    # seeded random division-free trees over both kinds of value
+    for _ in range(200):
+        e = _random_division_free(rng, 3, ["n"])
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 12)
+        j = rng.choice([j for j in range(1, m + 1) if gcd(j, m) == 1])
+        via_poly = eval_poly(e, {"n": n})
+        direct = eval_cyclo(e, m, j, {"n": n})
+        assert direct == _at_root(via_poly, m, j), (render(e), n, m, j)
+        if "q" not in render(e):  # no q and no qbin / qcat: a rational value
+            ctx = EvalContext("poly", {"n": n})
+            assert via_poly == Poly.constant(_scalar(e, ctx)), render(e)
+
+
+def _at_root(p, m, j):
+    """p with q replaced by zeta_m^j, in Q(zeta_m)."""
+    value = CycloElem.zero(m)
+    for i, c in enumerate(p.coeffs):
+        value = value + CycloElem.root_power(m, i * j) * c
+    return value
+
+
+def _random_division_free(rng, depth, names):
+    """A tree of numbers, bound names, q, q^k (k >= 0), + - *, unary minus,
+    sum, and qbin / qcat on small nonnegative arguments."""
+    small = [Num(Fraction(rng.randrange(4))), *map(Var, names)]
+    if not depth or rng.random() < 0.3:
+        return rng.choice(
+            [
+                Num(Fraction(rng.randint(-3, 5))),
+                Var(rng.choice(names)),
+                Var("q"),
+                Pow(Var("q"), rng.choice(small)),
+                Call("qbin", (rng.choice(small), rng.choice(small))),
+                Call("qcat", (rng.choice(small),)),
+            ]
+        )
+    pick = rng.randrange(4)
+    if pick == 0:
+        return Neg(_random_division_free(rng, depth - 1, names))
+    if pick == 1:
+        body = _random_division_free(rng, depth - 1, [*names, "k"])
+        lo, hi = Num(Fraction(rng.randrange(3))), Num(Fraction(rng.randrange(4)))
+        return Sum("k", lo, hi, body)
+    return Bin(
+        rng.choice("+-*"),
+        _random_division_free(rng, depth - 1, names),
+        _random_division_free(rng, depth - 1, names),
+    )
 
 
 def test_corpus_line_parsing():
