@@ -17,15 +17,15 @@ from typing import Callable, Mapping, Optional
 
 from .cyclotomic import cyclotomic_poly, poly_xgcd, reduce_mod_phi_power
 from .qcomb import (
-    catalan_sum,
-    central_sum,
+    catalan_residue,
+    central_residue,
     gaussian_binomial,
     legendre3,
     q_catalan,
     q_catalan_maj_oracle,
     shifted_central_sum,
 )
-from .ring import Poly
+from .ring import Coeff, Poly
 
 PASS = "pass"
 FAIL = "fail"
@@ -117,11 +117,24 @@ def check_congruence(lhs: Poly, rhs: Poly, n: int, e: int) -> VerificationReport
 
 # ---------------------------------------------------------------------------
 # the q-Catalan partial-sum congruences
+#
+# The four suites read the left side as the qcomb walk stores it, folded
+# mod (q^n - 1)^2, and fold each right-side monomial of degree n or more
+# the same way.  Phi_n^e divides (q^n - 1)^2 for e <= 2 and the remainder
+# mod Phi_n^e is unique, so the residue, the verdict and the witness are
+# those of the unfolded sides.
+
+
+def _folded_monomial(c: Coeff, t: int, n: int) -> Poly:
+    """c q^t mod (q^n - 1)^2: q^(a*n + r) = (1 - a) q^r + a q^(n + r), r < n."""
+    a, r = divmod(t, n)
+    return Poly([0] * r + [(1 - a) * c] + [0] * (n - 1) + [a * c])
 
 
 def verify_tauraso_mod_phi(n: int) -> VerificationReport:
     """sum q^k C_k over k < n collapses to one monomial mod Phi_n:
     q^floor(n/3) when n = 0,1 (mod 3) and -1 - q^((2n-1)/3) when n = 2.
+    The left side is read folded mod (q^n - 1)^2, a multiple of Phi_n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -132,7 +145,7 @@ def verify_tauraso_mod_phi(n: int) -> VerificationReport:
             rhs = Poly.monomial(-1, (2 * n - 1) // 3) - 1
         else:
             rhs = Poly.monomial(1, n // 3)
-        return _residue_witness(catalan_sum(n) - rhs, n, 1)
+        return _residue_witness(catalan_residue(n) - rhs, n, 1)
 
     return run_check("tauraso-phi", {"n": n}, witness)
 
@@ -140,7 +153,8 @@ def verify_tauraso_mod_phi(n: int) -> VerificationReport:
 def verify_liu_mod_phi2(n: int) -> VerificationReport:
     """The sharper mod Phi_n^2 form of the q-Catalan sum for n not divisible
     by 3: q^((n^2-1)/3) - (n-1)/3*(q^n-1) when n = 1 (mod 3), and
-    -q^((n^2-1)/3) - q^(n(2n-1)/3) when n = 2 (mod 3).
+    -q^((n^2-1)/3) - q^(n(2n-1)/3) when n = 2 (mod 3).  Both sides are
+    folded mod (q^n - 1)^2, a multiple of Phi_n^2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -151,15 +165,15 @@ def verify_liu_mod_phi2(n: int) -> VerificationReport:
     def witness() -> Optional[str]:
         if n % 3 == 1:
             assert (n - 1) % 3 == 0
-            rhs = Poly.monomial(1, (n * n - 1) // 3) - (
+            rhs = _folded_monomial(1, (n * n - 1) // 3, n) - (
                 Poly.monomial(1, n) - 1
             ) * ((n - 1) // 3)
         else:
             assert (n * (2 * n - 1)) % 3 == 0
-            rhs = Poly.monomial(-1, (n * n - 1) // 3) + Poly.monomial(
-                -1, n * (2 * n - 1) // 3
+            rhs = _folded_monomial(-1, (n * n - 1) // 3, n) + _folded_monomial(
+                -1, n * (2 * n - 1) // 3, n
             )
-        return _residue_witness(catalan_sum(n) - rhs, n, 2)
+        return _residue_witness(catalan_residue(n) - rhs, n, 2)
 
     return run_check("liu-phi2", {"n": n}, witness)
 
@@ -172,16 +186,17 @@ def verify_main_theorem(n: int) -> VerificationReport:
 
     The zero test runs on 3 * (lhs - rhs), which has integer coefficients;
     3 is a unit mod Phi_n^2, so the verdict is the same, and a failure
-    reports the residue of lhs - rhs itself.
+    reports the residue of lhs - rhs itself.  Both sides are folded
+    mod (q^n - 1)^2, a multiple of Phi_n^2.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError("need a positive multiple of 3")
 
     def witness() -> Optional[str]:
-        rhs3 = Poly.monomial(3, n * (2 * n + 1) // 3) + (
+        rhs3 = _folded_monomial(3, n * (2 * n + 1) // 3, n) + (
             Poly.monomial(1, n) - 1
         ) * (Poly.monomial(n + 1, 2 * n // 3) + 2)
-        rem3 = reduce_mod_phi_power(catalan_sum(n) * 3 - rhs3, n, 2)
+        rem3 = reduce_mod_phi_power(catalan_residue(n) * 3 - rhs3, n, 2)
         if rem3.is_zero():
             return None
         return (rem3 * Fraction(1, 3)).render()
@@ -192,7 +207,8 @@ def verify_main_theorem(n: int) -> VerificationReport:
 def verify_liu_petrov(n: int) -> VerificationReport:
     """sum_{k<n} q^k [2k,k] = (n/3) * q^((n^2-1)/3) (mod Phi_n^2), with the
     Legendre symbol (n/3); for 3 | n the right side is the zero polynomial
-    and the fractional exponent never materialises.
+    and the fractional exponent never materialises.  Both sides are
+    folded mod (q^n - 1)^2, a multiple of Phi_n^2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -203,8 +219,8 @@ def verify_liu_petrov(n: int) -> VerificationReport:
             rhs = Poly.zero()
         else:
             assert (n * n - 1) % 3 == 0
-            rhs = Poly.monomial(sign, (n * n - 1) // 3)
-        return _residue_witness(central_sum(n) - rhs, n, 2)
+            rhs = _folded_monomial(sign, (n * n - 1) // 3, n)
+        return _residue_witness(central_residue(n) - rhs, n, 2)
 
     return run_check("liu-petrov", {"n": n}, witness)
 

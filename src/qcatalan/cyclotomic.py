@@ -101,25 +101,8 @@ def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
     """Remainder of p modulo Phi_n(q)^e.
 
     Large inputs are first folded modulo (q^n - 1)^e, which Phi_n^e
-    divides, so only a small dense division remains.  The fold is one
-    formula for every e: writing an exponent as a*n + r with 0 <= r < n,
-
-        q^(a*n + r) = q^r * (1 + (q^n - 1))^a
-                    = q^r * sum_j C(a, j) * (q^n - 1)^j,
-
-    and the terms with j >= e vanish modulo (q^n - 1)^e.  So
-    sum_i c_i q^i is congruent to sum_{j<e} (q^n - 1)^j * M_j(q), where the
-    binomial moment M_j(q) = sum_{r<n} M_j[r] q^r has
-
-        M_j[r] = sum_a C(a, j) * c_(a*n + r).
-
-    Expanding (q^n - 1)^j gives a polynomial of degree < n*e, the degree of
-    (q^n - 1)^e, that is congruent to p; it is therefore exactly the
-    remainder of p modulo (q^n - 1)^e.  For e = 1 the fold sums the
-    coefficients in each residue class of exponents mod n.
-
-    For instance q^9 = (1 + (q^3 - 1))^3 = 1 + 3*(q^3 - 1) mod (q^3 - 1)^2,
-    which already has degree below that of Phi_3^2:
+    divides, so only a small dense division remains.  For instance
+    q^9 = 1 + 3*(q^3 - 1) mod (q^3 - 1)^2, of degree below that of Phi_3^2:
 
     >>> reduce_mod_phi_power(Poly.monomial(1, 9), 3, 2)
     Poly('-2 + 3*q^3')
@@ -128,21 +111,35 @@ def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
         raise ValueError("modulus index must be a positive integer")
     if e < 1:
         raise ValueError("exponent must be a positive integer")
-    coeffs = p.coeffs
-    if len(coeffs) > n * e:
-        height = -(-len(coeffs) // n)  # number of a values
-        columns = [coeffs[r::n] for r in range(n)]
-        moments = [[sum(col) for col in columns]]  # C(a, 0) = 1
-        for j in range(1, e):
-            weights = [comb(a, j) for a in range(height)]
-            moments.append([sum(map(mul, weights, col)) for col in columns])
-        folded = []
-        for i in range(e):
-            # the coefficient of q^(i*n) in (q^n - 1)^j is (-1)^(j-i) C(j, i)
-            signs = [(-1) ** (j - i) * comb(j, i) for j in range(i, e)]
-            folded += [sum(map(mul, signs, m)) for m in zip(*moments[i:])]
-        p = Poly(folded)
+    if len(p.coeffs) > n * e:
+        p = Poly(fold_mod_cyclic(p.coeffs, n, e))
     return p.divmod(_phi_power(n, e))[1]
+
+
+def fold_mod_cyclic(coeffs: Sequence[Coeff], n: int, e: int) -> list[Coeff]:
+    """The remainder of sum_i c_i q^i (c = coeffs) modulo (q^n - 1)^e, as
+    n*e coefficients.  With an exponent written a*n + r, 0 <= r < n,
+
+        q^(a*n + r) = q^r (1 + (q^n - 1))^a = q^r sum_j C(a, j) (q^n - 1)^j,
+
+    and the terms with j >= e vanish.  So the input is congruent to
+    sum_{j<e} (q^n - 1)^j M_j(q), with the binomial moments
+    M_j[r] = sum_a C(a, j) c_(a*n + r).  Expanded, that has degree below
+    n*e, the degree of (q^n - 1)^e, so it is the remainder.  For e = 1 the
+    fold sums the coefficients in each residue class of exponents mod n.
+    """
+    height = -(-len(coeffs) // n)  # number of a values
+    columns = [coeffs[r::n] for r in range(n)]
+    moments = [[sum(col) for col in columns]]  # C(a, 0) = 1
+    for j in range(1, e):
+        weights = [comb(a, j) for a in range(height)]
+        moments.append([sum(map(mul, weights, col)) for col in columns])
+    folded = []
+    for i in range(e):
+        # the coefficient of q^(i*n) in (q^n - 1)^j is (-1)^(j-i) C(j, i)
+        signs = [(-1) ** (j - i) * comb(j, i) for j in range(i, e)]
+        folded += [sum(map(mul, signs, m)) for m in zip(*moments[i:])]
+    return folded
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """q-combinatorial objects: q-shifted factorials, Gaussian binomials,
 MacMahon q-Catalan polynomials, the ballot/major-index oracle, the
-mod-3 Legendre symbol, and the partial sums used by the congruence suites.
+mod-3 Legendre symbol, and the partial sums used by the congruence suites,
+walked one k at a time; the suites keep only their residues.
 
 All coefficient arithmetic is exact; the Gaussian binomials are integer
 polynomials and stay on the integer fast path throughout.
@@ -9,10 +10,13 @@ polynomials and stay on the integer fast path throughout.
 from __future__ import annotations
 
 import threading
+from collections import namedtuple
+from functools import lru_cache
 from itertools import accumulate
 from operator import add, sub
 from typing import Iterator, Sequence
 
+from .cyclotomic import fold_mod_cyclic
 from .ring import Poly
 
 # ---------------------------------------------------------------------------
@@ -89,21 +93,16 @@ def legendre3(a: int) -> int:
 # ---------------------------------------------------------------------------
 # MacMahon q-Catalan polynomials and the partial sums of the left-hand sides
 #
-# Since C_k = [2k, k] - q[2k, k+1], the Catalan partial sum
-# sum_{k<n} q^k C_k is the central sum minus the shifted one, so only
-# those two prefix tables are stored (row n holds the sum over k < n);
-# C_k and the Catalan sums are read off them.  The central binomials grow
-# incrementally by the defining product of quotients, shared across k,
-#
-#     [2k+2, k+1] = [2k, k] * (1 - q^{2k+1})(1 - q^{2k+2}) / (1 - q^{k+1})^2,
-#
-# and [2k, k+1] = [2k, k] * (1 - q^k) / (1 - q^{k+1}).  A lock keeps the
-# shared tables consistent for concurrent callers.
-
-_chain_lock = threading.Lock()
-_central: list[int] = [1]  # [2k, k] for the next k, k = len(_cen_sums) - 1
-_cen_sums: list[list[int]] = [[]]  # row n: sum_{k<n} q^k [2k, k]
-_shifted_sums: list[list[int]] = [[]]  # row n: sum_{k<n} q^{k+1} [2k, k+1]
+# Since C_k = [2k, k] - q[2k, k+1], sum_{k<n} q^k C_k is the central sum
+# minus the shifted one.  A walk holds [2k, k] and both running sums over
+# j < k.  A step takes [2k, k+1] = [2k, k] (1 - q^k) / (1 - q^{k+1}) by a
+# checked exact division, then [2k+1, k+1] = [2k, k] + q^{k+1} [2k, k+1]
+# (q-Pascal) and [2k+2, k+1] = (1 + q^{k+1}) [2k+1, k+1] (q-Pascal and the
+# symmetry [2k+1, k] = [2k+1, k+1]).
+# The suites need a sum at n only mod Phi_n^e, e <= 2, which divides
+# (q^n - 1)^2.  So one shared walk, under a lock, stores for each n only
+# the two sums folded mod (q^n - 1)^2; the fold is linear, so the Catalan
+# fold is the central fold minus the shifted one.
 
 
 def _add_shifted(a: list[int], b: list[int], k: int, op=add) -> list[int]:
@@ -115,72 +114,104 @@ def _add_shifted(a: list[int], b: list[int], k: int, op=add) -> list[int]:
     return out
 
 
-def _sums(n: int) -> tuple[list[int], list[int]]:
-    """Row n of the two prefix tables, extending both one k at a time."""
-    global _central
+class _Walk:
+    """The chain after k steps: [2k, k], the running sums over j < k of
+    q^j [2j, j] and q^{j+1} [2j, j+1], and residues[n - 1], the folds of the
+    central and the Catalan sum at each n <= k the shared walk stored."""
+
+    def __init__(self):
+        self.k, self.central, self.cen, self.shifted = 0, [1], [], []
+        self.residues: list[tuple[Poly, Poly]] = []
+
+    def step(self) -> None:
+        k, central = self.k, self.central
+        # [2k, k+1]; its factor 1 - q^0 makes it zero at k = 0
+        above = _div_one_minus(_mul_one_minus(central, k), k + 1)
+        self.cen = _add_shifted(self.cen, central, k)
+        self.shifted = _add_shifted(self.shifted, above, k + 1)
+        odd = _add_shifted(central, above, k + 1)  # [2k+1, k+1]
+        self.central = _add_shifted(odd, odd, k + 1)
+        self.k = k + 1
+
+
+_chain_lock = threading.Lock()
+_walk = _Walk()
+ChainInfo = namedtuple("ChainInfo", "steps residues")
+
+
+def chain_info() -> ChainInfo:
+    """The shared walk's steps and the number of n whose residues it stores."""
     with _chain_lock:
-        while len(_cen_sums) <= n:
-            k = len(_cen_sums) - 1
-            # [2k, k+1]; its factor 1 - q^0 makes it zero at k = 0
-            above = _div_one_minus(_mul_one_minus(_central, k), k + 1)
-            _cen_sums.append(_add_shifted(_cen_sums[k], _central, k))
-            _shifted_sums.append(_add_shifted(_shifted_sums[k], above, k + 1))
-            nxt = _mul_one_minus(_central, 2 * k + 1)
-            nxt = _mul_one_minus(nxt, 2 * k + 2)
-            nxt = _div_one_minus(nxt, k + 1)
-            _central = _div_one_minus(nxt, k + 1)
-        return _cen_sums[n], _shifted_sums[n]
+        return ChainInfo(_walk.k, len(_walk.residues))
 
 
-def _catalan_row(n: int) -> list[int]:
-    """sum_{k<n} q^k C_k as a raw list, possibly with trailing zeros."""
-    cen, shifted = _sums(n)
-    return _add_shifted(cen, shifted, 0, sub)
+def _residues(n: int) -> tuple[Poly, Poly]:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    with _chain_lock:
+        walk = _walk
+        while walk.k < n:
+            walk.step()
+            cen = fold_mod_cyclic(walk.cen, walk.k, 2)
+            cat = _add_shifted(cen, fold_mod_cyclic(walk.shifted, walk.k, 2), 0, sub)
+            walk.residues.append((Poly._trusted(cen), Poly._trusted(cat)))
+        return walk.residues[n - 1]
 
 
+def central_residue(n: int) -> Poly:
+    """central_sum(n) modulo (q^n - 1)^2, of degree below 2n."""
+    return _residues(n)[0]
+
+
+def catalan_residue(n: int) -> Poly:
+    """catalan_sum(n) modulo (q^n - 1)^2, of degree below 2n."""
+    return _residues(n)[1]
+
+
+@lru_cache(maxsize=256)
 def q_catalan(k: int) -> Poly:
-    """MacMahon's q-Catalan polynomial C_k = [2k, k] - q*[2k, k+1].
-
-    Read off the partial sums: q^k C_k = catalan_sum(k+1) - catalan_sum(k),
-    whose k lowest coefficients are zero.
+    """MacMahon's q-Catalan polynomial C_k = [2k, k] - q*[2k, k+1],
+    computed as [2k, k] (1 - q) / (1 - q^{k+1}).
 
     >>> q_catalan(3)
     Poly('1 + q^2 + q^3 + q^4 + q^6')
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    diff = _add_shifted(_catalan_row(k + 1), _catalan_row(k), 0, sub)
-    return Poly._trusted(diff[k:])
+    central = list(gaussian_binomial(2 * k, k).coeffs)
+    return Poly._trusted(_div_one_minus(_mul_one_minus(central, 1), k + 1))
+
+
+def _walked(n: int) -> _Walk:
+    """A fresh walk of n steps, apart from the shared one."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    walk = _Walk()
+    for _ in range(n):
+        walk.step()
+    return walk
 
 
 def catalan_sum(n: int) -> Poly:
     """The partial sum sum_{k=0}^{n-1} q^k C_k(q).
-
-    It is central_sum(n) - shifted_central_sum(n): row n of the one stored
-    prefix table minus row n of the other, on the raw coefficient lists.
 
     >>> catalan_sum(3)
     Poly('1 + q + q^2 + q^4')
     >>> catalan_sum(4) == central_sum(4) - shifted_central_sum(4)
     True
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return Poly._trusted(_catalan_row(n))
+    walk = _walked(n)
+    return Poly._trusted(_add_shifted(walk.cen, walk.shifted, 0, sub))
 
 
 def central_sum(n: int) -> Poly:
     """The partial sum sum_{k=0}^{n-1} q^k [2k, k]."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return Poly._trusted(list(_sums(n)[0]))
+    return Poly._trusted(_walked(n).cen)
 
 
 def shifted_central_sum(n: int) -> Poly:
     """The partial sum sum_{k=0}^{n-1} q^{k+1} [2k, k+1]."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return Poly._trusted(list(_sums(n)[1]))
+    return Poly._trusted(_walked(n).shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,14 @@ Every test prints one PASS line (visible with pytest -s); a failure would
 surface the offending parameters and witness instead.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 from qcatalan import charsum, congruence, qcomb, qdsl, rootid
 from qcatalan.cyclotomic import CycloElem
@@ -45,6 +49,30 @@ def test_criterion_04_central_sum_congruence_to_100():
     count = _sweep([congruence.verify_liu_petrov(n) for n in range(2, 101)])
     print(f"PASS criterion 4: liu-petrov exact for 2<=n<=100 incl. multiples "
           f"of 3 ({count} cases)")
+
+
+def test_phi_suites_memory_at_150():
+    # the child's own peak RSS: an intermediate interpreter runs it as its
+    # only child and prints RUSAGE_CHILDREN (ru_maxrss is in KiB on Linux)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["-m", "qcatalan", "verify", "tauraso-phi", "liu-phi2", "main-phi2",
+            "liu-petrov", "--n-max", "150", "--json"]
+    runner = (
+        "import resource, subprocess, sys; "
+        "code = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL).returncode; "
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", runner, sys.executable, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    code, maxrss_kib = map(int, done.stdout.split())
+    assert code == 0
+    peak_mb = maxrss_kib / 1024
+    assert peak_mb < 100.0, f"phi suites at n <= 150 peaked at {peak_mb:.1f} MB"
+    print(f"PASS phi suites at --n-max 150 in {peak_mb:.1f} MB peak RSS")
 
 
 def test_criterion_05_exact_identity_to_30():

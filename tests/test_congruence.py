@@ -19,7 +19,7 @@ from qcatalan.congruence import (
     verify_tauraso_mod_phi,
 )
 from qcatalan.cyclotomic import reduce_mod_phi_power
-from qcatalan.qcomb import catalan_sum
+from qcatalan.qcomb import catalan_residue, catalan_sum
 from qcatalan.ring import Poly, Q
 
 from test_ring import schoolbook_divmod
@@ -90,9 +90,9 @@ def test_main_theorem_witness_is_the_unscaled_residue(monkeypatch):
     from qcatalan import congruence
 
     def perturbed(n):
-        return catalan_sum(n) + Poly.monomial(Fraction(1, 3), n * n) + 2 * Q
+        return catalan_residue(n) + Poly.monomial(Fraction(1, 3), n * n) + 2 * Q
 
-    monkeypatch.setattr(congruence, "catalan_sum", perturbed)
+    monkeypatch.setattr(congruence, "catalan_residue", perturbed)
     for n in (3, 9):
         rhs = Poly.monomial(1, n * (2 * n + 1) // 3) + (
             Poly.monomial(1, n) - 1
@@ -101,6 +101,27 @@ def test_main_theorem_witness_is_the_unscaled_residue(monkeypatch):
         rep = verify_main_theorem(n)
         assert not rep.passed and any(type(c) is Fraction for c in rem.coeffs)
         assert rep.witness == rem.render()
+
+
+def test_phi2_suites_reject_a_change_by_a_multiple_of_phi(monkeypatch):
+    # q^5 (1 - q^n) is zero mod Phi_n but not mod Phi_n^2: adding it to a
+    # right side is the same as subtracting it from the stored left side
+    from qcatalan import congruence
+
+    for name in ("catalan_residue", "central_residue"):
+        stored = getattr(congruence, name)
+
+        def perturbed(n, stored=stored):
+            return stored(n) - Poly.monomial(1, 5) * (1 - Poly.monomial(1, n))
+
+        monkeypatch.setattr(congruence, name, perturbed)
+    for n in range(2, 31):
+        assert verify_tauraso_mod_phi(n).passed, n
+        assert verify_liu_petrov(n).status == "fail", n
+        if n % 3:
+            assert verify_liu_mod_phi2(n).status == "fail", n
+        else:
+            assert verify_main_theorem(n).status == "fail", n
 
 
 def test_main_theorem_n3_by_hand():

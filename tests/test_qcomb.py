@@ -11,7 +11,9 @@ import pytest
 from qcatalan import qcomb
 from qcatalan.qcomb import (
     ballot_words,
+    catalan_residue,
     catalan_sum,
+    central_residue,
     central_sum,
     gaussian_binomial,
     legendre3,
@@ -21,7 +23,10 @@ from qcatalan.qcomb import (
     q_pochhammer,
     shifted_central_sum,
 )
+from qcatalan.cyclotomic import reduce_mod_phi_power
 from qcatalan.ring import Poly
+
+from test_cyclotomic import _fold_by_long_division
 
 
 class PascalOracle:
@@ -181,10 +186,10 @@ def test_partial_sums_match_direct():
 
 
 def _fresh_chain(monkeypatch):
-    """Empty prefix tables, as in a process that has not touched the chain."""
-    monkeypatch.setattr(qcomb, "_central", [1])
-    monkeypatch.setattr(qcomb, "_cen_sums", [[]])
-    monkeypatch.setattr(qcomb, "_shifted_sums", [[]])
+    """A walk at k = 0 and an empty C_k memo, as in a process that has not
+    touched the chain."""
+    monkeypatch.setattr(qcomb, "_walk", qcomb._Walk())
+    q_catalan.cache_clear()
 
 
 def _chain_oracle(n_max):
@@ -217,11 +222,40 @@ def test_chain_matches_binomial_oracle_in_any_order(monkeypatch):
     requests.append((q_catalan, 0))
     for f, n in requests:
         assert f(n) == want[f.__name__, n], (f.__name__, n)
-    assert len(qcomb._cen_sums) == len(qcomb._shifted_sums) == 42
+    # each row is built by its own walk; the shared walk stays at k = 0
+    assert qcomb.chain_info() == (0, 0)
+
+
+def test_stored_residues_match_binomial_oracle(monkeypatch):
+    want = _chain_oracle(60)
+    _fresh_chain(monkeypatch)
+    for n in range(60, 0, -1):
+        for got, row in (
+            (catalan_residue(n), want["catalan_sum", n]),
+            (central_residue(n), want["central_sum", n]),
+        ):
+            assert got == _fold_by_long_division(row, n, 2), n
+            for e in (1, 2):
+                want_rem = reduce_mod_phi_power(row, n, e)
+                assert reduce_mod_phi_power(got, n, e) == want_rem, (n, e)
+
+
+def test_chain_info_counts_walk_steps_and_stored_residues(monkeypatch):
+    _fresh_chain(monkeypatch)
+    assert qcomb.chain_info() == (0, 0)
+    catalan_residue(40)
+    assert qcomb.chain_info() == (40, 40)
+    central_residue(30)
+    catalan_residue(30)
+    assert qcomb.chain_info() == (40, 40)  # no re-walk
+    for n in range(1, 41):
+        assert len(catalan_residue(n).coeffs) <= 2 * n
+        assert len(central_residue(n).coeffs) <= 2 * n
 
 
 def test_chain_concurrent_callers_match_serial(monkeypatch):
     accessors = (catalan_sum, central_sum, shifted_central_sum, q_catalan)
+    accessors += (catalan_residue, central_residue)  # the shared walk
     requests = [(f, n) for f in accessors for n in range(1, 41)]
     _fresh_chain(monkeypatch)
     serial = {(f.__name__, n): f(n) for f, n in requests}
