@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping, Optional
 
-from .cyclotomic import cyclotomic_poly, poly_xgcd, reduce_mod_phi_power
+from .cyclotomic import _field_sum, reduce_mod_phi_power
 from .qcomb import (
     catalan_residue,
     central_residue,
@@ -354,32 +354,25 @@ def verify_row_qbinom_congruence(n: int, k: int) -> VerificationReport:
 #                         + sum_{k<=floor((n-1)/3)} (-1)^k q^{k(3k+5)/2} / (1 - q^{3k}) )
 #
 # with the boundary monomial T_n = ((n-1)/3) q^((2n^2 - n((n-1)/3))/3).
-# verify_reduction_chain checks this congruence with the inverses realised
-# exactly modulo Phi_n^2; boundary_swap_residue measures whether the k = 0
-# term of the n-term form, -[2n, n], could have been traded for T_n (it
-# cannot: the residue is nonzero, which is why keeping T_n matters).
+# Phi_n^2 divides (q^n - 1) Phi_n, so (q^n - 1) X mod Phi_n^2 depends only
+# on X mod Phi_n: the bracket is summed in Q(zeta_n) by
+# cyclotomic._field_sum, and any representative of that sum will do.  The
+# left side is the shifted sum as the qcomb walk stores it, folded
+# mod (q^n - 1)^2.  The k = 0 term of the n-term form, -[2n, n], cannot be
+# traded for T_n (their sum is nonzero mod Phi_n^2), which is why keeping
+# T_n matters.
 
 
-def _inv_mod(p: Poly, modulus: Poly) -> Poly:
-    g, u, _ = poly_xgcd(p, modulus)  # g is monic, so g = 1 when coprime
-    if g.degree != 0:
-        raise ZeroDivisionError("element not invertible modulo the given polynomial")
-    return u.divmod(modulus)[1]
-
-
-def _chain_sums(n: int, modulus: Poly) -> Poly:
-    """The bracketed pair of sums, exactly modulo Phi_n^2 (exponents of the
-    q-powers normalised mod n, legitimate next to the q^n - 1 factor)."""
-    total = Poly.zero()
-    for k in range(1, n // 3 + 1):
-        e = (k * (3 * k - 1) // 2) % n
-        inv = _inv_mod(1 - Poly.monomial(1, 3 * k - 1), modulus)
-        total = total + (inv.shift(e) * ((-1) ** k)).divmod(modulus)[1]
-    for k in range(1, (n - 1) // 3 + 1):
-        e = (k * (3 * k + 5) // 2) % n
-        inv = _inv_mod(1 - Poly.monomial(1, 3 * k), modulus)
-        total = total + (inv.shift(e) * ((-1) ** k)).divmod(modulus)[1]
-    return total.divmod(modulus)[1]
+def _chain_sums(n: int) -> list[tuple[int, int, int, int]]:
+    """The bracketed pair of sums as terms (c, e, s, t) = c q^e / (1 - t q^s);
+    every s lies in [1, n - 1], so no denominator vanishes at zeta_n."""
+    terms = [
+        ((-1) ** k, k * (3 * k - 1) // 2, 3 * k - 1, 1) for k in range(1, n // 3 + 1)
+    ]
+    terms += [
+        ((-1) ** k, k * (3 * k + 5) // 2, 3 * k, 1) for k in range(1, (n - 1) // 3 + 1)
+    ]
+    return terms
 
 
 def boundary_term(n: int) -> Poly:
@@ -399,15 +392,9 @@ def verify_reduction_chain(n: int) -> VerificationReport:
         raise ValueError("need n >= 2")
 
     def witness() -> Optional[str]:
-        modulus = cyclotomic_poly(n) ** 2
-        qn_minus_1 = Poly.monomial(1, n) - 1
-        rhs = boundary_term(n) - qn_minus_1 * _chain_sums(n, modulus) * 2
-        return _residue_witness(shifted_central_sum(n) - rhs, n, 2)
+        acc = _field_sum(n, _chain_sums(n))
+        sums = Poly(acc.vec) * Fraction(1, acc.den)
+        rhs = boundary_term(n) - (Poly.monomial(1, n) - 1) * sums * 2
+        return _residue_witness(central_residue(n) - catalan_residue(n) - rhs, n, 2)
 
     return run_check("reduction-chain", {"n": n}, witness)
-
-
-def boundary_swap_residue(n: int) -> Poly:
-    """Residue of [2n, n] + T_n modulo Phi_n^2; zero iff the k = 0 term of
-    the n-term sum form may be traded for the k = n boundary term."""
-    return reduce_mod_phi_power(gaussian_binomial(2 * n, n) + boundary_term(n), n, 2)

@@ -12,7 +12,9 @@ denominator in lowest terms, so equality is structural.  A
 GroupAlgebraElem is a lazy value in the group algebra Q[x]/(x^m - 1),
 which maps onto Q(zeta_m) = Q[x]/Phi_m: sums and products are plain
 vector operations, and a value is reduced mod Phi_m only when it is
-read, tested for zero, or inverted with three or more terms.
+read, tested for zero, or inverted with three or more terms.  _field_sum
+adds a list of terms c * x^e / (1 - t * x^s) into one such value; it is the
+one evaluator of these sums, for the rootid suites and the reduction chain.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from functools import lru_cache
 from itertools import compress
 from math import comb, gcd, prod
 from operator import add, mul, sub
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ring import Coeff, Poly, as_coeff
+from .ring import Coeff, Poly, as_coeff, power
 
 # ---------------------------------------------------------------------------
 # elementary number theory helpers
@@ -149,8 +151,9 @@ def fold_mod_cyclic(coeffs: Sequence[Coeff], n: int, e: int) -> list[Coeff]:
 def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
     """Extended Euclid over Q[x]: returns (g, u, v) with u*a + v*b = g.
 
-    g is monic unless both inputs are zero.  Used for inverses modulo
-    Phi_n^e, which is not a field; CycloElem.inv uses the field norm.
+    g is monic unless both inputs are zero.  No suite calls it: the tests
+    keep it as the oracle for CycloElem.inv, which uses the field norm, and
+    for the reduction chain's inverses modulo Phi_n^2.
     """
     r0, r1 = a, b
     s0, s1 = Poly.one(), Poly.zero()
@@ -242,17 +245,6 @@ class CycloElem:
         raise AttributeError("CycloElem is immutable")
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_poly(cls, m: int, p: Poly) -> "CycloElem":
-        coeffs = [Fraction(c) for c in p.coeffs]
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        vec = [int(c * den) for c in coeffs]
-        phi = _phi_int_coeffs(m)
-        _reduce_int_vec(vec, phi)
-        return cls(m, vec, den)
 
     @classmethod
     def from_rational(cls, m: int, c: Coeff) -> "CycloElem":
@@ -404,14 +396,7 @@ class CycloElem:
     def __pow__(self, e: int) -> "CycloElem":
         if e < 0:
             return self.inv() ** (-e)
-        result = CycloElem.one(self.m)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(CycloElem.one(self.m), self, e)
 
     # -- comparisons, rendering, embedding -----------------------------------
 
@@ -716,15 +701,28 @@ class GroupAlgebraElem:
     def __pow__(self, e: int) -> "GroupAlgebraElem":
         if e < 0:
             return self.inv() ** (-e)
-        result = GroupAlgebraElem.monomial(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(GroupAlgebraElem.monomial(self.field, 1), self, e)
+
+
+# A term (c, e, s, t) is c * x^e / (1 - t * x^s), with c and t int or Fraction;
+# t = 0 is the monomial c * x^e.  Term lists are written as plain tuples.
+_Term = NamedTuple("_Term", [("c", Fraction), ("e", int), ("s", int), ("t", Fraction)])
+
+
+def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
+    """The sum of the terms in the group algebra of Q(zeta_m).  A
+    denominator 1 - t x^s that is zero in Q(zeta_m) raises ZeroDivisionError.
+
+    >>> _field_sum(3, [(1, 0, 1, 1)]).value()  # 1/(1 - x)
+    CycloElem('2/3 + 1/3*x (mod Phi_3)')
+    """
+    acc = GroupAlgebraElem(CycloField(m))
+    for c, e, s, t in terms:
+        if t:
+            acc.add_vec(_binomial_inverse(m, s % m, t), e, c)
+        else:
+            acc.add_monomial(c, e)
+    return acc
 
 
 if __name__ == "__main__":

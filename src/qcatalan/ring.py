@@ -59,6 +59,23 @@ def render_coeff(c: Coeff) -> str:
     return str(c)
 
 
+def power(one, base, e: int):
+    """base ** e for an integer e >= 0 by square and multiply, starting from
+    one; shared by the ring and field classes, which handle e < 0 themselves.
+
+    >>> power(1, 3, 5)
+    243
+    """
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
+
+
 class Poly:
     """A polynomial c0 + c1*q + c2*q^2 + ... with exact rational coefficients.
 
@@ -191,14 +208,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power(Poly.one(), self, e)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by q^k."""
@@ -296,10 +306,3 @@ class Poly:
 ZERO = Poly(())
 ONE = Poly((1,))
 Q = Poly((0, 1))
-
-
-def one_minus_q_pow(t: int) -> Poly:
-    """The binomial 1 - q^t (t >= 1)."""
-    if t < 1:
-        raise ValueError("exponent must be positive")
-    return Poly((1,) + (0,) * (t - 1) + (-1,))

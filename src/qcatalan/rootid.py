@@ -2,10 +2,11 @@
 
 Every field identity is (left side) - (right side) as one list of terms
 (c, e, s, t), each c * x^e / (1 - t * x^s) with c and t rational; t = 0 is
-the monomial c * x^e.  _field_sum adds a list into one GroupAlgebraElem (the
-group algebra Q[x]/(x^m - 1) over one common denominator), taking each
-1/(1 - t x^s) from the closed forms of cyclotomic._binomial_inverse, and
-_residue reduces the sum mod Phi_m once, for the zero test.  Inverses:
+the monomial c * x^e.  cyclotomic._field_sum, the one evaluator of such
+lists, adds a list into one GroupAlgebraElem (the group algebra
+Q[x]/(x^m - 1) over one common denominator), taking each 1/(1 - t x^s) from
+the closed forms of cyclotomic._binomial_inverse, and _residue reduces the
+sum mod Phi_m once, for the zero test.  Inverses:
 
 * t = +-1 (main3n, explicit, main3n-new, even, odd, aux): the discrete
   sawtooth -(1/d) sum_{u<d} u x^(su) and its alternating variant;
@@ -29,27 +30,7 @@ from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem, _binomial_inverse
-
-# A term (c, e, s, t) is c * x^e / (1 - t * x^s), with c and t int or Fraction;
-# t = 0 is the monomial c * x^e.  Term lists are written as plain tuples.
-_Term = NamedTuple("_Term", [("c", Fraction), ("e", int), ("s", int), ("t", Fraction)])
-
-
-def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
-    """The sum of the terms in the group algebra of Q(zeta_m).  A
-    denominator 1 - t x^s that is zero in Q(zeta_m) raises ZeroDivisionError.
-
-    >>> _field_sum(3, [(1, 0, 1, 1)]).value()  # 1/(1 - x)
-    CycloElem('2/3 + 1/3*x (mod Phi_3)')
-    """
-    acc = GroupAlgebraElem(CycloField(m))
-    for c, e, s, t in terms:
-        if t:
-            acc.add_vec(_binomial_inverse(m, s % m, t), e, c)
-        else:
-            acc.add_monomial(c, e)
-    return acc
+from .cyclotomic import CycloElem, _field_sum, _Term
 
 
 def _residue(m: int, terms: list[_Term]) -> Optional[str]:

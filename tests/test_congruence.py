@@ -1,11 +1,14 @@
 """Polynomial congruence suites."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from qcatalan import congruence
 from qcatalan.congruence import (
-    boundary_swap_residue,
+    _chain_sums,
+    boundary_term,
     check_congruence,
     verify_central_qbinom_congruence,
     verify_liu_mod_phi2,
@@ -18,8 +21,19 @@ from qcatalan.congruence import (
     verify_tauraso13_identity,
     verify_tauraso_mod_phi,
 )
-from qcatalan.cyclotomic import reduce_mod_phi_power
-from qcatalan.qcomb import catalan_residue, catalan_sum
+from qcatalan.cyclotomic import (
+    _field_sum,
+    cyclotomic_poly,
+    poly_xgcd,
+    reduce_mod_phi_power,
+)
+from qcatalan.qcomb import (
+    catalan_residue,
+    catalan_sum,
+    central_residue,
+    gaussian_binomial,
+    shifted_central_sum,
+)
 from qcatalan.ring import Poly, Q
 
 from test_ring import schoolbook_divmod
@@ -85,10 +99,6 @@ def test_main_theorem():
 
 def test_main_theorem_witness_is_the_unscaled_residue(monkeypatch):
     # the zero test runs on 3 * (lhs - rhs); a failure still shows lhs - rhs
-    from fractions import Fraction
-
-    from qcatalan import congruence
-
     def perturbed(n):
         return catalan_residue(n) + Poly.monomial(Fraction(1, 3), n * n) + 2 * Q
 
@@ -106,8 +116,6 @@ def test_main_theorem_witness_is_the_unscaled_residue(monkeypatch):
 def test_phi2_suites_reject_a_change_by_a_multiple_of_phi(monkeypatch):
     # q^5 (1 - q^n) is zero mod Phi_n but not mod Phi_n^2: adding it to a
     # right side is the same as subtracting it from the stored left side
-    from qcatalan import congruence
-
     for name in ("catalan_residue", "central_residue"):
         stored = getattr(congruence, name)
 
@@ -126,8 +134,6 @@ def test_phi2_suites_reject_a_change_by_a_multiple_of_phi(monkeypatch):
 
 def test_main_theorem_n3_by_hand():
     # 1 + q + q^2 + q^4 vs q^7 + (1/3)(q^3 - 1)(2 + 4 q^2) mod (q^2+q+1)^2
-    from fractions import Fraction
-
     lhs = Poly([1, 1, 1, 0, 1])
     rhs = Poly.monomial(1, 7) + (Poly.monomial(1, 3) - 1) * Poly(
         [2, 0, 4]
@@ -145,8 +151,6 @@ def test_liu_petrov():
 def test_tauraso13():
     assert verify_tauraso13_identity(1).passed
     # n = 2 by hand: lhs = q^2 [2,2] = q^2; rhs = k=2 term with unit Legendre factor
-    from qcatalan.qcomb import shifted_central_sum
-
     assert shifted_central_sum(2) == Poly.monomial(1, 2)
     assert verify_tauraso13_identity(2).passed
     assert verify_tauraso13_identity(5).passed
@@ -190,8 +194,51 @@ def test_maj_oracle_suite():
 
 
 def test_reduction_chain_holds_with_boundary_term():
-    for n in range(2, 19):
+    for n in range(2, 61):
         assert verify_reduction_chain(n).passed, n
+
+
+def _xgcd_chain_sums(n):
+    # the bracketed pair of sums written out on its own, with each
+    # 1/(1 - q^s) inverted modulo Phi_n^2 by the extended Euclidean
+    # algorithm over Q[x] and each term reduced on its own: the oracle for
+    # the Q(zeta_n) sum of _chain_sums
+    modulus = cyclotomic_poly(n) ** 2
+
+    def term(sign, e, s):
+        g, inv, _ = poly_xgcd(1 - Poly.monomial(1, s), modulus)
+        assert g == Poly.one()
+        return (inv.shift(e % n) * sign).divmod(modulus)[1]
+
+    total = Poly.zero()
+    for k in range(1, n // 3 + 1):
+        total = total + term((-1) ** k, k * (3 * k - 1) // 2, 3 * k - 1)
+    for k in range(1, (n - 1) // 3 + 1):
+        total = total + term((-1) ** k, k * (3 * k + 5) // 2, 3 * k)
+    return total.divmod(modulus)[1]
+
+
+def test_reduction_chain_sides_match_xgcd_and_walk_oracles():
+    for n in range(2, 31):
+        qn_minus_1 = Poly.monomial(1, n) - 1
+        acc = _field_sum(n, _chain_sums(n))
+        sums = Poly(acc.vec) * Fraction(1, acc.den)
+        assert sums.degree < n
+        assert reduce_mod_phi_power(qn_minus_1 * sums, n, 2) == reduce_mod_phi_power(
+            qn_minus_1 * _xgcd_chain_sums(n), n, 2
+        ), n
+        stored = central_residue(n) - catalan_residue(n)
+        assert reduce_mod_phi_power(stored - shifted_central_sum(n), n, 2).is_zero(), n
+
+
+def test_reduction_chain_rejects_a_change_by_a_multiple_of_phi(monkeypatch):
+    # q^5 (1 - q^n) is zero mod Phi_n but not mod Phi_n^2
+    def perturbed(n, stored=boundary_term):
+        return stored(n) + Poly.monomial(1, 5) * (1 - Poly.monomial(1, n))
+
+    monkeypatch.setattr(congruence, "boundary_term", perturbed)
+    for n in (5, 6, 7, 12):
+        assert verify_reduction_chain(n).status == "fail", n
 
 
 def test_boundary_swap_is_a_real_discrepancy():
@@ -199,7 +246,8 @@ def test_boundary_swap_is_a_real_discrepancy():
     # the k = n boundary monomial modulo Phi_n^2; the chain only balances
     # because the honest form keeps the boundary term.  Recorded, not patched.
     for n in range(2, 13):
-        assert not boundary_swap_residue(n).is_zero(), n
+        swap = gaussian_binomial(2 * n, n) + boundary_term(n)
+        assert not reduce_mod_phi_power(swap, n, 2).is_zero(), n
 
 
 def test_consistency_chain_on_shared_n():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -166,7 +166,8 @@ def _xgcd_inverse(a):
     # norm-product inverse
     g, u, _ = poly_xgcd(Poly(a.num), cyclotomic_poly(a.m))
     assert g == Poly.one()
-    return CycloElem.from_poly(a.m, u) * a.den
+    den = lcm(*(Fraction(c).denominator for c in u.coeffs))
+    return CycloField(a.m).element([int(c * den) for c in u.coeffs], den) * a.den
 
 
 def test_inverse_matches_xgcd_oracle():
@@ -257,8 +258,9 @@ def test_reduction_consistency_with_evaluation():
         direct = CycloElem.zero(n)
         for k, c in enumerate(p.coeffs):
             direct = direct + x**k * c
-        assert CycloElem.from_poly(n, reduce_mod_phi_power(p, n, 1)) == direct
-        assert CycloElem.from_poly(n, p) == direct
+        field = CycloField(n)
+        assert field.element(reduce_mod_phi_power(p, n, 1).coeffs) == direct
+        assert field.element(p.coeffs) == direct
 
 
 def test_xgcd():
