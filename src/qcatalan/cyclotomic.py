@@ -12,9 +12,11 @@ denominator in lowest terms, so equality is structural.  A
 GroupAlgebraElem is a lazy value in the group algebra Q[x]/(x^m - 1),
 which maps onto Q(zeta_m) = Q[x]/Phi_m: sums and products are plain
 vector operations, and a value is reduced mod Phi_m only when it is
-read, tested for zero, or inverted with three or more terms.  _field_sum
-adds a list of terms c * x^e / (1 - t * x^s) into one such value; it is the
-one evaluator of these sums, for the rootid suites and the reduction chain.
+read or inverted with three or more terms.  _field_sum adds a list of
+terms c * x^e / (1 - t * x^s) into one such value; it is the one evaluator
+of these sums, for the rootid suites and the reduction chain.
+Zero tests reduce nothing (phi_power_divides); reduce_mod_phi_power and
+CycloElem.inv render the witness of a failure and serve as test oracles.
 """
 
 from __future__ import annotations
@@ -116,6 +118,34 @@ def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
     if len(p.coeffs) > n * e:
         p = Poly(fold_mod_cyclic(p.coeffs, n, e))
     return p.divmod(_phi_power(n, e))[1]
+
+
+def phi_power_divides(coeffs: Sequence[Coeff], n: int, e: int = 1) -> bool:
+    """Whether Phi_n(q)^e divides f = sum c_i q^i (c = coeffs), with no
+    division.  By the CRT, Q[x]/(x^n - 1) is the product of the Q(zeta_d),
+    d | n, and g_n = prod_{p | n prime} (1 - x^(n/p)) is zero in each but
+    Q(zeta_n), where it is a unit: Phi_n | f iff g_n (f mod x^n - 1) = 0.
+    Phi_n is separable, so Phi_n^e | f iff Phi_n divides f, ..., f^(e-1).
+
+    >>> f = (Poly.monomial(1, 9) - 1).coeffs  # (q^3 - 1) Phi_9
+    >>> phi_power_divides(f, 3), phi_power_divides(f, 3, 2)
+    (True, False)
+    """
+    if n < 1:
+        raise ValueError("modulus index must be a positive integer")
+    if e < 1:
+        raise ValueError("exponent must be a positive integer")
+    shifts = [n // p for p, _ in factorize(n)]
+    for i in range(e):
+        if i:
+            coeffs = list(map(mul, coeffs[1:], range(1, len(coeffs))))  # f'
+        v = [sum(coeffs[r::n]) for r in range(n)] if len(coeffs) > n else [*coeffs]
+        v += [0] * (n - len(v))  # f mod x^n - 1
+        for s in shifts:
+            v = list(map(sub, v, v[-s:] + v[:-s]))  # times 1 - x^s
+        if any(v):
+            return False
+    return True
 
 
 def fold_mod_cyclic(coeffs: Sequence[Coeff], n: int, e: int) -> list[Coeff]:
@@ -529,13 +559,14 @@ class GroupAlgebraElem:
       denominators, with no gcd taken;
     * ``*`` is a rotation when one factor has a single nonzero entry, and a
       cyclic convolution otherwise;
-    * an int or Fraction operand of ``+`` / ``-`` / ``*`` is lifted to a scalar;
+    * an int or Fraction operand of ``+`` / ``-`` changes entry 0 only, and
+      one of ``*`` scales the vector;
     * inv() inverts a monomial directly and a two-term value a x^p + b x^r
       by the closed form of _binomial_inverse; anything else is reduced
       mod Phi_m and inverted with the memoised CycloElem.inv.  A value that
       is zero in Q(zeta_m) raises ZeroDivisionError there;
-    * is_zero() tests a value with at most one nonzero entry directly and
-      reduces any other value, so (1 + x + x^2) is zero at m = 3.
+    * is_zero() reads a single term directly and tests anything else with
+      phi_power_divides, with no reduction: (1 + x + x^2) is zero at m = 3.
 
     The operators build new values.  add_vec / add_monomial instead add into
     this value in place, for sums of many terms c * x^e * v over cached
@@ -574,11 +605,11 @@ class GroupAlgebraElem:
         return list(compress(range(len(self.vec)), self.vec))
 
     def is_zero(self) -> bool:
-        """Whether the value is zero in Q(zeta_m)."""
+        """Whether the value is zero in Q(zeta_m), with no reduction."""
         support = self._support()
-        if len(support) <= 1:
+        if len(support) <= 1:  # zero, or a unit c x^p
             return not support
-        return self.value().is_zero()
+        return phi_power_divides(self.vec, self.field.m)
 
     # -- in-place accumulation ---------------------------------------------
 
@@ -615,12 +646,13 @@ class GroupAlgebraElem:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _lift(self, c) -> "GroupAlgebraElem":
-        """c itself, or the scalar c of this algebra if c is an int or Fraction."""
-        return c if isinstance(c, GroupAlgebraElem) else self.monomial(self.field, c)
-
     def _combine(self, other, op) -> "GroupAlgebraElem":
-        other = self._lift(other)
+        if not isinstance(other, GroupAlgebraElem):  # a scalar: entry 0 only
+            g = gcd(self.den, other.denominator)
+            fa = other.denominator // g
+            out = self.vec[:] if fa == 1 else [a * fa for a in self.vec]
+            out[0] = op(out[0], other.numerator * (self.den // g))
+            return GroupAlgebraElem(self.field, out, self.den * fa)
         da, db = self.den, other.den
         if da == db:
             return GroupAlgebraElem(self.field, list(map(op, self.vec, other.vec)), da)
@@ -638,7 +670,7 @@ class GroupAlgebraElem:
         return self._combine(other, sub)
 
     def __rsub__(self, other) -> "GroupAlgebraElem":
-        return self._lift(other)._combine(self, sub)
+        return -(self - other)
 
     def __neg__(self) -> "GroupAlgebraElem":
         return GroupAlgebraElem(self.field, [-c for c in self.vec], self.den)
@@ -651,7 +683,9 @@ class GroupAlgebraElem:
         return out if factor == 1 else [c * factor for c in out]
 
     def __mul__(self, other) -> "GroupAlgebraElem":
-        other = self._lift(other)
+        if not isinstance(other, GroupAlgebraElem):  # a scalar scales the vector
+            out = self._rotated(0, other.numerator)
+            return GroupAlgebraElem(self.field, out, self.den * other.denominator)
         den = self.den * other.den
         sb = other._support()
         if len(sb) == 1:

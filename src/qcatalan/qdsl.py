@@ -26,10 +26,10 @@ sum variable.
 In cyclo mode q^e is a unit vector and sums and products are vector
 operations in Q[x]/(x^m - 1).  Divisions by the two-term values
 1 - t*q^s that the paper's identities are made of use the closed-form
-binomial inverses.  A value is reduced mod Phi_m only where the field
-matters: to invert a value with three or more terms, to test a left factor
-of '*' for zero, once per case for lhs - rhs in run_corpus_entry, and for
-the CycloElem that eval_cyclo returns.
+binomial inverses.  A value is reduced mod Phi_m only to invert a value
+with three or more terms, to render a failing case, and for the CycloElem
+that eval_cyclo returns.  Zero tests in Q(zeta_m), and lhs - rhs mod
+Phi(n)^e in poly mode, use cyclotomic.phi_power_divides instead.
 
 One deliberate semantic: a product whose left factor has already
 evaluated to exactly zero short-circuits without evaluating the right
@@ -55,7 +55,8 @@ from math import floor, gcd
 from typing import Iterator, Optional, Union
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem, reduce_mod_phi_power
+from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem
+from .cyclotomic import phi_power_divides, reduce_mod_phi_power
 from .qcomb import gaussian_binomial, legendre3, q_catalan
 from .ring import Poly
 from .rootid import galois_orbit
@@ -711,15 +712,14 @@ def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
             field = (binding["m"], binding["j"]) if entry.mode == "cyclo" else None
             ctx = EvalContext(entry.mode, dict(binding), field)
             diff = ctx.lift(_evaluate(entry.lhs, ctx) - _evaluate(entry.rhs, ctx))
-            label = ""
-            if field is not None:
-                diff = diff.value()
-            elif entry.mod_index is not None:
+            if entry.mod_index is not None:
                 n = _int(_scalar(entry.mod_index, ctx), entry.mod_index)
-                diff = reduce_mod_phi_power(diff, n, entry.mod_power)
-                label = "residue "
-            if not diff.is_zero():
-                return f"{binding}: {label}{diff.render()}"
+                if not phi_power_divides(diff.coeffs, n, entry.mod_power):
+                    rem = reduce_mod_phi_power(diff, n, entry.mod_power)
+                    return f"{binding}: residue {rem.render()}"
+            elif not diff.is_zero():
+                shown = diff if field is None else diff.value()
+                return f"{binding}: {shown.render()}"
         return None
 
     report = run_check("dsl-corpus", {"line": entry.line_no}, witness)

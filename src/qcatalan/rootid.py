@@ -5,15 +5,15 @@ Every field identity is (left side) - (right side) as one list of terms
 the monomial c * x^e.  cyclotomic._field_sum, the one evaluator of such
 lists, adds a list into one GroupAlgebraElem (the group algebra
 Q[x]/(x^m - 1) over one common denominator), taking each 1/(1 - t x^s) from
-the closed forms of cyclotomic._binomial_inverse, and _residue reduces the
-sum mod Phi_m once, for the zero test.  Inverses:
+the closed forms of cyclotomic._binomial_inverse, and _residue tests the
+sum for zero and reduces it mod Phi_m only to render a failure.  Inverses:
 
 * t = +-1 (main3n, explicit, main3n-new, even, odd, aux): the discrete
   sawtooth -(1/d) sum_{u<d} u x^(su) and its alternating variant;
 * t = 1/z (extan), t = +-x at each rational point x (pfd): the geometric
   series sum_{u<d} t^u x^(su) / (1 - t^d);
-* sawtooth inverts its left side with CycloElem.inv, a product of Galois
-  conjugates over the field norm, so it does not use the expansion it tests.
+* sawtooth inverts nothing: the expansion R under test passes when
+  (1 - x^s) R - 1 is zero; only a failure renders 1/(1 - x^s) by CycloElem.inv.
 
 The rearrangement lemma (mid) is the one identity in a free variable w: its
 terms have the same shape, and it is certified by the integer Taylor series
@@ -35,8 +35,8 @@ from .cyclotomic import CycloElem, _field_sum, _Term
 
 def _residue(m: int, terms: list[_Term]) -> Optional[str]:
     """None if the terms sum to zero in Q(zeta_m), else the rendered sum."""
-    elem = _field_sum(m, terms).value()
-    return None if elem.is_zero() else elem.render()
+    acc = _field_sum(m, terms)
+    return None if acc.is_zero() else acc.value().render()
 
 
 def _residues(m: int, named: Iterable[tuple[str, list[_Term]]]) -> Iterator[str]:
@@ -224,19 +224,9 @@ class EvenOddAuxiliaries:
     omega: CycloElem
 
 
-def _sum_inverses(m: int, t: int, exps: Iterable[int]) -> CycloElem:
-    """sum 1/(1 - t x^s) over s in exps, in Q(zeta_m)."""
-    return _field_sum(m, [(1, 0, s, t) for s in exps]).value()
-
-
-def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
-    """A1..A6 (k = 1..N-1), B1..B3 and C1, C2 (k = 1..N) by exact field
-    arithmetic; `case` selects the parity branch ("even": q = zeta_{6N}^j,
-    w = q^N; "odd": q = zeta_{3(2N-1)}^j, w = -q^{2(2N-1)}).
-
-    A_l = sum_k 1/(1 - t q^{h+k}) for the (t, h) of row l below; C1 and C2
-    sum 1/(1 - q^{3k-1}) and 1/(1 - q^{3k-2}).
-    """
+def _aux_rows(N: int, j: int, case: str) -> tuple[int, dict[str, list[_Term]]]:
+    """m and each auxiliary sum as terms 1/(1 - t q^s), q = x^j: A_l sums
+    over k < N for the (t, h) of row l, B1..B3 (even only), C1, C2 to N."""
     if case == "even":
         m = 6 * N
         a_rows = [(1, 0), (1, N), (1, 2 * N), (-1, 0), (-1, N), (-1, 2 * N)]
@@ -247,17 +237,24 @@ def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
         raise ValueError("case must be 'even' or 'odd'")
     _require_root("N", N, j, m)
     ks, kb = range(1, N), range(1, N + 1)
-    a = [_sum_inverses(m, t, [j * (h + k) for k in ks]) for t, h in a_rows]
-    c1 = _sum_inverses(m, 1, [j * (3 * k - 1) for k in kb])
-    c2 = _sum_inverses(m, 1, [j * (3 * k - 2) for k in kb])
+    rows = {f"a{i}": (t, [h + k for k in ks]) for i, (t, h) in enumerate(a_rows, 1)}
+    rows["c1"], rows["c2"] = (1, [3 * k - 1 for k in kb]), (1, [3 * k - 2 for k in kb])
+    if case == "even":
+        rows["b1"] = (1, [2 * k - 1 for k in kb])
+        rows["b2"] = (1, [2 * N + 2 * k - 1 for k in kb])
+        rows["b3"] = (-1, [N + 2 * k - 1 for k in kb])
+    return m, {name: [(1, 0, j * s, t) for s in ss] for name, (t, ss) in rows.items()}
+
+
+def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
+    """The sums of _aux_rows in Q(zeta_m): q = zeta_{6N}^j, w = q^N for "even",
+    q = zeta_{3(2N-1)}^j, w = -q^{2(2N-1)} for "odd"."""
+    m, rows = _aux_rows(N, j, case)
+    sums = {name: _field_sum(m, terms).value() for name, terms in rows.items()}
     if case == "odd":
-        omega = -CycloElem.root_power(m, two * j)
-        return EvenOddAuxiliaries(*a, None, None, None, c1, c2, omega)
-    b1 = _sum_inverses(m, 1, [j * (2 * k - 1) for k in kb])
-    b2 = _sum_inverses(m, 1, [j * (2 * N + 2 * k - 1) for k in kb])
-    b3 = _sum_inverses(m, -1, [j * (N + 2 * k - 1) for k in kb])
-    omega = CycloElem.root_power(m, j * N)
-    return EvenOddAuxiliaries(*a, b1, b2, b3, c1, c2, omega)
+        omega = -CycloElem.root_power(m, 2 * (2 * N - 1) * j)
+        return EvenOddAuxiliaries(b1=None, b2=None, b3=None, omega=omega, **sums)
+    return EvenOddAuxiliaries(omega=CycloElem.root_power(m, j * N), **sums)
 
 
 def multiset_identity_holds(N: int) -> bool:
@@ -284,22 +281,24 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
     params = {"N": N, "j": j, "even": 1 if case == "even" else 0}
 
     def witness() -> Optional[str]:
-        failures: list[str] = []
-        aux = compute_auxiliaries(N, j, case)
+        m, rows = _aux_rows(N, j, case)
+        # each property (label, terms, target): the terms sum to target
         if case == "even":
-            if aux.b2 != Fraction(N, 2):
-                failures.append(f"B2 != N/2: {aux.b2.render()}")
-            if aux.b1 + aux.b3 != N:
-                failures.append(f"B1+B3 != N: {(aux.b1 + aux.b3).render()}")
-            pairs = [(aux.a1, aux.a6), (aux.a2, aux.a5), (aux.a3, aux.a4)]
-            for idx, (lo, hi) in enumerate(pairs, start=1):
-                if lo + hi != N - 1:
-                    failures.append(f"A{idx}+A{7 - idx} != N-1: {(lo + hi).render()}")
+            props = [("B2 != N/2", rows["b2"], Fraction(N, 2))]
+            props.append(("B1+B3 != N", rows["b1"] + rows["b3"], N))
+            for i in (1, 2, 3):
+                pair = rows[f"a{i}"] + rows[f"a{7 - i}"]
+                props.append((f"A{i}+A{7 - i} != N-1", pair, N - 1))
         else:
-            rel = aux.a1 + aux.a3 - aux.a4 - aux.a5 - aux.a5 + aux.a6
-            if not rel.is_zero():
-                failures.append(f"A-relation residue: {rel.render()}")
-
+            weights = {"a1": 1, "a3": 1, "a4": -1, "a5": -2, "a6": 1}
+            rel = [(w, 0, s, t) for a, w in weights.items() for _, _, s, t in rows[a]]
+            props = [("A-relation residue", rel, 0)]
+        failures = []
+        for label, terms, target in props:
+            acc = _field_sum(m, terms)
+            if not (acc - target).is_zero():
+                failures.append(f"{label}: {acc.value().render()}")
+        if case == "odd":
             a = 2 * (2 * N - 1) * j  # w = -x^a
             sum3: list[_Term] = []
             sum4: list[_Term] = []
@@ -556,16 +555,21 @@ def verify_trig_identity(N: int, tol: float = 1e-9) -> VerificationReport:
     return run_check("trig", {"N": N}, witness)
 
 
+def _sawtooth_rhs(N: int, f: int) -> list[_Term]:
+    """-1/(2N-1) * sum_{u<2N-1} u x^{uf} as monomial terms."""
+    return [(Fraction(-u, 2 * N - 1), u * f, 0, 0) for u in range(2 * N - 1)]
+
+
 def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
     """The finite Fourier expansion, at q = zeta_{3(2N-1)}^j and k not
     divisible by 2N-1:
 
         1/(1 - q^{6k}) = -1/(2N-1) * sum_{u=0}^{2N-2} u q^{6uk}.
 
-    The left side is inverted with CycloElem.inv, i.e. as the product of
-    the Galois conjugates 1 - q^{6kt} (t a unit, t != 1) over their
-    rational product N(1 - q^{6k}).  That is a product, not a sum over u,
-    so the expansion under test is not used to compute it.
+    The right side R passes when (1 - q^{6k}) R - 1, a list of monomials,
+    is zero: in a field that holds exactly when R is the inverse, and no
+    inverse is built from the expansion.  A failure renders lhs - rhs,
+    the left side inverted with CycloElem.inv (Galois conjugates over the norm).
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -577,10 +581,12 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
     assert f6 != 0, "q^{6k} = 1 despite the precondition"
 
     def witness() -> Optional[str]:
+        rhs = _sawtooth_rhs(N, f6)
+        product = rhs + [(-c, e + f6, s, t) for c, e, s, t in rhs] + [(-1, 0, 0, 0)]
+        if _field_sum(m, product).is_zero():
+            return None
         lhs = (CycloElem.one(m) - CycloElem.root_power(m, f6)).inv()
-        rhs = [(Fraction(-u, 2 * N - 1), u * f6, 0, 0) for u in range(2 * N - 1)]
-        diff = lhs - _field_sum(m, rhs).value()
-        return None if diff.is_zero() else diff.render()
+        return (lhs - _field_sum(m, rhs).value()).render()
 
     return run_check("sawtooth", {"N": N, "j": j, "k": k}, witness)
 

@@ -113,6 +113,24 @@ def test_main_theorem_witness_is_the_unscaled_residue(monkeypatch):
         assert rep.witness == rem.render()
 
 
+def test_phi_suite_witness_is_the_remainder(monkeypatch):
+    # a perturbed left side fails with its remainder mod Phi_n^e rendered
+    def perturbed(n):
+        return catalan_residue(n) + Poly.monomial(Fraction(2, 5), n + 1) + Q
+
+    monkeypatch.setattr(congruence, "catalan_residue", perturbed)
+    cases = [
+        (verify_tauraso_mod_phi, 4, 1, Q),
+        (verify_tauraso_mod_phi, 5, 1, -(Q**3) - 1),
+        (verify_tauraso_mod_phi, 6, 1, Q**2),
+        (verify_liu_mod_phi2, 4, 2, Q**5 - (Q**4 - 1)),
+        (verify_liu_mod_phi2, 5, 2, -(Q**8) - Q**15),
+    ]
+    for verify, n, e, rhs in cases:
+        want = reduce_mod_phi_power(perturbed(n) - rhs, n, e).render()
+        assert verify(n).witness == want, (verify, n)
+
+
 def test_phi2_suites_reject_a_change_by_a_multiple_of_phi(monkeypatch):
     # q^5 (1 - q^n) is zero mod Phi_n but not mod Phi_n^2: adding it to a
     # right side is the same as subtracting it from the stored left side

@@ -14,6 +14,7 @@ from qcatalan.cyclotomic import (
     cyclotomic_poly,
     divisors,
     euler_phi,
+    phi_power_divides,
     poly_xgcd,
     reduce_mod_phi_power,
 )
@@ -427,3 +428,90 @@ def test_group_algebra_ops_match_field_arithmetic():
             assert x.den > 0 and len(x.vec) == m
             assert x.value() == oracle, (m, op)
             assert x.is_zero() == oracle.is_zero(), (m, op)
+
+
+def _kernel_cases(rng):
+    """(f, n, e): random polynomials, multiples of Phi_n^k times a random
+    cofactor, and f * Phi_n with f(zeta_n) != 0, which only the derivative
+    step tells apart from a multiple of Phi_n^2."""
+
+    def coeff():
+        return rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), 3)))
+
+    for n in list(range(1, 61)) + [rng.randint(1, 60) for _ in range(600)]:
+        e = rng.choice((1, 2, 3))
+        f = Poly([coeff() for _ in range(rng.randint(0, 3 * n + 3))])
+        yield f, n, e
+        cofactor = Poly([coeff() for _ in range(rng.randint(1, 6))])
+        yield cofactor * cyclotomic_poly(n) ** rng.randint(1, 3), n, e
+        unit = Poly.monomial(1, rng.randint(0, 2 * n))  # a unit mod Phi_n
+        yield unit * cyclotomic_poly(n), n, 2
+    for n in (1, 2, 4, 8, 9, 16, 25, 27, 30, 49, 60):  # prime powers, three primes
+        for k in (1, 2, 3):
+            for e in (1, 2, 3):
+                yield (Q + 2) * cyclotomic_poly(n) ** k, n, e
+
+
+def test_phi_power_divides_matches_reduction():
+    # the annihilator-and-derivative test against the remainder mod Phi_n^e
+    rng = random.Random(1313)
+    seen = set()
+    for f, n, e in _kernel_cases(rng):
+        want = reduce_mod_phi_power(f, n, e).is_zero()
+        assert phi_power_divides(f.coeffs, n, e) == want, (f, n, e)
+        seen.add(want)
+    assert seen == {True, False}
+
+
+def test_phi_power_divides_rejects_bad_arguments_like_the_reduction():
+    for n, e, message in ((0, 1, "modulus index"), (-3, 1, "modulus index"),
+                          (5, 0, "exponent"), (5, -1, "exponent")):
+        for check in (lambda: phi_power_divides((1, 2), n, e),
+                      lambda: reduce_mod_phi_power(Poly((1, 2)), n, e)):
+            with pytest.raises(ValueError, match=message):
+                check()
+
+
+def test_group_algebra_is_zero_matches_reduced_value():
+    rng = random.Random(2718)
+    seen = set()
+    for _ in range(600):
+        f = CycloField(rng.randint(1, 60))
+        phi = [0] * f.m
+        for i, c in enumerate(f.phi):
+            phi[i % f.m] += c  # Phi_m folded mod x^m - 1
+        multiple = GroupAlgebraElem(f, phi) * _random_algebra_value(rng, f)
+        x = rng.choice((0, 1, 1)) * _random_algebra_value(rng, f) + multiple
+        assert x.is_zero() == x.value().is_zero(), (f.m, x.vec)
+        seen.add(x.is_zero())
+    assert seen == {True, False}
+
+
+def _same(a, b):
+    return (a.field, a.vec, a.den) == (b.field, b.vec, b.den)
+
+
+def test_scalar_add_and_sub_match_the_lifted_scalar():
+    # an int or Fraction changes entry 0 only, over the common denominator
+    rng = random.Random(31)
+    for _ in range(300):
+        f = CycloField(rng.randint(1, 30))
+        x = _random_algebra_value(rng, f)
+        c = rng.choice((0, 1, -3, Fraction(2, 3), Fraction(-5, 4), Fraction(7, 6)))
+        lifted = GroupAlgebraElem.monomial(f, c)
+        assert _same(x + c, x + lifted) and _same(c + x, lifted + x)
+        assert _same(x - c, x - lifted)
+        assert _same(c - x, lifted - x)
+
+
+def test_scalar_mul_matches_the_lifted_scalar():
+    # a scalar scales the vector; 0 gives the zero vector
+    rng = random.Random(32)
+    for _ in range(300):
+        f = CycloField(rng.randint(1, 30))
+        x = _random_algebra_value(rng, f)
+        c = rng.choice((0, 1, -3, Fraction(2, 3), Fraction(-5, 4)))
+        lifted = GroupAlgebraElem.monomial(f, c)
+        assert _same(x * c, x * lifted) and _same(c * x, lifted * x)
+    zero = GroupAlgebraElem.monomial(CycloField(7), Fraction(3, 2), 4) * 0
+    assert zero.vec == [0] * 7 and zero.is_zero()

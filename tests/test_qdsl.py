@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from qcatalan.cyclotomic import CycloElem
+from qcatalan.cyclotomic import CycloElem, reduce_mod_phi_power
 from qcatalan.qdsl import (
     Bin,
     Call,
@@ -27,7 +27,7 @@ from qcatalan.qdsl import (
     run_corpus_entry,
     shipped_corpus,
 )
-from qcatalan.ring import Poly
+from qcatalan.ring import Poly, Q
 
 
 def test_parse_structure():
@@ -352,6 +352,32 @@ def test_corpus_failure_witness():
     entry = parse_corpus_line(1, "qcat(2) == 1 + q @ poly()")
     rep = run_corpus_entry(entry)
     assert rep.status == "fail" and rep.witness
+
+
+def test_modulus_index_and_exponent_are_checked():
+    # the zero test rejects Phi_0 and the exponent 0 as the reduction does
+    for mod, message in (
+        ("Phi(n-n)", "modulus index must be a positive integer"),
+        ("Phi(n)^0", "exponent must be a positive integer"),
+    ):
+        entry = parse_corpus_line(1, f"q^n - 1 == 0 @ poly(n=2..4) mod {mod}")
+        with pytest.raises(ValueError, match=message):
+            run_corpus_entry(entry)
+
+
+def test_modulus_exponent_three_is_a_cube():
+    # q (q^n - 1)^2 is a multiple of Phi_n^2, not of Phi_n^3
+    cube = parse_corpus_line(1, "(q^n - 1)^3 == 0 @ poly(n=1..6) mod Phi(n)^3")
+    assert run_corpus_entry(cube).passed
+    square = parse_corpus_line(2, "q*(q^n - 1)^2 == 0 @ poly(n=1..6) mod Phi(n)^3")
+    rem = reduce_mod_phi_power(Q * (Q - 1) ** 2, 1, 3)
+    assert run_corpus_entry(square).witness == f"{{'n': 1}}: residue {rem.render()}"
+
+
+def test_cyclo_failure_witness_is_the_reduced_difference():
+    rep = run_corpus_entry(parse_corpus_line(1, "1/(1 - q) == 1 @ cyclo(m=6, j=all)"))
+    diff = (CycloElem.one(6) - CycloElem.root_power(6, 1)).inv() - 1
+    assert rep.witness == f"{{'m': 6, 'j': 1}}: {diff.render()}"
 
 
 def test_shipped_corpus_all_pass():

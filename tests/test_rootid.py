@@ -428,6 +428,110 @@ def test_sawtooth():
     assert verify_sawtooth(3, 2, 7).passed
 
 
+def test_sawtooth_failure_renders_lhs_minus_rhs(monkeypatch):
+    # one coefficient u of the expansion changed: the witness is still
+    # 1/(1 - q^{6k}) by the norm product minus the expansion as written
+    real = rootid._sawtooth_rhs
+
+    def perturbed(N, f, u=1):
+        terms = real(N, f)
+        c, e, s, t = terms[u]
+        terms[u] = (c + Fraction(2, 7), e, s, t)
+        return terms
+
+    monkeypatch.setattr(rootid, "_sawtooth_rhs", perturbed)
+    for N, j, k in ((2, 1, 1), (3, 2, 4), (4, 5, 3)):
+        m = 6 * N - 3
+        f6 = 6 * k * j % m
+        lhs = (CycloElem.one(m) - CycloElem.root_power(m, f6)).inv()
+        rhs = CycloElem.zero(m)
+        for u in range(2 * N - 1):
+            c = Fraction(-u, 2 * N - 1) + (Fraction(2, 7) if u == 1 else 0)
+            rhs = rhs + CycloElem.root_power(m, u * f6) * c
+        rep = verify_sawtooth(N, j, k)
+        assert rep.status == "fail" and rep.witness == (lhs - rhs).render(), (N, j, k)
+
+
+def test_aux_failures_render_the_sums_themselves(monkeypatch):
+    # a term dropped from one row of the table fails exactly the property
+    # that uses it, and the witness renders that sum as compute_auxiliaries
+    # reads it from the same table
+    real = rootid._aux_rows
+    even = [
+        ("b2", lambda a: f"B2 != N/2: {a.b2.render()}"),
+        ("b1", lambda a: f"B1+B3 != N: {(a.b1 + a.b3).render()}"),
+        ("b3", lambda a: f"B1+B3 != N: {(a.b1 + a.b3).render()}"),
+        ("a6", lambda a: f"A1+A6 != N-1: {(a.a1 + a.a6).render()}"),
+        ("a2", lambda a: f"A2+A5 != N-1: {(a.a2 + a.a5).render()}"),
+        ("a4", lambda a: f"A3+A4 != N-1: {(a.a3 + a.a4).render()}"),
+    ]
+    rel = lambda a: a.a1 + a.a3 - a.a4 - a.a5 - a.a5 + a.a6
+    odd = [(row, lambda a: f"A-relation residue: {rel(a).render()}") for row in ("a1", "a5")]
+    cases = [(row, "even", w, 4, 5) for row, w in even]
+    cases += [(row, "odd", w, 3, 2) for row, w in odd]
+    for row, case, want, N, j in cases:
+
+        def dropped(N, j, case, row=row):
+            m, rows = real(N, j, case)
+            rows[row] = rows[row][:-1]
+            return m, rows
+
+        monkeypatch.setattr(rootid, "_aux_rows", dropped)
+        rep = verify_aux_properties(N, j, case)
+        assert rep.status == "fail", (row, case)
+        assert rep.witness == want(compute_auxiliaries(N, j, case)), (row, case)
+
+
+def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
+    # a passing verdict is one annihilator test: no remainder mod Phi_n^e,
+    # no reduction of a group-algebra value, no norm-product inverse
+    from collections import Counter
+
+    from qcatalan import congruence, cyclotomic, qdsl
+    from qcatalan.cyclotomic import CycloField
+
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    reduce = counting("reduce_mod_phi_power", cyclotomic.reduce_mod_phi_power)
+    for module in (cyclotomic, congruence, qdsl):
+        monkeypatch.setattr(module, "reduce_mod_phi_power", reduce)
+    monkeypatch.setattr(CycloField, "element", counting("element", CycloField.element))
+    monkeypatch.setattr(CycloElem, "inv", counting("inv", CycloElem.inv))
+    reports = []
+    for n in range(2, 25):
+        reports += [congruence.verify_tauraso_mod_phi(n), congruence.verify_liu_petrov(n)]
+        reports.append(
+            congruence.verify_main_theorem(n) if n % 3 == 0
+            else congruence.verify_liu_mod_phi2(n)
+        )
+        reports.append(congruence.verify_reduction_chain(n))
+        for k in range(1, n):
+            reports.append(congruence.verify_central_qbinom_congruence(n, k))
+            reports.append(congruence.verify_row_qbinom_congruence(n, k))
+    reports.append(congruence.verify_lucas_qbinom(2, 3, 1, 2, 5))
+    for N in range(1, 7):
+        for case, m in (("even", 6 * N), ("odd", 6 * N - 3)):
+            for j in galois_orbit(m):
+                reports.append(verify_aux_properties(N, j, case))
+        for j in galois_orbit(6 * N):
+            reports.append(verify_even_case(N, j))
+        for j in galois_orbit(6 * N - 3):
+            reports.append(verify_odd_case(N, j))
+            if N >= 2:
+                reports += [verify_sawtooth(N, j, k) for k in range(1, 2 * N - 1)]
+        for j in galois_orbit(3 * N):
+            reports.append(verify_main3n(N, j))
+    assert all(rep.passed for rep in reports)
+    assert calls == Counter(), calls
+
+
 def test_empty_sum_convention():
     # N = 1 exercises every empty sum: all sums over 1..0 contribute 0
     assert verify_even_case(1, 1).passed
