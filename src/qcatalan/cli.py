@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 import time
 import traceback
@@ -481,7 +482,7 @@ def _cmd_eval(args, stdout: TextIO) -> int:
         bindings: dict[str, int] = {}
         for spec in args.bind:
             name, _, value = spec.partition("=")
-            if not name or not value.lstrip("+-").isdigit():
+            if not name or not re.fullmatch(r"[+-]?\d+", value):
                 print(f"bad binding: {spec!r}", file=sys.stderr)
                 return 2
             bindings[name.strip()] = int(value)

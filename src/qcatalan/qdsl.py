@@ -38,11 +38,16 @@ of powers whose exponent is fractional precisely when the coefficient is
 zero; the convention 0 * (anything) = 0 makes such lines directly
 expressible.
 
-Corpus files state one identity per line as ``LHS == RHS @ mode(params)``
-with an optional trailing ``mod Phi(expr)^e`` in poly mode.  The params
-sweep left to right: ``name=lo..hi`` or ``name=lo..hi..step`` (step >= 1),
-``name=expr`` from earlier params, and ``j=all`` for the residues coprime
-to m.  Cyclo mode needs m and j.
+A corpus line states one identity::
+
+    line    := expr '==' expr '@' ('poly' | 'cyclo') '(' [binding {',' binding}] ')'
+               ['mod' 'Phi' '(' expr ')' ['^' NUMBER]]
+    binding := NAME '=' ('all' | expr ['..' expr ['..' expr]])
+
+The bindings sweep left to right: ``name=lo..hi`` or ``name=lo..hi..step``
+(step >= 1), ``name=expr`` from earlier bindings, and ``j=all`` for the
+residues coprime to m.  No name is bound twice, q is not bound at all, and
+cyclo mode needs m and j.  ``mod`` is allowed only in poly mode.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ _CALL_NAMES = ("qbin", "qcat", "legendre3", "floor")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<dots>\.\.)"
-    r"|(?P<sym>[-+*/^(),=]))"
+    r"|(?P<sym>==|[-+*/^(),=@]))"
 )
 
 
@@ -184,11 +189,18 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
+    def expect(self, *kinds: str) -> tuple[str, str, int]:
         tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(self.text, tok[2], [kind])
+        if tok[0] not in kinds:
+            raise ParseError(self.text, tok[2], list(kinds))
         return self.next()
+
+    def word(self, *words: str) -> str:
+        """The next token, which must be a name spelled as one of words."""
+        tok = self.peek()
+        if tok[0] != "name" or tok[1] not in words:
+            raise ParseError(self.text, tok[2], list(words))
+        return self.next()[1]
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -196,6 +208,52 @@ class _Parser:
         if tok[0] != "end":
             raise ParseError(self.text, tok[2], ["+", "-", "*", "/", "end of input"])
         return e
+
+    def corpus_line(self, line_no: int) -> CorpusEntry:
+        """LHS == RHS @ mode(bindings) [mod Phi(expr)[^e]]."""
+        lhs = self.expr()
+        self.expect("==")
+        rhs = self.expr()
+        self.expect("@")
+        mode = self.word("poly", "cyclo")
+        self.expect("(")
+        bindings = [] if self.peek()[0] == ")" else [self.binding()]
+        while self.expect(",", ")")[0] == ",":
+            bindings.append(self.binding())
+        index, power = None, 1
+        _, value, pos = self.peek()
+        if value == "mod":
+            if mode != "poly":
+                raise ParseError(self.text, pos, ["end of line (mod needs poly mode)"])
+            self.next()
+            self.word("Phi")
+            self.expect("(")
+            index = self.expr()
+            self.expect(")")
+            if self.peek()[0] == "^":
+                self.next()
+                power = int(self.expect("num")[1])
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(self.text, tok[2], ["end of line"])
+        return CorpusEntry(
+            line_no, self.text.strip(), lhs, rhs, mode, tuple(bindings), index, power
+        )
+
+    def binding(self) -> tuple[str, str, object]:
+        """NAME = (all | expr [.. expr [.. expr]]) as (name, kind, payload)."""
+        name = self.expect("name")[1]
+        self.expect("=")
+        if self.peek()[1] == "all":
+            self.next()
+            return (name, "all", None)
+        bounds = [self.expr()]
+        while self.peek()[0] == ".." and len(bounds) < 3:
+            self.next()
+            bounds.append(self.expr())
+        if len(bounds) == 1:
+            return (name, "expr", bounds[0])
+        return (name, "range", (*bounds, None)[:3])
 
     def expr(self) -> Expr:
         e = self.term()
@@ -552,95 +610,25 @@ class CorpusEntry:
     mod_power: int = 1
 
 
-_BINDING_RE = re.compile(r"^\s*(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*=\s*(?P<rest>.+?)\s*$")
-
-
-def _split_top_level(text: str, sep: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
-
-
-def _parse_binding(spec: str) -> tuple[str, str, object]:
-    m = _BINDING_RE.match(spec)
-    if m is None:
-        raise ValueError(f"bad binding: {spec!r}")
-    name, rest = m.group("name"), m.group("rest")
-    if rest == "all":
-        return (name, "all", None)
-    pieces = rest.split("..")
-    if len(pieces) == 1:
-        return (name, "expr", parse(pieces[0]))
-    if len(pieces) == 2:
-        return (name, "range", (parse(pieces[0]), parse(pieces[1]), None))
-    if len(pieces) == 3:
-        return (name, "range", (parse(pieces[0]), parse(pieces[1]), parse(pieces[2])))
-    raise ValueError(f"bad range: {rest!r}")
-
-
-_MOD_RE = re.compile(r"^mod\s+Phi\s*\((?P<mod>.*)\)\s*(?:\^\s*(?P<pow>\d+))?$")
-
-
-def _parse_mode_spec(line_no: int, text: str) -> tuple[str, str, Optional[str], int]:
-    s = text.strip()
-    mode = next((k for k in ("poly", "cyclo") if s.startswith(k)), None)
-    rest = s[len(mode):].lstrip() if mode else ""
-    if mode is None or not rest.startswith("("):
-        raise ValueError(f"line {line_no}: bad mode spec {text!r}")
-    depth = 0
-    close = -1
-    for i, ch in enumerate(rest):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                close = i
-                break
-    if close < 0:
-        raise ValueError(f"line {line_no}: unbalanced parentheses in {text!r}")
-    bindings_text = rest[1:close]
-    tail = rest[close + 1 :].strip()
-    if not tail:
-        return mode, bindings_text, None, 1
-    m = _MOD_RE.match(tail)
-    if m is None or mode != "poly":
-        raise ValueError(f"line {line_no}: bad modulus spec {tail!r}")
-    return mode, bindings_text, m.group("mod"), int(m.group("pow") or 1)
-
-
 def parse_corpus_line(line_no: int, line: str) -> CorpusEntry:
-    if "==" not in line or "@" not in line:
-        raise ValueError(f"line {line_no}: expected 'LHS == RHS @ mode(...)'")
-    sides, _, modepart = line.rpartition("@")
-    lhs_text, _, rhs_text = sides.partition("==")
-    mode, bindings_text, mod_text, mod_power = _parse_mode_spec(line_no, modepart)
-    binding_specs = [s for s in _split_top_level(bindings_text, ",") if s.strip()]
-    bindings = tuple(_parse_binding(s) for s in binding_specs)
-    names = [name for name, _, _ in bindings]
-    if "q" in names:
-        raise ValueError(f"line {line_no}: q is the indeterminate and cannot be bound")
-    if mode == "cyclo":
-        if "m" not in names or "j" not in names:
-            raise ValueError(f"line {line_no}: cyclo mode needs m and j bindings")
-    return CorpusEntry(
-        line_no,
-        line.strip(),
-        parse(lhs_text),
-        parse(rhs_text),
-        mode,
-        bindings,
-        parse(mod_text) if mod_text is not None else None,
-        mod_power,
-    )
+    """Parse one corpus line; every error names the line.
+
+    >>> parse_corpus_line(1, "q == q @ cyclo(m=6, j=all)").bindings
+    (('m', 'expr', Num(value=Fraction(6, 1))), ('j', 'all', None))
+    """
+    try:
+        entry = _Parser(line).corpus_line(line_no)
+        names = [name for name, _, _ in entry.bindings]
+        if "q" in names:
+            raise ValueError("q is the indeterminate and cannot be bound")
+        twice = next((name for i, name in enumerate(names) if name in names[:i]), None)
+        if twice is not None:
+            raise ValueError(f"{twice} is bound twice")
+        if entry.mode == "cyclo" and ("m" not in names or "j" not in names):
+            raise ValueError("cyclo mode needs m and j bindings")
+    except ValueError as exc:
+        raise ValueError(f"line {line_no}: {exc}") from None
+    return entry
 
 
 def load_corpus(text: str) -> list[CorpusEntry]:

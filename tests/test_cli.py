@@ -69,6 +69,14 @@ def test_eval_binding_q_exits_2(capsys):
     assert "q is the indeterminate and cannot be bound" in err
 
 
+def test_eval_bad_binding_value_exits_2(capsys):
+    code, out, err = run_cli(["eval", "n+1", "--poly", "--bind", "n=+-5"], capsys)
+    assert code == 2 and out == ""
+    assert err.strip() == "bad binding: 'n=+-5'"
+    code, out, _ = run_cli(["eval", "n+1", "--poly", "--bind", "n=-5"], capsys)
+    assert code == 0 and out.strip() == "-4"
+
+
 def test_chars(capsys):
     code, out, _ = run_cli(["chars", "--modulus", "5"], capsys)
     assert code == 0

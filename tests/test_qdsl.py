@@ -1,5 +1,6 @@
 """Expression language: parser, evaluators, corpus."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
@@ -226,12 +227,32 @@ def test_empty_sum_is_zero():
     assert eval_cyclo(parse("sum(k=1..n-1, q^k)"), 7, 1, {"n": 1}).is_zero()
 
 
+def _corpus_line(entry):
+    """A corpus line rebuilt from an entry's fields."""
+
+    def spec(name, kind, payload):
+        if kind == "all":
+            return f"{name}=all"
+        if kind == "expr":
+            return f"{name}={render(payload)}"
+        return f"{name}=" + "..".join(render(e) for e in payload if e is not None)
+
+    bindings = ", ".join(spec(*b) for b in entry.bindings)
+    line = f"{render(entry.lhs)} == {render(entry.rhs)} @ {entry.mode}({bindings})"
+    if entry.mod_index is not None:
+        line += f" mod Phi({render(entry.mod_index)})^{entry.mod_power}"
+    return line
+
+
 def test_render_round_trip_corpus():
     entries = shipped_corpus()
     assert len(entries) >= 20
     for entry in entries:
         assert parse(render(entry.lhs)) == entry.lhs, entry.raw
         assert parse(render(entry.rhs)) == entry.rhs, entry.raw
+        line = _corpus_line(entry)
+        rebuilt = parse_corpus_line(entry.line_no, line)
+        assert rebuilt == dataclasses.replace(entry, raw=line), entry.raw
 
 
 def test_render_round_trip_random():
@@ -346,6 +367,40 @@ def test_corpus_line_parsing():
         parse_corpus_line(5, "q == q")  # no mode
     with pytest.raises(ValueError):
         parse_corpus_line(6, "q == q @ cyclo(m=6, j=1) mod Phi(n)")  # mod in cyclo
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("q + 1 @ poly()", "column 7: expected ==, found '@ poly()'"),
+        ("q == q", "column 7: expected @, found 'end of input'"),
+        ("q == q @ ring()", "column 10: expected poly or cyclo, found 'ring()'"),
+        ("q == q @ poly(n=1..3", "column 21: expected , or ), found 'end of input'"),
+        ("k == k @ poly(n=1..3..1..2)", "column 24: expected , or ), found '..2)'"),
+        (
+            "q == q @ poly(n=2..4) mod Phi(n)^2 + 1",
+            "column 36: expected end of line, found '+ 1'",
+        ),
+        (
+            "q == q @ cyclo(m=6, j=1) mod Phi(n)",
+            "column 26: expected end of line (mod needs poly mode), found 'mod Phi(n)'",
+        ),
+    ],
+    ids=["no-eq", "no-at", "mode", "unbalanced", "range", "after-mod", "cyclo-mod"],
+)
+def test_corpus_line_syntax_errors_name_line_and_column(line, error):
+    with pytest.raises(ValueError) as exc:
+        parse_corpus_line(5, line)
+    assert str(exc.value) == f"line 5: syntax error at {error}"
+
+
+def test_corpus_name_bound_twice():
+    for line, name in [
+        ("k == 1 @ poly(k=1..3, k=1)", "k"),
+        ("q == q @ poly(n=1..3, m=n, n=2)", "n"),
+    ]:
+        with pytest.raises(ValueError, match=f"^line 4: {name} is bound twice$"):
+            parse_corpus_line(4, line)
 
 
 def test_corpus_failure_witness():
