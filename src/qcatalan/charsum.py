@@ -19,7 +19,7 @@ from math import gcd, lcm, prod
 from typing import Optional
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import CycloElem, CycloField, euler_phi, factorize
+from .cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, euler_phi, factorize
 
 # ---------------------------------------------------------------------------
 # multiplicative structure of (Z/m)* for odd m, via CRT over prime powers
@@ -198,20 +198,13 @@ def char_value(chi: DirichletChar, a: int, L: int) -> CycloElem:
 
 @dataclass(frozen=True)
 class CharSums:
-    """The four exact sums entering the identity, elements of Q(zeta_L)."""
+    """The four exact sums entering the identity, as lazy values of
+    Q(zeta_L) in the group algebra, each summed by _field_sum."""
 
-    s1: CycloElem
-    s2: CycloElem
-    t1: CycloElem
-    t2: CycloElem
-
-
-def _accumulate(L: int, terms: list[tuple[int, int]]) -> CycloElem:
-    """sum of c * zeta_L^e over (e, c) pairs, reduced mod Phi_L once."""
-    vec = [0] * L
-    for e, c in terms:
-        vec[e % L] += c
-    return CycloField(L).element(vec)
+    s1: GroupAlgebraElem
+    s2: GroupAlgebraElem
+    t1: GroupAlgebraElem
+    t2: GroupAlgebraElem
 
 
 def compute_char_sums(N: int, chi: DirichletChar) -> CharSums:
@@ -233,27 +226,25 @@ def compute_char_sums(N: int, chi: DirichletChar) -> CharSums:
         t = chi.value_exponent(a)
         return None if t is None else scale * t
 
+    # each sum as monomial terms (c, e, 0, 0) = c * zeta_L^e
     s1_terms, s2_terms, t1_terms, t2_terms = [], [], [], []
     for j in range(2 * N - 1):
         t = chi_exp(6 * j + 1)
         if t is not None:
-            s1_terms.append((t, j))
+            s1_terms.append((j, t, 0, 0))
         t = chi_exp(6 * j + 2)
         if t is not None:
-            s2_terms.append((t, j))
+            s2_terms.append((j, t, 0, 0))
     for k in range(1, 2 * N - 1):
         t = chi_exp(k)
         if t is not None:
-            t1_terms.append((t + eps * ((2 * N - 1) * k), 1))
+            t1_terms.append((1, t + eps * ((2 * N - 1) * k), 0, 0))
     for k in range(1 - N, N):
         t = chi_exp(k)  # chi(0) = 0 drops the k = 0 term
         if t is not None:
-            t2_terms.append((t + eps * (2 * (2 * N - 1) * k + 2), 1))
+            t2_terms.append((1, t + eps * (2 * (2 * N - 1) * k + 2), 0, 0))
     return CharSums(
-        _accumulate(L, s1_terms),
-        _accumulate(L, s2_terms),
-        _accumulate(L, t1_terms),
-        _accumulate(L, t2_terms),
+        *(_field_sum(L, terms) for terms in (s1_terms, s2_terms, t1_terms, t2_terms))
     )
 
 
@@ -262,8 +253,10 @@ def verify_taoconj(
 ) -> VerificationReport:
     """S1 * T1 + S2 * T2 = 0 in Q(zeta_L) for non-principal chi mod 2N-1.
 
-    Exact mode performs the zero test in the field; float mode embeds via
-    zeta_L -> exp(2 pi i / L) and compares against `tol`.
+    Exact mode passes on the annihilator zero test of the group-algebra
+    value (GroupAlgebraElem.is_zero) and reduces it mod Phi_L only to
+    render a failure; float mode embeds via zeta_L -> exp(2 pi i / L) and
+    compares against `tol`.
     """
     if chi.is_principal():
         raise ValueError("the identity excludes the principal character")
@@ -275,8 +268,8 @@ def verify_taoconj(
         sums = compute_char_sums(N, chi)
         combo = sums.s1 * sums.t1 + sums.s2 * sums.t2
         if mode == "exact":
-            return None if combo.is_zero() else combo.render()
-        mag = abs(combo.to_complex())
+            return None if combo.is_zero() else combo.value().render()
+        mag = abs(combo.value().to_complex())
         return None if mag < tol else f"|S1*T1 + S2*T2| = {mag:.3e} >= {tol:.1e}"
 
     return run_check("taoconj", params, witness)

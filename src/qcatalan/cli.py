@@ -338,6 +338,9 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
     if not config.tol > 0:  # also rejects nan
         print("--tol must be positive", file=sys.stderr)
         return 2
+    if config.jobs < 1:
+        print("--jobs must be at least 1", file=sys.stderr)
+        return 2
     tasks: list[tuple[str, dict, str, float]] = []
     for suite in config.suites:
         for sid, params in generate_tasks(config, suite):
@@ -346,7 +349,11 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
         print("no checks to run: the requested sweeps select no parameters", file=sys.stderr)
         return 3
 
-    out_file = open(config.out, "w", encoding="utf-8") if config.out else None
+    try:
+        out_file = open(config.out, "w", encoding="utf-8") if config.out else None
+    except OSError as exc:
+        print(f"error: cannot write --out {config.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:

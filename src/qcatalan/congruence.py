@@ -365,7 +365,9 @@ def verify_row_qbinom_congruence(n: int, k: int) -> VerificationReport:
 
 def _chain_sums(n: int) -> list[tuple[int, int, int, int]]:
     """The bracketed pair of sums as terms (c, e, s, t) = c q^e / (1 - t q^s);
-    every s lies in [1, n - 1], so no denominator vanishes at zeta_n."""
+    every s lies in [1, n - 1], so no denominator vanishes at zeta_n.  The
+    one definition of the paper's central pair of sums: rootid takes it
+    at n = 3N for main3n (q = x^j) and for mid (q = w^2)."""
     terms = [
         ((-1) ** k, k * (3 * k - 1) // 2, 3 * k - 1, 1) for k in range(1, n // 3 + 1)
     ]

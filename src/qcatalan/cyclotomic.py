@@ -13,8 +13,9 @@ GroupAlgebraElem is a lazy value in the group algebra Q[x]/(x^m - 1),
 which maps onto Q(zeta_m) = Q[x]/Phi_m: sums and products are plain
 vector operations, and a value is reduced mod Phi_m only when it is
 read or inverted with three or more terms.  _field_sum adds a list of
-terms c * x^e / (1 - t * x^s) into one such value; it is the one evaluator
-of these sums, for the rootid suites and the reduction chain.
+terms c * x^e / (1 - t * x^s) into one such value in one pass over one
+common denominator; it is the only code that sums a term list, for the
+rootid suites, the reduction chain and the character sums.
 Zero tests reduce nothing (phi_power_divides); reduce_mod_phi_power and
 CycloElem.inv render the witness of a failure and serve as test oracles.
 """
@@ -24,9 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ring import Coeff, Poly, as_coeff, power
 
@@ -475,8 +476,8 @@ class CycloField:
     (vector, denominator) of 1/(1 - x^s) and 1/(1 + x^s), i.e. integer
     vectors v of length m with (1/d) * sum v[i] x^i equal to the inverse
     mod Phi_m.  They come from the closed forms of _binomial_inverse, so
-    sums of many such terms are accumulated with integer rotations in a
-    GroupAlgebraElem and reduced mod Phi_m once at the end.
+    _field_sum adds many such terms as integer rotations into one vector,
+    which is reduced mod Phi_m only when its value is read.
     """
 
     def __init__(self, m: int):
@@ -568,9 +569,8 @@ class GroupAlgebraElem:
     * is_zero() reads a single term directly and tests anything else with
       phi_power_divides, with no reduction: (1 + x + x^2) is zero at m = 3.
 
-    The operators build new values.  add_vec / add_monomial instead add into
-    this value in place, for sums of many terms c * x^e * v over cached
-    inverses v.
+    Every operation builds a new value; a sum of many terms
+    c * x^e / (1 - t * x^s) is built in one pass by _field_sum.
 
     >>> f = CycloField(3)
     >>> one = GroupAlgebraElem.monomial(f, 1)
@@ -580,11 +580,9 @@ class GroupAlgebraElem:
 
     __slots__ = ("field", "vec", "den")
 
-    def __init__(
-        self, field: CycloField, vec: Optional[list[int]] = None, den: int = 1
-    ):
+    def __init__(self, field: CycloField, vec: list[int], den: int = 1):
         self.field = field
-        self.vec = [0] * field.m if vec is None else vec
+        self.vec = vec
         self.den = den
 
     @classmethod
@@ -610,39 +608,6 @@ class GroupAlgebraElem:
         if len(support) <= 1:  # zero, or a unit c x^p
             return not support
         return phi_power_divides(self.vec, self.field.m)
-
-    # -- in-place accumulation ---------------------------------------------
-
-    def _merge_den(self, extra_den: int) -> int:
-        """Bring this value to a denominator divisible by extra_den;
-        returns the factor the incoming numerator must be scaled by."""
-        g = gcd(self.den, extra_den)
-        scale_self = extra_den // g
-        if scale_self != 1:
-            self.vec = [c * scale_self for c in self.vec]
-            self.den *= scale_self
-        return self.den // extra_den
-
-    def add_vec(self, inv: tuple[Sequence[int], int], e: int = 0, c: Coeff = 1) -> None:
-        """Add c * x^e * (vector, denominator) in place."""
-        if c == 0:
-            return
-        vec, vden = inv
-        factor = self._merge_den(vden * c.denominator) * c.numerator
-        m = self.field.m
-        e %= m
-        cut = m - e
-        head, tail = vec[:cut], vec[cut:]
-        self.vec[e:] = list(map(add, self.vec[e:], (v * factor for v in head)))
-        if tail:
-            self.vec[:e] = list(map(add, self.vec[:e], (v * factor for v in tail)))
-
-    def add_monomial(self, c: Coeff, e: int = 0) -> None:
-        """Add c * x^e in place."""
-        if c == 0:
-            return
-        factor = self._merge_den(c.denominator) * c.numerator
-        self.vec[e % self.field.m] += factor
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -744,19 +709,32 @@ _Term = NamedTuple("_Term", [("c", Fraction), ("e", int), ("s", int), ("t", Frac
 
 
 def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
-    """The sum of the terms in the group algebra of Q(zeta_m).  A
-    denominator 1 - t x^s that is zero in Q(zeta_m) raises ZeroDivisionError.
+    """The sum of the terms in the group algebra of Q(zeta_m), over one
+    common denominator D.  A first pass takes each term's 1/(1 - t x^s) as
+    (vec, vden) from _binomial_inverse ((1,) over 1 for t = 0) and sets D
+    to the lcm of vden * c.denominator over the terms with c != 0; a second
+    adds (D / (vden * c.denominator)) * c.numerator * x^e * vec into one
+    integer vector.  A denominator 1 - t x^s that is zero in Q(zeta_m)
+    raises ZeroDivisionError, even when c = 0.
 
     >>> _field_sum(3, [(1, 0, 1, 1)]).value()  # 1/(1 - x)
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
     """
-    acc = GroupAlgebraElem(CycloField(m))
+    parts = []
+    den = 1
     for c, e, s, t in terms:
-        if t:
-            acc.add_vec(_binomial_inverse(m, s % m, t), e, c)
-        else:
-            acc.add_monomial(c, e)
-    return acc
+        vec, vden = _binomial_inverse(m, s % m, t) if t else ((1,), 1)
+        if c:
+            d = vden * c.denominator
+            den = lcm(den, d)
+            parts.append((vec, d, c.numerator, e))
+    acc = [0] * m
+    for vec, d, num, e in parts:
+        factor = den // d * num
+        for i, v in enumerate(vec):
+            if v:
+                acc[(i + e) % m] += factor * v
+    return GroupAlgebraElem(CycloField(m), acc, den)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from itertools import chain, count, islice
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .congruence import VerificationReport, run_check
+from .congruence import VerificationReport, _chain_sums, run_check
 from .cyclotomic import CycloElem, _field_sum, _Term
 
 
@@ -55,11 +55,6 @@ def _require_root(name: str, n: int, j: int, m: int) -> None:
         raise ValueError(f"j = {j} is not coprime to {m}")
 
 
-def _half(v: int) -> int:
-    assert v % 2 == 0
-    return v // 2
-
-
 # ---------------------------------------------------------------------------
 # the central identity at q = zeta_{3n}^j
 
@@ -70,16 +65,15 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
         sum_{k=1}^{n} (-1)^k q^{k(3k-1)/2} / (1 - q^{3k-1})
       + sum_{k=1}^{n-1} (-1)^k q^{k(3k+5)/2} / (1 - q^{3k})
       = 1/3 + (3n+1)/6 * q^{2n}.
+
+    The left side is congruence._chain_sums(3n) with q = x^j.
     """
     m = 3 * n
     _require_root("n", n, j, m)
 
     def witness() -> Optional[str]:
         terms = [(Fraction(-1, 3), 0, 0, 0), (Fraction(-3 * n - 1, 6), 2 * n * j, 0, 0)]
-        for k in range(1, n + 1):
-            terms.append(((-1) ** k, j * _half(k * (3 * k - 1)), j * (3 * k - 1), 1))
-        for k in range(1, n):
-            terms.append(((-1) ** k, j * _half(k * (3 * k + 5)), 3 * j * k, 1))
+        terms += [(c, j * e, j * s, t) for c, e, s, t in _chain_sums(m)]
         return _residue(m, terms)
 
     return run_check("main3n", {"n": n, "j": j}, witness)
@@ -430,11 +424,8 @@ _MidSide = NamedTuple("_MidSide", [("const", Fraction), ("terms", list[_Term])])
 
 
 def _mid_lhs_terms(n: int) -> _MidSide:
-    terms = [
-        (Fraction((-1) ** k), k * (3 * k - 1), 2 * (3 * k - 1), 1)
-        for k in range(1, n + 1)
-    ]
-    terms += [(Fraction((-1) ** k), k * (3 * k + 5), 6 * k, 1) for k in range(1, n)]
+    """The central pair of sums at q = w^2."""
+    terms = [(c, 2 * e, 2 * s, t) for c, e, s, t in _chain_sums(3 * n)]
     return _MidSide(Fraction(0), terms)
 
 

@@ -1,10 +1,11 @@
 """Dirichlet character groups and the character-sum identity."""
 
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from qcatalan import charsum
 from qcatalan.charsum import (
     DirichletChar,
     char_value,
@@ -102,7 +103,7 @@ def test_compute_char_sums_shapes():
     leg = next(c for c in chars5 if c.order == 2)
     sums = compute_char_sums(3, leg)
     for elem in (sums.s1, sums.s2, sums.t1, sums.t2):
-        assert elem.m == 6  # L = lcm(3, 2)
+        assert elem.field.m == 6  # L = lcm(3, 2)
     # the principal character's sums are computable; only the identity
     # check itself excludes it
     principal = chars5[0]
@@ -111,7 +112,7 @@ def test_compute_char_sums_shapes():
     chars7 = character_group(7)
     full = next(c for c in chars7 if c.order == 6)
     sums7 = compute_char_sums(4, full)
-    assert sums7.s1.m == 6
+    assert sums7.s1.field.m == 6
     with pytest.raises(ValueError):
         compute_char_sums(2, character_group(5)[1])  # 2N-1 = 3 divisible by 3
     with pytest.raises(ValueError):
@@ -138,6 +139,45 @@ def test_taoconj_float_matches_exact():
             exact = verify_taoconj(N, chi, "exact")
             approx = verify_taoconj(N, chi, "float", 1e-9)
             assert exact.passed == approx.passed == True  # noqa: E712
+
+
+def test_taoconj_failure_renders_the_field_product(monkeypatch):
+    # perturb S1 by 1: the witness is S1'*T1 + S2*T2 built by CycloElem
+    # arithmetic from chi's values, reduced mod Phi_L
+    real = charsum.compute_char_sums
+
+    def perturbed(N, chi):
+        sums = real(N, chi)
+        return charsum.CharSums(sums.s1 + 1, sums.s2, sums.t1, sums.t2)
+
+    monkeypatch.setattr(charsum, "compute_char_sums", perturbed)
+    for m in (5, 7, 11, 25):
+        N = (m + 1) // 2
+        for chi in character_group(m)[1:]:
+            L = lcm(3, chi.order)
+            eps = CycloElem.root_power(L, L // 3)
+
+            def chi_sum(args, weight):
+                out = CycloElem.zero(L)
+                for a, w in zip(args, weight):
+                    out = out + char_value(chi, a, L) * w
+                return out
+
+            js = range(2 * N - 1)
+            s1 = chi_sum([6 * j + 1 for j in js], js) + 1
+            s2 = chi_sum([6 * j + 2 for j in js], js)
+            ks = range(1, 2 * N - 1)
+            t1 = chi_sum(ks, [eps ** ((2 * N - 1) * k % 3) for k in ks])
+            ks = range(1 - N, N)
+            t2 = chi_sum(ks, [eps ** ((2 * (2 * N - 1) * k + 2) % 3) for k in ks])
+            want = s1 * t1 + s2 * t2
+            rep = verify_taoconj(N, chi)
+            assert rep.status == "fail" and not want.is_zero(), (m, chi.index)
+            assert rep.witness == want.render(), (m, chi.index)
+            float_rep = verify_taoconj(N, chi, "float")
+            mag = abs(want.to_complex())
+            assert float_rep.status == "fail"
+            assert float_rep.witness.startswith(f"|S1*T1 + S2*T2| = {mag:.3e}")
 
 
 def test_taoconj_rejects_bad_modulus():

@@ -110,6 +110,22 @@ def test_nonpositive_tol_is_a_usage_error(capsys):
         assert "--tol must be positive" in err
 
 
+def test_nonpositive_jobs_is_a_usage_error(capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(["verify", "trig", "--n", "2", "--jobs", jobs], capsys)
+        assert code == 2 and out == "", jobs
+        assert err.strip() == "--jobs must be at least 1"
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.jsonl"
+    argv = ["verify", "tauraso-phi", "--n-max", "4", "--out", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""  # no check ran
+    assert err.startswith("error: ") and str(path) in err
+    assert len(err.strip().splitlines()) == 1 and not path.exists()
+
+
 def test_verify_text_output(capsys):
     code, out, _ = run_cli(["verify", "main-phi2", "--n-max", "12"], capsys)
     assert code == 0

@@ -11,6 +11,7 @@ from qcatalan.cyclotomic import (
     CycloField,
     GroupAlgebraElem,
     _binomial_inverse,
+    _field_sum,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -405,11 +406,11 @@ def test_group_algebra_ops_match_field_arithmetic():
                 denom = CycloElem.one(m) - CycloElem.root_power(m, s) * t
                 if denom.is_zero():
                     continue
-                x.add_vec(_binomial_inverse(m, s % m, t), e, c)
+                x = x + _field_sum(m, [(c, e, s, t)])
                 oracle = oracle + CycloElem.root_power(m, e) * c * denom.inv()
             elif op == "add_monomial":
                 c, e = Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randrange(m)
-                x.add_monomial(c, e)
+                x = x + _field_sum(m, [(c, e, 0, 0)])
                 oracle = oracle + CycloElem.root_power(m, e) * c
             elif op == "scalar":
                 # an int or Fraction on either side of + - * is a scalar
@@ -428,6 +429,48 @@ def test_group_algebra_ops_match_field_arithmetic():
             assert x.den > 0 and len(x.vec) == m
             assert x.value() == oracle, (m, op)
             assert x.is_zero() == oracle.is_zero(), (m, op)
+
+
+def test_field_sum_matches_field_arithmetic():
+    # random term lists c x^e / (1 - t x^s) against CycloElem arithmetic,
+    # with exponents outside [0, m) and zero coefficients among the terms
+    rng = random.Random(1515)
+    for _ in range(120):
+        m = rng.randint(1, 60)
+        one = CycloElem.one(m)
+        terms, oracle, den = [], CycloElem.zero(m), 1
+        for _ in range(rng.randint(0, 30)):
+            t = rng.choice((0, 1, -1, 2, Fraction(-1, 2), Fraction(3, 5)))
+            c = Fraction(rng.choice((0, rng.randint(-7, 7))), rng.randint(1, 6))
+            e, s = rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m)
+            term = CycloElem.root_power(m, e) * c
+            vden = 1
+            if t:
+                denom = one - CycloElem.root_power(m, s) * t
+                if denom.is_zero():
+                    continue
+                term = term * denom.inv()
+                vden = _binomial_inverse(m, s % m, t)[1]
+            terms.append((c, e, s, t))
+            oracle = oracle + term
+            if c:
+                den = lcm(den, vden * c.denominator)
+        acc = _field_sum(m, terms)
+        assert len(acc.vec) == m and acc.field.m == m
+        assert acc.den == den, (m, terms)
+        assert acc.value() == oracle, (m, terms)
+        assert acc.is_zero() == oracle.is_zero()
+
+
+def test_field_sum_edge_cases():
+    empty = _field_sum(7, [])
+    assert empty.vec == [0] * 7 and empty.den == 1 and empty.is_zero()
+    zero_terms = _field_sum(5, [(0, 3, 1, 1), (Fraction(0, 4), 2, 0, 0)])
+    assert zero_terms.vec == [0] * 5 and zero_terms.den == 1
+    # the inverse is looked up before the coefficient is read
+    for m, s, t in ((6, 6, 1), (6, 0, 1), (6, 3, -1), (1, 0, 1), (4, -2, -1)):
+        with pytest.raises(ZeroDivisionError):
+            _field_sum(m, [(0, 1, s, t)])
 
 
 def _kernel_cases(rng):

@@ -49,11 +49,9 @@ def test_root_context_primitivity():
 def test_main3n_base_case_value():
     # n = 1, j = 1: both sides equal (-1 - 2q)/3 in Q(zeta_3)
     assert verify_main3n(1, 1).passed
-    from qcatalan.cyclotomic import CycloField as _field, GroupAlgebraElem as _Accum
+    from qcatalan.cyclotomic import _field_sum
 
-    f = _field(3)
-    lhs = _Accum(f)
-    lhs.add_vec(f.inv_one_minus(2), 1, -1)  # -q / (1 - q^2)
+    lhs = _field_sum(3, [(-1, 1, 2, 1)])  # -q / (1 - q^2)
     expected = CycloElem(3, [-1, -2], 3)
     assert lhs.value() == expected
     rhs = CycloElem.from_rational(3, Fraction(1, 3)) + CycloElem.root_power(3, 2) * Fraction(4, 6)
@@ -484,10 +482,11 @@ def test_aux_failures_render_the_sums_themselves(monkeypatch):
 
 def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
     # a passing verdict is one annihilator test: no remainder mod Phi_n^e,
-    # no reduction of a group-algebra value, no norm-product inverse
+    # no reduction of a group-algebra value, no field product, no
+    # norm-product inverse
     from collections import Counter
 
-    from qcatalan import congruence, cyclotomic, qdsl
+    from qcatalan import charsum, congruence, cyclotomic, qdsl
     from qcatalan.cyclotomic import CycloField
 
     calls = Counter()
@@ -504,6 +503,7 @@ def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
         monkeypatch.setattr(module, "reduce_mod_phi_power", reduce)
     monkeypatch.setattr(CycloField, "element", counting("element", CycloField.element))
     monkeypatch.setattr(CycloElem, "inv", counting("inv", CycloElem.inv))
+    monkeypatch.setattr(CycloElem, "__mul__", counting("mul", CycloElem.__mul__))
     reports = []
     for n in range(2, 25):
         reports += [congruence.verify_tauraso_mod_phi(n), congruence.verify_liu_petrov(n)]
@@ -528,6 +528,9 @@ def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
                 reports += [verify_sawtooth(N, j, k) for k in range(1, 2 * N - 1)]
         for j in galois_orbit(3 * N):
             reports.append(verify_main3n(N, j))
+    for m in (5, 7, 11, 13, 25):
+        for chi in charsum.character_group(m)[1:]:
+            reports.append(charsum.verify_taoconj((m + 1) // 2, chi))
     assert all(rep.passed for rep in reports)
     assert calls == Counter(), calls
 
@@ -543,14 +546,11 @@ def test_empty_sum_convention():
 
 def test_exact_vs_float_consistency():
     # exact pass implies the complex embedding is numerically tiny
-    from qcatalan.cyclotomic import CycloField as _field, GroupAlgebraElem as _Accum
+    from qcatalan.cyclotomic import _field_sum
 
     for (n, j) in ((2, 1), (3, 2), (4, 5)):
         m = 3 * n
-        f = _field(m)
-        acc = _Accum(f)
-        for k in range(1, n + 1):
-            acc.add_vec(f.inv_one_minus(j * (3 * k - 1) % m))
-        acc.add_monomial(Fraction(-n, 3))
-        acc.add_monomial(Fraction(n, 3), j * n)
+        terms = [(1, 0, j * (3 * k - 1), 1) for k in range(1, n + 1)]
+        terms += [(Fraction(-n, 3), 0, 0, 0), (Fraction(n, 3), j * n, 0, 0)]
+        acc = _field_sum(m, terms)
         assert abs(acc.value().to_complex()) < 1e-12
