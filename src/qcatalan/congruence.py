@@ -12,8 +12,8 @@ import json
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable, Mapping, Optional
+from math import comb, lcm
+from typing import Callable, Mapping, Optional, Sequence
 
 from .cyclotomic import _field_sum, phi_power_divides, reduce_mod_phi_power
 from .qcomb import (
@@ -93,11 +93,34 @@ def run_check(
     return VerificationReport(suite_id, dict(params), FAIL, witness, elapsed)
 
 
-def _residue_witness(diff: Poly, n: int, e: int) -> Optional[str]:
-    """None if Phi_n^e divides diff, else its remainder mod Phi_n^e rendered."""
-    if phi_power_divides(diff.coeffs, n, e):
+def _residue_witness(
+    residue: Poly, n: int, e: int, rhs: Sequence[tuple[Coeff, int]] = ()
+) -> Optional[str]:
+    """None if Phi_n^e divides residue - sum c q^t over the monomials (c, t)
+    of rhs (c an int or a Fraction), else the remainder of that difference
+    mod Phi_n^e, rendered.
+
+    Each monomial is folded mod (q^n - 1)^2, q^(a*n + r) = (1 - a) q^r +
+    a q^(n + r) for r < n.  Phi_n^e divides (q^n - 1)^2 for e <= 2, so the
+    verdict and the (unique) remainder are those of the unfolded difference.
+    The zero test runs on D times the difference, D the lcm of the c
+    denominators, which is a unit mod Phi_n^e.
+    """
+    if rhs and e > 2:
+        raise ValueError("monomials fold mod (q^n - 1)^2, so e must be 1 or 2")
+    den = lcm(*(c.denominator for c, _ in rhs))
+    diff = [c * den for c in residue.coeffs] if den > 1 else list(residue.coeffs)
+    if rhs:
+        diff += [0] * (2 * n - len(diff))
+        for c, t in rhs:
+            a, r = divmod(t, n)
+            c = c.numerator * (den // c.denominator)
+            diff[r] -= (1 - a) * c
+            diff[n + r] -= a * c
+    if phi_power_divides(diff, n, e):
         return None
-    return reduce_mod_phi_power(diff, n, e).render()
+    rem = reduce_mod_phi_power(Poly(diff), n, e)
+    return (rem * Fraction(1, den) if den > 1 else rem).render()
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +142,8 @@ def check_congruence(lhs: Poly, rhs: Poly, n: int, e: int) -> VerificationReport
 # the q-Catalan partial-sum congruences
 #
 # The four suites read the left side as the qcomb walk stores it, folded
-# mod (q^n - 1)^2, and fold each right-side monomial of degree n or more
-# the same way.  Phi_n^e divides (q^n - 1)^2 for e <= 2 and the remainder
-# mod Phi_n^e is unique, so the residue, the verdict and the witness are
-# those of the unfolded sides.  Only a failure reduces, for its witness.
-
-
-def _folded_monomial(c: Coeff, t: int, n: int) -> Poly:
-    """c q^t mod (q^n - 1)^2: q^(a*n + r) = (1 - a) q^r + a q^(n + r), r < n."""
-    a, r = divmod(t, n)
-    return Poly([0] * r + [(1 - a) * c] + [0] * (n - 1) + [a * c])
+# mod (q^n - 1)^2, and give _residue_witness the right side as monomials,
+# which it folds the same way.  Only a failure reduces, for its witness.
 
 
 def verify_tauraso_mod_phi(n: int) -> VerificationReport:
@@ -142,10 +157,10 @@ def verify_tauraso_mod_phi(n: int) -> VerificationReport:
     def witness() -> Optional[str]:
         if n % 3 == 2:
             assert (2 * n - 1) % 3 == 0
-            rhs = Poly.monomial(-1, (2 * n - 1) // 3) - 1
+            rhs = [(-1, 0), (-1, (2 * n - 1) // 3)]
         else:
-            rhs = Poly.monomial(1, n // 3)
-        return _residue_witness(catalan_residue(n) - rhs, n, 1)
+            rhs = [(1, n // 3)]
+        return _residue_witness(catalan_residue(n), n, 1, rhs)
 
     return run_check("tauraso-phi", {"n": n}, witness)
 
@@ -153,8 +168,7 @@ def verify_tauraso_mod_phi(n: int) -> VerificationReport:
 def verify_liu_mod_phi2(n: int) -> VerificationReport:
     """The sharper mod Phi_n^2 form of the q-Catalan sum for n not divisible
     by 3: q^((n^2-1)/3) - (n-1)/3*(q^n-1) when n = 1 (mod 3), and
-    -q^((n^2-1)/3) - q^(n(2n-1)/3) when n = 2 (mod 3).  Both sides are
-    folded mod (q^n - 1)^2, a multiple of Phi_n^2.
+    -q^((n^2-1)/3) - q^(n(2n-1)/3) when n = 2 (mod 3).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -165,15 +179,12 @@ def verify_liu_mod_phi2(n: int) -> VerificationReport:
     def witness() -> Optional[str]:
         if n % 3 == 1:
             assert (n - 1) % 3 == 0
-            rhs = _folded_monomial(1, (n * n - 1) // 3, n) - (
-                Poly.monomial(1, n) - 1
-            ) * ((n - 1) // 3)
+            c = (n - 1) // 3
+            rhs = [(1, (n * n - 1) // 3), (-c, n), (c, 0)]
         else:
             assert (n * (2 * n - 1)) % 3 == 0
-            rhs = _folded_monomial(-1, (n * n - 1) // 3, n) + _folded_monomial(
-                -1, n * (2 * n - 1) // 3, n
-            )
-        return _residue_witness(catalan_residue(n) - rhs, n, 2)
+            rhs = [(-1, (n * n - 1) // 3), (-1, n * (2 * n - 1) // 3)]
+        return _residue_witness(catalan_residue(n), n, 2, rhs)
 
     return run_check("liu-phi2", {"n": n}, witness)
 
@@ -183,23 +194,15 @@ def verify_main_theorem(n: int) -> VerificationReport:
 
         sum_{k<n} q^k C_k = q^(n(2n+1)/3)
                             + (1/3)(q^n - 1)(2 + (n+1) q^(2n/3))   (mod Phi_n^2).
-
-    The zero test runs on 3 * (lhs - rhs), which has integer coefficients;
-    3 is a unit mod Phi_n^2, so the verdict is the same, and a failure
-    reports the residue of lhs - rhs itself.  Both sides are folded
-    mod (q^n - 1)^2, a multiple of Phi_n^2.
     """
     if n < 3 or n % 3 != 0:
         raise ValueError("need a positive multiple of 3")
 
     def witness() -> Optional[str]:
-        rhs3 = _folded_monomial(3, n * (2 * n + 1) // 3, n) + (
-            Poly.monomial(1, n) - 1
-        ) * (Poly.monomial(n + 1, 2 * n // 3) + 2)
-        diff3 = catalan_residue(n) * 3 - rhs3
-        if phi_power_divides(diff3.coeffs, n, 2):
-            return None
-        return (reduce_mod_phi_power(diff3, n, 2) * Fraction(1, 3)).render()
+        c = Fraction(n + 1, 3)
+        rhs = [(1, n * (2 * n + 1) // 3), (Fraction(2, 3), n), (Fraction(-2, 3), 0)]
+        rhs += [(c, 5 * n // 3), (-c, 2 * n // 3)]
+        return _residue_witness(catalan_residue(n), n, 2, rhs)
 
     return run_check("main-phi2", {"n": n}, witness)
 
@@ -207,20 +210,15 @@ def verify_main_theorem(n: int) -> VerificationReport:
 def verify_liu_petrov(n: int) -> VerificationReport:
     """sum_{k<n} q^k [2k,k] = (n/3) * q^((n^2-1)/3) (mod Phi_n^2), with the
     Legendre symbol (n/3); for 3 | n the right side is the zero polynomial
-    and the fractional exponent never materialises.  Both sides are
-    folded mod (q^n - 1)^2, a multiple of Phi_n^2.
+    and the fractional exponent never materialises.
     """
     if n < 2:
         raise ValueError("need n >= 2")
 
     def witness() -> Optional[str]:
         sign = legendre3(n)
-        if sign == 0:
-            rhs = Poly.zero()
-        else:
-            assert (n * n - 1) % 3 == 0
-            rhs = _folded_monomial(sign, (n * n - 1) // 3, n)
-        return _residue_witness(central_residue(n) - rhs, n, 2)
+        rhs = [(sign, (n * n - 1) // 3)] if sign else []
+        return _residue_witness(central_residue(n), n, 2, rhs)
 
     return run_check("liu-petrov", {"n": n}, witness)
 
@@ -319,8 +317,8 @@ def verify_central_qbinom_congruence(n: int, k: int) -> VerificationReport:
     def witness() -> Optional[str]:
         lhs = gaussian_binomial(2 * n, n + k) * (1 - Poly.monomial(1, k))
         t = (-(k * (k - 1) // 2)) % n
-        rhs = (Poly.monomial(1, n) - 1) * Poly.monomial(2 * (-1) ** k, t)
-        return _residue_witness(lhs - rhs, n, 2)
+        c = 2 * (-1) ** k
+        return _residue_witness(lhs, n, 2, [(c, n + t), (-c, t)])
 
     return run_check("central-binom", {"n": n, "k": k}, witness)
 
@@ -337,8 +335,7 @@ def verify_row_qbinom_congruence(n: int, k: int) -> VerificationReport:
 
     def witness() -> Optional[str]:
         lhs = gaussian_binomial(n - 1, k - 1).shift((k * (k - 1) // 2) % n)
-        rhs = Poly.constant((-1) ** (k - 1))
-        return _residue_witness(lhs - rhs, n, 1)
+        return _residue_witness(lhs, n, 1, [((-1) ** (k - 1), 0)])
 
     return run_check("row-binom", {"n": n, "k": k}, witness)
 

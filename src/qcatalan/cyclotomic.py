@@ -2,9 +2,9 @@
 
 Phi_n is computed by recursive exact division, Phi_n = (q^n - 1) / prod of
 Phi_d over proper divisors d | n.  Every module-level memo here (Phi_n,
-its integer coefficients, the powers Phi_n^e, field inverses and binomial
-inverses) is a bounded functools.lru_cache.  Each memoises a pure function,
-so two threads that miss on the same key store equal values.
+the powers Phi_n^e, field inverses and binomial inverses) is a bounded
+functools.lru_cache.  Each memoises a pure function, so two threads that
+miss on the same key store equal values.
 
 Q(zeta_m) has two representations.  A CycloElem is a residue mod Phi_m:
 an integer coefficient vector of length phi(m) over a single positive
@@ -299,7 +299,7 @@ class CycloElem:
             raise ValueError("root order must be a positive integer")
         t %= m
         vec = [0] * t + [1]
-        _reduce_int_vec(vec, _phi_int_coeffs(m))
+        _reduce_int_vec(vec, cyclotomic_poly(m).coeffs)
         return cls(m, vec)
 
     # -- views ---------------------------------------------------------------
@@ -377,7 +377,7 @@ class CycloElem:
         self._check(other)
         if not self.num or not other.num:
             return CycloElem.zero(self.m)
-        out = _mul_int_vec(self.num, other.num, _phi_int_coeffs(self.m))
+        out = _mul_int_vec(self.num, other.num, cyclotomic_poly(self.m).coeffs)
         return CycloElem(self.m, out, self.den * other.den)
 
     __rmul__ = __mul__
@@ -402,7 +402,7 @@ class CycloElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         m, num = self.m, self.num
-        phi = _phi_int_coeffs(m)
+        phi = cyclotomic_poly(m).coeffs
         cofactor: list[int] = [1]
         for j in range(2, m):
             if gcd(j, m) == 1:
@@ -458,19 +458,15 @@ class CycloElem:
         return acc / self.den
 
 
-@lru_cache(maxsize=256)
-def _phi_int_coeffs(m: int) -> tuple[int, ...]:
-    return tuple(int(c) for c in cyclotomic_poly(m).coeffs)
-
-
 # ---------------------------------------------------------------------------
 # the group algebra Q[x]/(x^m - 1), a lazy form of Q(zeta_m)
 
 
 class CycloField:
     """Shared context for computations in one Q(zeta_m): m, the integer
-    coefficients of Phi_m, and element(), which reduces a group-algebra
-    vector into a CycloElem.
+    coefficients phi of Phi_m, and element(), which reduces a group-algebra
+    vector into a CycloElem.  phi is read from cyclotomic_poly on use, so a
+    field whose values are only zero-tested never builds Phi_m.
 
     inv_one_minus / inv_one_plus give group-algebra representatives
     (vector, denominator) of 1/(1 - x^s) and 1/(1 + x^s), i.e. integer
@@ -484,7 +480,11 @@ class CycloField:
         if m < 1:
             raise ValueError("field order must be a positive integer")
         self.m = m
-        self.phi = _phi_int_coeffs(m)
+
+    @property
+    def phi(self) -> tuple[int, ...]:
+        """The integer coefficients of Phi_m, read on use."""
+        return cyclotomic_poly(self.m).coeffs
 
     def element(self, vec: Sequence[int], den: int = 1) -> CycloElem:
         """Reduce a group-algebra vector mod Phi_m into a field element."""

@@ -78,6 +78,7 @@ def gaussian_binomial(n: int, k: int) -> Poly:
     """
     if k < 0 or n < 0 or k > n:
         return Poly.zero()
+    k = min(k, n - k)  # [n, k] = [n, n - k]: the shorter product
     out = [1]
     for j in range(1, k + 1):
         out = _mul_one_minus(out, n - k + j)

@@ -28,8 +28,9 @@ operations in Q[x]/(x^m - 1).  Divisions by the two-term values
 1 - t*q^s that the paper's identities are made of use the closed-form
 binomial inverses.  A value is reduced mod Phi_m only to invert a value
 with three or more terms, to render a failing case, and for the CycloElem
-that eval_cyclo returns.  Zero tests in Q(zeta_m), and lhs - rhs mod
-Phi(n)^e in poly mode, use cyclotomic.phi_power_divides instead.
+that eval_cyclo returns.  Zero tests in Q(zeta_m) use
+cyclotomic.phi_power_divides instead, and lhs - rhs mod Phi(n)^e in poly
+mode is judged by congruence._residue_witness, the one Phi_n^e verdict.
 
 One deliberate semantic: a product whose left factor has already
 evaluated to exactly zero short-circuits without evaluating the right
@@ -59,9 +60,8 @@ from fractions import Fraction
 from math import floor, gcd
 from typing import Iterator, Optional, Union
 
-from .congruence import VerificationReport, run_check
+from .congruence import VerificationReport, _residue_witness, run_check
 from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem
-from .cyclotomic import phi_power_divides, reduce_mod_phi_power
 from .qcomb import gaussian_binomial, legendre3, q_catalan
 from .ring import Poly
 from .rootid import galois_orbit
@@ -626,6 +626,11 @@ def parse_corpus_line(line_no: int, line: str) -> CorpusEntry:
             raise ValueError(f"{twice} is bound twice")
         if entry.mode == "cyclo" and ("m" not in names or "j" not in names):
             raise ValueError("cyclo mode needs m and j bindings")
+        for i, (name, kind, _) in enumerate(entry.bindings):
+            if kind == "all" and name != "j":
+                raise ValueError("'all' sweeps are only supported for j")
+            if kind == "all" and "m" not in names[:i]:
+                raise ValueError("j=all needs m bound earlier in the parameter list")
     except ValueError as exc:
         raise ValueError(f"line {line_no}: {exc}") from None
     return entry
@@ -676,17 +681,11 @@ def _sweep(
             bound[name] = v
             yield from _sweep(entry, idx + 1, bound)
         bound.pop(name, None)
-    elif kind == "all":
-        if name != "j":
-            raise ValueError("'all' sweeps are only supported for j")
-        if "m" not in bound:
-            raise ValueError("j=all needs m bound earlier in the parameter list")
+    else:  # j=all; parse_corpus_line bound m earlier
         for v in galois_orbit(bound["m"]):
             bound[name] = v
             yield from _sweep(entry, idx + 1, bound)
         bound.pop(name, None)
-    else:
-        raise ValueError(f"unknown binding kind {kind!r}")
 
 
 def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
@@ -702,9 +701,9 @@ def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
             diff = ctx.lift(_evaluate(entry.lhs, ctx) - _evaluate(entry.rhs, ctx))
             if entry.mod_index is not None:
                 n = _int(_scalar(entry.mod_index, ctx), entry.mod_index)
-                if not phi_power_divides(diff.coeffs, n, entry.mod_power):
-                    rem = reduce_mod_phi_power(diff, n, entry.mod_power)
-                    return f"{binding}: residue {rem.render()}"
+                residue = _residue_witness(diff, n, entry.mod_power)
+                if residue is not None:
+                    return f"{binding}: residue {residue}"
             elif not diff.is_zero():
                 shown = diff if field is None else diff.value()
                 return f"{binding}: {shown.render()}"

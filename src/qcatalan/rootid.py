@@ -12,8 +12,8 @@ sum for zero and reduces it mod Phi_m only to render a failure.  Inverses:
   sawtooth -(1/d) sum_{u<d} u x^(su) and its alternating variant;
 * t = 1/z (extan), t = +-x at each rational point x (pfd): the geometric
   series sum_{u<d} t^u x^(su) / (1 - t^d);
-* sawtooth inverts nothing: the expansion R under test passes when
-  (1 - x^s) R - 1 is zero; only a failure renders 1/(1 - x^s) by CycloElem.inv.
+* sawtooth: the expansion R passes when (1 - x^s) R - 1 is zero, with no
+  inverse; a failure renders 1/(1 - x^s) - R by the t = 1 closed form.
 
 The rearrangement lemma (mid) is the one identity in a free variable w: its
 terms have the same shape, and it is certified by the integer Taylor series
@@ -559,8 +559,8 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
 
     The right side R passes when (1 - q^{6k}) R - 1, a list of monomials,
     is zero: in a field that holds exactly when R is the inverse, and no
-    inverse is built from the expansion.  A failure renders lhs - rhs,
-    the left side inverted with CycloElem.inv (Galois conjugates over the norm).
+    inverse is built from the expansion.  A failure renders lhs - rhs as
+    one term list, the left side inverted by its closed form.
     """
     if N < 2:
         raise ValueError("need N >= 2")
@@ -576,8 +576,8 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
         product = rhs + [(-c, e + f6, s, t) for c, e, s, t in rhs] + [(-1, 0, 0, 0)]
         if _field_sum(m, product).is_zero():
             return None
-        lhs = (CycloElem.one(m) - CycloElem.root_power(m, f6)).inv()
-        return (lhs - _field_sum(m, rhs).value()).render()
+        diff = [(1, 0, f6, 1)] + [(-c, e, s, t) for c, e, s, t in rhs]
+        return _field_sum(m, diff).value().render()
 
     return run_check("sawtooth", {"N": N, "j": j, "k": k}, witness)
 

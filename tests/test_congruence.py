@@ -1,6 +1,7 @@
 """Polynomial congruence suites."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qcatalan import congruence
 from qcatalan.congruence import (
     _chain_sums,
+    _residue_witness,
     boundary_term,
     check_congruence,
     verify_central_qbinom_congruence,
@@ -23,6 +25,7 @@ from qcatalan.congruence import (
 )
 from qcatalan.cyclotomic import (
     _field_sum,
+    _phi_power,
     cyclotomic_poly,
     poly_xgcd,
     reduce_mod_phi_power,
@@ -34,7 +37,7 @@ from qcatalan.qcomb import (
     gaussian_binomial,
     shifted_central_sum,
 )
-from qcatalan.ring import Poly, Q
+from qcatalan.ring import Poly, Q, as_coeff
 
 from test_ring import schoolbook_divmod
 
@@ -129,6 +132,38 @@ def test_phi_suite_witness_is_the_remainder(monkeypatch):
     for verify, n, e, rhs in cases:
         want = reduce_mod_phi_power(perturbed(n) - rhs, n, e).render()
         assert verify(n).witness == want, (verify, n)
+
+
+def test_residue_witness_matches_the_unfolded_remainder():
+    # monomials c q^t folded mod (q^n - 1)^2 and a zero test on D times the
+    # difference give the verdict and the remainder of residue - sum c q^t
+    # built unfolded; half the residues are made to pass
+    rng = random.Random(16)
+
+    def coeff(den):
+        return as_coeff(Fraction(rng.randint(-9, 9), rng.randint(1, den)))
+
+    for _ in range(200):
+        n, e = rng.randint(1, 40), rng.randint(1, 2)
+        rhs = [(coeff(6), rng.randint(0, 3 * n * n)) for _ in range(rng.randint(0, 6))]
+        unfolded = Poly.zero()
+        for c, t in rhs:
+            unfolded = unfolded + Poly.monomial(c, t)
+        residue = Poly([coeff(rng.choice((1, 4))) for _ in range(rng.randint(0, 3 * n))])
+        if rng.random() < 0.5:
+            residue = unfolded + residue * _phi_power(n, e)
+        rem = reduce_mod_phi_power(residue - unfolded, n, e)
+        want = None if rem.is_zero() else rem.render()
+        assert _residue_witness(residue, n, e, rhs) == want, (n, e, residue, rhs)
+
+
+def test_residue_witness_folds_monomials_only_mod_phi_squared():
+    # Phi_n^3 does not divide (q^n - 1)^2, so folded monomials cannot be
+    # judged mod Phi_n^3; a bare residue can, as corpus lines ask
+    with pytest.raises(ValueError):
+        _residue_witness(Poly.zero(), 5, 3, [(1, 0)])
+    assert _residue_witness(Poly.monomial(1, 5) - 1, 5, 3) is not None
+    assert _residue_witness((Poly.monomial(1, 5) - 1) ** 3, 5, 3) is None
 
 
 def test_phi2_suites_reject_a_change_by_a_multiple_of_phi(monkeypatch):

@@ -91,6 +91,10 @@ def test_gaussian_pascal_and_symmetry():
                 assert lhs == gaussian_binomial(n - 1, k - 1).shift(n - k) + (
                     gaussian_binomial(n - 1, k)
                 )
+    # k > n/2 runs the product of [n, n - k], the shorter one
+    for n in range(1, 41):
+        for k in (n // 2 + 1, n - 2, n - 1, n):
+            assert gaussian_binomial(n, k) == oracle(n, k), (n, k)
 
 
 def test_gaussian_division_always_exact():

@@ -22,6 +22,7 @@ from qcatalan.qdsl import (
     _scalar,
     eval_cyclo,
     eval_poly,
+    load_corpus,
     parse,
     parse_corpus_line,
     render,
@@ -401,6 +402,17 @@ def test_corpus_name_bound_twice():
     ]:
         with pytest.raises(ValueError, match=f"^line 4: {name} is bound twice$"):
             parse_corpus_line(4, line)
+
+
+def test_corpus_all_binding_errors_name_the_line():
+    # both are binding errors, found by the parser, not by the sweep
+    for line, message in [
+        ("q == q @ cyclo(m=6, k=all, j=1)", "'all' sweeps are only supported for j"),
+        ("q == q @ cyclo(j=all, m=6)", "j=all needs m bound earlier in the parameter list"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            load_corpus(line)
+        assert str(exc.value) == f"line 1: {message}"
 
 
 def test_corpus_failure_witness():

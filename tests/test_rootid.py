@@ -483,7 +483,7 @@ def test_aux_failures_render_the_sums_themselves(monkeypatch):
 def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
     # a passing verdict is one annihilator test: no remainder mod Phi_n^e,
     # no reduction of a group-algebra value, no field product, no
-    # norm-product inverse
+    # norm-product inverse, and no Phi built at all
     from collections import Counter
 
     from qcatalan import charsum, congruence, cyclotomic, qdsl
@@ -499,8 +499,10 @@ def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
         return wrapper
 
     reduce = counting("reduce_mod_phi_power", cyclotomic.reduce_mod_phi_power)
-    for module in (cyclotomic, congruence, qdsl):
+    for module in (cyclotomic, congruence):
         monkeypatch.setattr(module, "reduce_mod_phi_power", reduce)
+    phi = counting("cyclotomic_poly", cyclotomic.cyclotomic_poly)
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", phi)
     monkeypatch.setattr(CycloField, "element", counting("element", CycloField.element))
     monkeypatch.setattr(CycloElem, "inv", counting("inv", CycloElem.inv))
     monkeypatch.setattr(CycloElem, "__mul__", counting("mul", CycloElem.__mul__))
@@ -516,6 +518,8 @@ def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
             reports.append(congruence.verify_central_qbinom_congruence(n, k))
             reports.append(congruence.verify_row_qbinom_congruence(n, k))
     reports.append(congruence.verify_lucas_qbinom(2, 3, 1, 2, 5))
+    corpus = qdsl.shipped_corpus()
+    reports += [qdsl.run_corpus_entry(e) for e in corpus if e.mod_index is not None]
     for N in range(1, 7):
         for case, m in (("even", 6 * N), ("odd", 6 * N - 3)):
             for j in galois_orbit(m):
