@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, inf
 from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from . import charsum, congruence, qcomb, qdsl, rootid
@@ -335,8 +335,8 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
                 file=sys.stderr,
             )
             return 2
-    if not config.tol > 0:  # also rejects nan
-        print("--tol must be positive", file=sys.stderr)
+    if not 0 < config.tol < inf:  # also rejects nan
+        print("--tol must be positive and finite", file=sys.stderr)
         return 2
     if config.jobs < 1:
         print("--jobs must be at least 1", file=sys.stderr)

@@ -230,12 +230,9 @@ def verify_liu_petrov(n: int) -> VerificationReport:
 def _tauraso13_rhs(n: int) -> Poly:
     rhs = Poly.zero()
     for k in range(1, n + 1):
-        sign = legendre3(k - 1)
-        if sign == 0:
-            continue
-        num = 2 * k * k - k * sign
-        assert num % 3 == 0 and num >= 0, (n, k)
-        rhs = rhs + gaussian_binomial(2 * n, n + k).shift(num // 3) * sign
+        t = boundary_term(k)
+        if not t.is_zero():  # [2n, n + k] is only built when T_k != 0
+            rhs = rhs + t * gaussian_binomial(2 * n, n + k)
     return rhs
 
 
@@ -245,9 +242,9 @@ def verify_tauraso13_identity(n: int) -> VerificationReport:
         sum_{k=0}^{n-1} q^{k+1} [2k, k+1]
             = sum_{k=1}^{n} ((k-1)/3) q^{(2k^2 - k((k-1)/3))/3} [2n, n+k],
 
-    where ((k-1)/3) is the Legendre symbol; terms with (k-1) = 0 (mod 3)
-    vanish, and every surviving exponent is asserted to be a nonnegative
-    integer.
+    where ((k-1)/3) is the Legendre symbol, so the k-th term is
+    T_k [2n, n+k] with T_k = boundary_term(k); terms with (k-1) = 0
+    (mod 3) vanish.
     """
     if n < 1:
         raise ValueError("need n >= 1")

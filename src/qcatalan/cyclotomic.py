@@ -16,8 +16,10 @@ read or inverted with three or more terms.  _field_sum adds a list of
 terms c * x^e / (1 - t * x^s) into one such value in one pass over one
 common denominator; it is the only code that sums a term list, for the
 rootid suites, the reduction chain and the character sums.
-Zero tests reduce nothing (phi_power_divides); reduce_mod_phi_power and
-CycloElem.inv render the witness of a failure and serve as test oracles.
+Zero tests reduce nothing (phi_power_divides).  reduce_mod_phi_power is
+the one reduction mod Phi: it renders both kinds of failure witness, a
+remainder mod Phi_n^e and a reduced CycloElem (CycloField.element, root
+powers, products and the norm-product CycloElem.inv all call it).
 """
 
 from __future__ import annotations
@@ -106,7 +108,9 @@ def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
     """Remainder of p modulo Phi_n(q)^e.
 
     Large inputs are first folded modulo (q^n - 1)^e, which Phi_n^e
-    divides, so only a small dense division remains.  For instance
+    divides, so only a small dense division remains.  It is the only
+    reduction mod Phi in the library: Phi_n^e witnesses and every
+    CycloElem in Q(zeta_m) (e = 1) come from it.  For instance
     q^9 = 1 + 3*(q^3 - 1) mod (q^3 - 1)^2, of degree below that of Phi_3^2:
 
     >>> reduce_mod_phi_power(Poly.monomial(1, 9), 3, 2)
@@ -206,42 +210,6 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 # field elements
 
 
-def _reduce_int_vec(vec: list[int], phi: Sequence[int]) -> list[int]:
-    """Reduce an integer coefficient list modulo a monic integer polynomial."""
-    deg = len(phi) - 1
-    for i in range(len(vec) - 1, deg - 1, -1):
-        c = vec[i]
-        if c:
-            vec[i] = 0
-            base = i - deg
-            for j in range(deg):
-                pj = phi[j]
-                if pj:
-                    vec[base + j] -= c * pj
-    del vec[deg:]
-    return vec
-
-
-def _mul_int_vec(a: Sequence[int], b: Sequence[int], phi: Sequence[int]) -> list[int]:
-    """Product of two integer coefficient lists modulo a monic polynomial."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return _reduce_int_vec(out, phi)
-
-
-def _gcd_list(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-        if g == 1:
-            return 1
-    return g
-
-
 class CycloElem:
     """An element of Q(zeta_m), stored as its residue mod Phi_m.
 
@@ -260,14 +228,10 @@ class CycloElem:
             num = [-c for c in num]
         while num and num[-1] == 0:
             num.pop()
-        g = _gcd_list(num)
+        g = gcd(den, *num)  # den for num = [], so zero is 0/1
         if g > 1:
-            g = gcd(g, den)
-            if g > 1:
-                num = [c // g for c in num]
-                den //= g
-        if not num:
-            den = 1
+            num = [c // g for c in num]
+            den //= g
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
@@ -297,10 +261,7 @@ class CycloElem:
         """The class of x^(t mod m), i.e. zeta_m^t."""
         if m < 1:
             raise ValueError("root order must be a positive integer")
-        t %= m
-        vec = [0] * t + [1]
-        _reduce_int_vec(vec, cyclotomic_poly(m).coeffs)
-        return cls(m, vec)
+        return cls(m, reduce_mod_phi_power(Poly.monomial(1, t % m), m).coeffs)
 
     # -- views ---------------------------------------------------------------
 
@@ -377,8 +338,8 @@ class CycloElem:
         self._check(other)
         if not self.num or not other.num:
             return CycloElem.zero(self.m)
-        out = _mul_int_vec(self.num, other.num, cyclotomic_poly(self.m).coeffs)
-        return CycloElem(self.m, out, self.den * other.den)
+        out = reduce_mod_phi_power(Poly(self.num) * Poly(other.num), self.m)
+        return CycloElem(self.m, out.coeffs, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -392,7 +353,8 @@ class CycloElem:
             a^-1 = prod_{j != 1} sigma_j(a) / N(a).
 
         Each conjugate is the index map x^i -> x^(i*j mod m) on the integer
-        numerator, so the whole product stays in integer lists.
+        numerator, and each partial product is reduced by
+        reduce_mod_phi_power.
 
         Results are memoised process-wide for the 256 most recently inverted
         elements (keyed by the element, whose form is canonical), so an
@@ -402,18 +364,17 @@ class CycloElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         m, num = self.m, self.num
-        phi = cyclotomic_poly(m).coeffs
-        cofactor: list[int] = [1]
+        cofactor = Poly.one()
         for j in range(2, m):
             if gcd(j, m) == 1:
                 conj = [0] * m
                 for i, c in enumerate(num):
                     conj[i * j % m] += c
-                cofactor = _mul_int_vec(cofactor, _reduce_int_vec(conj, phi), phi)
-        norm = _mul_int_vec(cofactor, num, phi)
-        if not norm[0] or any(norm[1:]):
+                cofactor = reduce_mod_phi_power(cofactor * Poly(conj), m)
+        norm = reduce_mod_phi_power(cofactor * Poly(num), m)
+        if norm.degree != 0:
             raise ArithmeticError("norm is not a nonzero rational")
-        return CycloElem(m, [c * self.den for c in cofactor], norm[0])
+        return CycloElem(m, [c * self.den for c in cofactor.coeffs], norm[0])
 
     def __truediv__(self, other) -> "CycloElem":
         o = self._coerce(other)
@@ -463,10 +424,9 @@ class CycloElem:
 
 
 class CycloField:
-    """Shared context for computations in one Q(zeta_m): m, the integer
-    coefficients phi of Phi_m, and element(), which reduces a group-algebra
-    vector into a CycloElem.  phi is read from cyclotomic_poly on use, so a
-    field whose values are only zero-tested never builds Phi_m.
+    """One Q(zeta_m): m, and element(), which reduces a group-algebra vector
+    into a CycloElem by reduce_mod_phi_power.  Passing checks build none:
+    lazy values carry only m, and a CycloField is made to read one.
 
     inv_one_minus / inv_one_plus give group-algebra representatives
     (vector, denominator) of 1/(1 - x^s) and 1/(1 + x^s), i.e. integer
@@ -481,16 +441,9 @@ class CycloField:
             raise ValueError("field order must be a positive integer")
         self.m = m
 
-    @property
-    def phi(self) -> tuple[int, ...]:
-        """The integer coefficients of Phi_m, read on use."""
-        return cyclotomic_poly(self.m).coeffs
-
     def element(self, vec: Sequence[int], den: int = 1) -> CycloElem:
         """Reduce a group-algebra vector mod Phi_m into a field element."""
-        out = list(vec)
-        _reduce_int_vec(out, self.phi)
-        return CycloElem(self.m, out, den)
+        return CycloElem(self.m, reduce_mod_phi_power(Poly(vec), self.m).coeffs, den)
 
     # -- inverses of 1 -+ x^s --------------------------------------------------
 
@@ -551,7 +504,8 @@ def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int]:
 class GroupAlgebraElem:
     """A lazy element of Q(zeta_m): an integer vector v of length m over one
     positive denominator, standing for (1/den) * sum v[i] x^i in the group
-    algebra Q[x]/(x^m - 1).
+    algebra Q[x]/(x^m - 1).  It carries its modulus m; value(), by
+    CycloField(m).element, is its one crossing into reduced CycloElems.
 
     The field is the quotient by Phi_m, so equal field elements have many
     representatives, and nothing is reduced until value() is read:
@@ -572,31 +526,28 @@ class GroupAlgebraElem:
     Every operation builds a new value; a sum of many terms
     c * x^e / (1 - t * x^s) is built in one pass by _field_sum.
 
-    >>> f = CycloField(3)
-    >>> one = GroupAlgebraElem.monomial(f, 1)
-    >>> (one - GroupAlgebraElem.monomial(f, 1, 1)).inv().value()
+    >>> one = GroupAlgebraElem.monomial(3, 1)
+    >>> (one - GroupAlgebraElem.monomial(3, 1, 1)).inv().value()
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
     """
 
-    __slots__ = ("field", "vec", "den")
+    __slots__ = ("m", "vec", "den")
 
-    def __init__(self, field: CycloField, vec: list[int], den: int = 1):
-        self.field = field
+    def __init__(self, m: int, vec: list[int], den: int = 1):
+        self.m = m
         self.vec = vec
         self.den = den
 
     @classmethod
-    def monomial(
-        cls, field: CycloField, c: Coeff, e: int = 0
-    ) -> "GroupAlgebraElem":
+    def monomial(cls, m: int, c: Coeff, e: int = 0) -> "GroupAlgebraElem":
         """c * x^e; c is an int or a Fraction."""
-        vec = [0] * field.m
-        vec[e % field.m] = c.numerator
-        return cls(field, vec, c.denominator)
+        vec = [0] * m
+        vec[e % m] = c.numerator
+        return cls(m, vec, c.denominator)
 
     def value(self) -> CycloElem:
         """The field element: the vector reduced mod Phi_m."""
-        return self.field.element(self.vec, self.den)
+        return CycloField(self.m).element(self.vec, self.den)
 
     def _support(self) -> list[int]:
         """Indices of the nonzero entries."""
@@ -607,7 +558,7 @@ class GroupAlgebraElem:
         support = self._support()
         if len(support) <= 1:  # zero, or a unit c x^p
             return not support
-        return phi_power_divides(self.vec, self.field.m)
+        return phi_power_divides(self.vec, self.m)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -617,14 +568,14 @@ class GroupAlgebraElem:
             fa = other.denominator // g
             out = self.vec[:] if fa == 1 else [a * fa for a in self.vec]
             out[0] = op(out[0], other.numerator * (self.den // g))
-            return GroupAlgebraElem(self.field, out, self.den * fa)
+            return GroupAlgebraElem(self.m, out, self.den * fa)
         da, db = self.den, other.den
         if da == db:
-            return GroupAlgebraElem(self.field, list(map(op, self.vec, other.vec)), da)
+            return GroupAlgebraElem(self.m, list(map(op, self.vec, other.vec)), da)
         g = gcd(da, db)
         fa, fb = db // g, da // g
         out = [op(a * fa, b * fb) for a, b in zip(self.vec, other.vec)]
-        return GroupAlgebraElem(self.field, out, da * fa)
+        return GroupAlgebraElem(self.m, out, da * fa)
 
     def __add__(self, other) -> "GroupAlgebraElem":
         return self._combine(other, add)
@@ -638,7 +589,7 @@ class GroupAlgebraElem:
         return -(self - other)
 
     def __neg__(self) -> "GroupAlgebraElem":
-        return GroupAlgebraElem(self.field, [-c for c in self.vec], self.den)
+        return GroupAlgebraElem(self.m, [-c for c in self.vec], self.den)
 
     def _rotated(self, t: int, factor: int) -> list[int]:
         """The vector of factor * x^t * self."""
@@ -650,17 +601,17 @@ class GroupAlgebraElem:
     def __mul__(self, other) -> "GroupAlgebraElem":
         if not isinstance(other, GroupAlgebraElem):  # a scalar scales the vector
             out = self._rotated(0, other.numerator)
-            return GroupAlgebraElem(self.field, out, self.den * other.denominator)
+            return GroupAlgebraElem(self.m, out, self.den * other.denominator)
         den = self.den * other.den
         sb = other._support()
         if len(sb) == 1:
             t = sb[0]
-            return GroupAlgebraElem(self.field, self._rotated(t, other.vec[t]), den)
+            return GroupAlgebraElem(self.m, self._rotated(t, other.vec[t]), den)
         sa = self._support()
         if len(sa) == 1:
             t = sa[0]
-            return GroupAlgebraElem(self.field, other._rotated(t, self.vec[t]), den)
-        m = self.field.m
+            return GroupAlgebraElem(self.m, other._rotated(t, self.vec[t]), den)
+        m = self.m
         a, b = self.vec, other.vec
         out = [0] * m
         for i in sa:
@@ -668,39 +619,39 @@ class GroupAlgebraElem:
             for j in sb:
                 k = i + j
                 out[k - m if k >= m else k] += ai * b[j]
-        return GroupAlgebraElem(self.field, out, den)
+        return GroupAlgebraElem(self.m, out, den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "GroupAlgebraElem":
         """Multiplicative inverse in Q(zeta_m); ZeroDivisionError for zero."""
-        field, vec = self.field, self.vec
+        m, vec = self.m, self.vec
         support = self._support()
         if len(support) == 1:
             (p,) = support
             a = vec[p]
-            out = [0] * field.m
-            out[-p % field.m] = self.den if a > 0 else -self.den
-            return GroupAlgebraElem(field, out, abs(a))
+            out = [0] * m
+            out[-p % m] = self.den if a > 0 else -self.den
+            return GroupAlgebraElem(m, out, abs(a))
         if len(support) == 2:
             # a x^p + b x^r = a x^p (1 - c x^s) with c = -b/a, s = r - p
             p, r = support
             a, b = vec[p], vec[r]
             c = -b // a if b % a == 0 else Fraction(-b, a)  # an int key hashes fast
-            bvec, bden = _binomial_inverse(field.m, r - p, c)
+            bvec, bden = _binomial_inverse(m, r - p, c)
             factor = self.den if a > 0 else -self.den
             out = [v * factor for v in bvec[p:] + bvec[:p]]  # times x^-p
-            return GroupAlgebraElem(field, out, bden * abs(a))
+            return GroupAlgebraElem(m, out, bden * abs(a))
         if not support:
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         inverse = self.value().inv()
         out = list(inverse.num)
-        return GroupAlgebraElem(field, out + [0] * (field.m - len(out)), inverse.den)
+        return GroupAlgebraElem(m, out + [0] * (m - len(out)), inverse.den)
 
     def __pow__(self, e: int) -> "GroupAlgebraElem":
         if e < 0:
             return self.inv() ** (-e)
-        return power(GroupAlgebraElem.monomial(self.field, 1), self, e)
+        return power(GroupAlgebraElem.monomial(self.m, 1), self, e)
 
 
 # A term (c, e, s, t) is c * x^e / (1 - t * x^s), with c and t int or Fraction;
@@ -734,7 +685,7 @@ def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
         for i, v in enumerate(vec):
             if v:
                 acc[(i + e) % m] += factor * v
-    return GroupAlgebraElem(CycloField(m), acc, den)
+    return GroupAlgebraElem(m, acc, den)
 
 
 if __name__ == "__main__":

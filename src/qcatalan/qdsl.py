@@ -61,7 +61,7 @@ from math import floor, gcd
 from typing import Iterator, Optional, Union
 
 from .congruence import VerificationReport, _residue_witness, run_check
-from .cyclotomic import CycloElem, CycloField, GroupAlgebraElem
+from .cyclotomic import CycloElem, GroupAlgebraElem
 from .qcomb import gaussian_binomial, legendre3, q_catalan
 from .ring import Poly
 from .rootid import galois_orbit
@@ -385,14 +385,12 @@ _RATIONAL = (int, Fraction)
 @dataclass
 class EvalContext:
     """mode 'poly' or 'cyclo'; bindings map variable names other than q to
-    integers; field = (m, j) fixes q = zeta_m^j in cyclo mode (gcd(j, m) = 1)."""
+    integers; field = (m, j) fixes q = zeta_m^j in cyclo mode (gcd(j, m) = 1)
+    and is ignored in poly mode."""
 
     mode: str
     bindings: dict[str, int]
     field: Optional[tuple[int, int]] = None
-    algebra: Optional[CycloField] = dataclasses.field(
-        default=None, init=False, repr=False
-    )
 
     def __post_init__(self):
         if self.mode not in ("poly", "cyclo"):
@@ -405,16 +403,15 @@ class EvalContext:
             m, j = self.field
             if gcd(j, m) != 1:
                 raise ValueError(f"j = {j} is not coprime to m = {m}")
-            self.algebra = CycloField(m)
 
     def lift(self, value):
         """A value as an element of the mode's ring: a rational becomes a
         constant Poly or a scalar GroupAlgebraElem."""
         if type(value) not in _RATIONAL:
             return value
-        if self.algebra is None:
+        if self.mode == "poly":
             return Poly.constant(value)
-        return GroupAlgebraElem.monomial(self.algebra, value)
+        return GroupAlgebraElem.monomial(self.field[0], value)
 
 
 def _scalar(e: Expr, ctx: EvalContext) -> Union[int, Fraction]:
@@ -546,15 +543,15 @@ def _evaluate(e: Expr, ctx: EvalContext):
             p = q_catalan(k)
         else:
             raise EvalError(f"unknown function {e.name!r}", e)
-        return p if ctx.algebra is None else _poly_at_root(ctx, p)
+        return p if ctx.mode == "poly" else _poly_at_root(ctx, p)
     raise TypeError(f"not an Expr: {e!r}")
 
 
 def _q_power(ctx: EvalContext, ex: int, e: Expr):
     """q^ex as one monomial: q^ex in poly mode, the unit vector of
     zeta_m^(j*ex) in cyclo mode."""
-    if ctx.algebra is not None:
-        return GroupAlgebraElem.monomial(ctx.algebra, 1, ctx.field[1] * ex)
+    if ctx.mode == "cyclo":
+        return GroupAlgebraElem.monomial(ctx.field[0], 1, ctx.field[1] * ex)
     if ex < 0:
         raise EvalError("negative power of a non-constant polynomial", e)
     return Poly.monomial(1, ex)
@@ -567,7 +564,7 @@ def _poly_at_root(ctx: EvalContext, p: Poly) -> GroupAlgebraElem:
     folded = [0] * m
     for i, c in enumerate(p.coeffs):
         folded[(i * j) % m] += c
-    return GroupAlgebraElem(ctx.algebra, folded)
+    return GroupAlgebraElem(m, folded)
 
 
 def eval_poly(e: Expr, bindings: Optional[dict[str, int]] = None) -> Poly:

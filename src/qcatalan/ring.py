@@ -55,10 +55,6 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     return as_coeff(Fraction(a) / Fraction(b))
 
 
-def render_coeff(c: Coeff) -> str:
-    return str(c)
-
-
 def power(one, base, e: int):
     """base ** e for an integer e >= 0 by square and multiply, starting from
     one; shared by the ring and field classes, which handle e < 0 themselves.
@@ -289,10 +285,10 @@ class Poly:
             neg = c < 0
             mag = -c if neg else c
             if k == 0:
-                body = render_coeff(mag)
+                body = str(mag)
             else:
                 v = var if k == 1 else f"{var}^{k}"
-                body = v if mag == 1 else f"{render_coeff(mag)}*{v}"
+                body = v if mag == 1 else f"{mag}*{v}"
             if not parts:
                 parts.append(f"-{body}" if neg else body)
             else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, Optional
 
 from .congruence import VerificationReport, _chain_sums, run_check
 from .cyclotomic import CycloElem, _field_sum, _Term
@@ -418,18 +418,17 @@ def _mid_rhs(n: int, w: Fraction) -> Fraction:
     return total
 
 
-# A side of the identity as const + sum of terms c * w^e / (1 - t * w^s),
-# t = +-1, e >= 0, s >= 1; the same terms as _mid_lhs / _mid_rhs.
-_MidSide = NamedTuple("_MidSide", [("const", Fraction), ("terms", list[_Term])])
+# A side of the identity as a list of terms c * w^e / (1 - t * w^s), with
+# t = +-1, e >= 0, s >= 1, or t = 0 for the monomial c * w^e (s = 0); the
+# same terms as _mid_lhs / _mid_rhs.
 
 
-def _mid_lhs_terms(n: int) -> _MidSide:
+def _mid_lhs_terms(n: int) -> list[_Term]:
     """The central pair of sums at q = w^2."""
-    terms = [(c, 2 * e, 2 * s, t) for c, e, s, t in _chain_sums(3 * n)]
-    return _MidSide(Fraction(0), terms)
+    return [(c, 2 * e, 2 * s, t) for c, e, s, t in _chain_sums(3 * n)]
 
 
-def _mid_rhs_terms(n: int) -> _MidSide:
+def _mid_rhs_terms(n: int) -> list[_Term]:
     sign = Fraction((-1) ** (n - 1), 2)
     terms = []
     for k in range(1, n):
@@ -440,7 +439,7 @@ def _mid_rhs_terms(n: int) -> _MidSide:
     terms += [
         (Fraction(-1), 0, 2 * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)
     ]
-    return _MidSide(-Fraction(2 * n - 1 + (-1) ** n, 4), terms)
+    return terms + [(-Fraction(2 * n - 1 + (-1) ** n, 4), 0, 0, 0)]
 
 
 def mid_degree_bound(n: int) -> int:
@@ -448,7 +447,7 @@ def mid_degree_bound(n: int) -> int:
     term's denominator 1 - t w^s on both sides: the sum of all s plus the
     largest of 0 and every e - s (c w^e Q / (1 - t w^s) has degree
     e - s + deg Q)."""
-    terms = _mid_lhs_terms(n)[1] + _mid_rhs_terms(n)[1]
+    terms = _mid_lhs_terms(n) + _mid_rhs_terms(n)
     return sum(s for _, _, s, _ in terms) + max([0] + [e - s for _, e, s, _ in terms])
 
 
@@ -456,13 +455,14 @@ def verify_mid_identity(n: int) -> VerificationReport:
     """Certify the rearrangement identity behind main3n-new as an identity
     of rational functions in w, by the Taylor series of lhs - rhs.
 
-    Every term is c * w^e / (1 - t w^s) with s >= 1, so the common
-    denominator Q (the product of all 1 - t w^s) has Q(0) = 1 and is a
-    unit in Q[[w]], and the numerator P = (lhs - rhs) * Q has degree at
-    most B = mid_degree_bound(n).  Hence P = 0 exactly when the series of
-    lhs - rhs vanishes through w^B (Stanley, Enumerative Combinatorics I,
-    section 4.1).  Each term adds c * t^i at position e + i*s; the sides
-    are scaled by the lcm of the coefficient denominators, so the B + 1
+    Every term is c * w^e / (1 - t w^s) with s >= 1, or a monomial
+    c * w^e (t = 0), so the common denominator Q (the product of all
+    1 - t w^s) has Q(0) = 1 and is a unit in Q[[w]], and the numerator
+    P = (lhs - rhs) * Q has degree at most B = mid_degree_bound(n).  Hence
+    P = 0 exactly when the series of lhs - rhs vanishes through w^B
+    (Stanley, Enumerative Combinatorics I, section 4.1).  Each term adds
+    c * t^i at position e + i*s, a monomial c at e only; the sides are
+    scaled by the lcm of the coefficient denominators, so the B + 1
     coefficients are integers.  The witness is the lowest nonzero one.
     """
     if n < 2:
@@ -470,14 +470,13 @@ def verify_mid_identity(n: int) -> VerificationReport:
     size = mid_degree_bound(n) + 1
 
     def witness() -> Optional[str]:
-        (c_l, lhs), (c_r, rhs) = _mid_lhs_terms(n), _mid_rhs_terms(n)
-        # the constants enter as c / (1 - w^size), which is c through w^B
-        terms = [(c_l - c_r, 0, size, 1)] + lhs + [(-c, e, s, t) for c, e, s, t in rhs]
+        rhs = [(-c, e, s, t) for c, e, s, t in _mid_rhs_terms(n)]
+        terms = _mid_lhs_terms(n) + rhs
         scale = math.lcm(*(c.denominator for c, _, _, _ in terms))
         series = [0] * size
         for c, e, s, t in terms:
             c = c.numerator * (scale // c.denominator)
-            for i, pos in enumerate(range(e, size, s)):
+            for i, pos in enumerate(range(e, size, s) if t else (e,)):
                 series[pos] += c * t**i
         low = next((p for p, v in enumerate(series) if v), None)
         if low is None:

@@ -103,7 +103,7 @@ def test_compute_char_sums_shapes():
     leg = next(c for c in chars5 if c.order == 2)
     sums = compute_char_sums(3, leg)
     for elem in (sums.s1, sums.s2, sums.t1, sums.t2):
-        assert elem.field.m == 6  # L = lcm(3, 2)
+        assert elem.m == 6  # L = lcm(3, 2)
     # the principal character's sums are computable; only the identity
     # check itself excludes it
     principal = chars5[0]
@@ -112,7 +112,7 @@ def test_compute_char_sums_shapes():
     chars7 = character_group(7)
     full = next(c for c in chars7 if c.order == 6)
     sums7 = compute_char_sums(4, full)
-    assert sums7.s1.field.m == 6
+    assert sums7.s1.m == 6
     with pytest.raises(ValueError):
         compute_char_sums(2, character_group(5)[1])  # 2N-1 = 3 divisible by 3
     with pytest.raises(ValueError):

@@ -104,7 +104,7 @@ def test_float_mode_restriction(capsys):
 
 
 def test_nonpositive_tol_is_a_usage_error(capsys):
-    for tol in ("0", "-1", "nan"):
+    for tol in ("0", "-1", "nan", "inf"):
         code, out, err = run_cli(["verify", "trig", "--n", "2", "--tol", tol], capsys)
         assert code == 2 and out == "", tol
         assert "--tol must be positive" in err

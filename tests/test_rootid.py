@@ -272,10 +272,9 @@ def _mid_points(count):
     return out[:count]
 
 
-def _side_value(side, w):
-    """A term list evaluated at w in Fraction: const + sum c w^e / (1 - t w^s)."""
-    const, terms = side
-    return const + sum(c * w**e / (1 - t * w**s) for c, e, s, t in terms)
+def _side_value(terms, w):
+    """A term list evaluated at w in Fraction: sum c w^e / (1 - t w^s)."""
+    return sum(c * w**e / (1 - t * w**s) for c, e, s, t in terms)
 
 
 def _old_mid_degree_bound(n):
@@ -342,13 +341,13 @@ def test_mid_series_verdict_matches_point_certificate():
 
 def _perturbations(n):
     """(name, new rhs term list, lowest power of lhs - rhs, its coefficient)."""
-    const, terms = _mid_rhs_terms(n)
+    terms = _mid_rhs_terms(n)
     high = mid_degree_bound(n) // 2 + 1
     c, e, s, t = terms[0]  # flipping t changes c t^i at w^(e+i*s) for odd i
     return [
-        ("constant + 1", (const + 1, terms), 0, Fraction(-1)),
-        ("extra term", (const, terms + [(Fraction(1, 2), high, 5, 1)]), high, Fraction(-1, 2)),
-        ("t flipped", (const, [(c, e, s, -t)] + terms[1:]), e + s, 2 * c * t),
+        ("constant + 1", terms + [(1, 0, 0, 0)], 0, Fraction(-1)),
+        ("extra term", terms + [(Fraction(1, 2), high, 5, 1)], high, Fraction(-1, 2)),
+        ("t flipped", [(c, e, s, -t)] + terms[1:], e + s, 2 * c * t),
     ]
 
 
@@ -367,9 +366,7 @@ def test_mid_perturbations_are_rejected(monkeypatch):
 def test_mid_mismatch_witness(monkeypatch):
     # an off-by-one right side: lhs - rhs = -1 + O(w), the lowest power named
     real = rootid._mid_rhs_terms
-    monkeypatch.setattr(
-        rootid, "_mid_rhs_terms", lambda n: (real(n)[0] + 1, real(n)[1])
-    )
+    monkeypatch.setattr(rootid, "_mid_rhs_terms", lambda n: real(n) + [(1, 0, 0, 0)])
     for n in (2, 5):
         rep = verify_mid_identity(n)
         assert not rep.passed
@@ -483,7 +480,8 @@ def test_aux_failures_render_the_sums_themselves(monkeypatch):
 def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
     # a passing verdict is one annihilator test: no remainder mod Phi_n^e,
     # no reduction of a group-algebra value, no field product, no
-    # norm-product inverse, and no Phi built at all
+    # norm-product inverse, no Phi built at all, and no CycloField or
+    # CycloElem constructed
     from collections import Counter
 
     from qcatalan import charsum, congruence, cyclotomic, qdsl
@@ -506,6 +504,9 @@ def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
     monkeypatch.setattr(CycloField, "element", counting("element", CycloField.element))
     monkeypatch.setattr(CycloElem, "inv", counting("inv", CycloElem.inv))
     monkeypatch.setattr(CycloElem, "__mul__", counting("mul", CycloElem.__mul__))
+    for cls in (CycloField, CycloElem):
+        init = counting(f"{cls.__name__}.__init__", cls.__init__)
+        monkeypatch.setattr(cls, "__init__", init)
     reports = []
     for n in range(2, 25):
         reports += [congruence.verify_tauraso_mod_phi(n), congruence.verify_liu_petrov(n)]
@@ -519,7 +520,11 @@ def test_passing_checks_reduce_and_invert_nothing(monkeypatch):
             reports.append(congruence.verify_row_qbinom_congruence(n, k))
     reports.append(congruence.verify_lucas_qbinom(2, 3, 1, 2, 5))
     corpus = qdsl.shipped_corpus()
-    reports += [qdsl.run_corpus_entry(e) for e in corpus if e.mod_index is not None]
+    reports += [
+        qdsl.run_corpus_entry(e)
+        for e in corpus
+        if e.mod_index is not None or e.mode == "cyclo"
+    ]
     for N in range(1, 7):
         for case, m in (("even", 6 * N), ("odd", 6 * N - 3)):
             for j in galois_orbit(m):
