@@ -15,7 +15,8 @@ vector operations, and a value is reduced mod Phi_m only when it is
 read or inverted with three or more terms.  _field_sum adds a list of
 terms c * x^e / (1 - t * x^s) into one such value in one pass over one
 common denominator; it is the only code that sums a term list, for the
-rootid suites, the reduction chain and the character sums.
+rootid suites, the reduction chain, the character sums and the values
+that compiled qdsl expressions build in cyclo mode.
 Zero tests reduce nothing (phi_power_divides).  reduce_mod_phi_power is
 the one reduction mod Phi: it renders both kinds of failure witness, a
 remainder mod Phi_n^e and a reduced CycloElem (CycloField.element, root
@@ -101,7 +102,8 @@ def cyclotomic_poly(n: int) -> Poly:
 
 @lru_cache(maxsize=256)
 def _phi_power(n: int, e: int) -> Poly:
-    return cyclotomic_poly(n) ** e
+    """Phi_n^e; for e = 1 the memoised Phi_n itself, not a copy."""
+    return cyclotomic_poly(n) if e == 1 else cyclotomic_poly(n) ** e
 
 
 def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
@@ -359,7 +361,8 @@ class CycloElem:
         Results are memoised process-wide for the 256 most recently inverted
         elements (keyed by the element, whose form is canonical), so an
         evaluator that divides by the same field element again and again,
-        such as the qdsl corpus sweeps, inverts it once.
+        such as a qdsl sweep dividing by a value of three or more terms,
+        inverts it once.
         """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
@@ -449,16 +452,17 @@ class CycloField:
 
     def inv_one_minus(self, s: int) -> tuple[tuple[int, ...], int]:
         """Group-algebra representative of 1/(1 - x^s); s must not be 0 mod m."""
-        return _binomial_inverse(self.m, s % self.m, 1)
+        return _binomial_inverse(self.m, s % self.m, 1)[:2]
 
     def inv_one_plus(self, s: int) -> tuple[tuple[int, ...], int]:
         """Group-algebra representative of 1/(1 + x^s)."""
-        return _binomial_inverse(self.m, s % self.m, -1)
+        return _binomial_inverse(self.m, s % self.m, -1)[:2]
 
 
 @lru_cache(maxsize=1024)
-def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int]:
-    """(vec, den) with (1/den) * sum vec[i] x^i = 1/(1 - c x^s) in Q(zeta_m).
+def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int, int]:
+    """(vec, den, step) with (1/den) * sum vec[i] x^i = 1/(1 - c x^s) in
+    Q(zeta_m); the nonzero entries of vec lie on the multiples of step.
 
     s is taken in [0, m) and c is a nonzero rational.  Let d = m / gcd(m, s)
     be the order of z = x^s, so z^d = 1 already in Q[x]/(x^m - 1).
@@ -478,10 +482,13 @@ def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int]:
       1 + z = 1 - x^(s + m/2), which is the case c = 1.
 
     So 1 - c z is zero in Q(zeta_m) exactly when c = 1 and s = 0, or
-    c = -1 and s = m/2; both raise ZeroDivisionError.  The 1024 most
-    recently used inverses are memoised, keyed by (m, s, c).
+    c = -1 and s = m/2; both raise ZeroDivisionError.  Every nonzero entry
+    sits at some s*u mod m, a multiple of step = gcd(m, s) = m / d, for the
+    s solved for after the shift.  The 1024 most recently used inverses are
+    memoised, keyed by (m, s, c).
     """
-    d = m // gcd(m, s)
+    step = gcd(m, s)
+    d = m // step
     if c == -1 and d % 2 == 0:
         return _binomial_inverse(m, (s + m // 2) % m, 1)
     vec = [0] * m
@@ -490,7 +497,7 @@ def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int]:
             raise ZeroDivisionError(f"1 - x^{s} is zero in Q(zeta_{m})")
         for u in range(1, d):
             vec[s * u % m] = -u
-        return tuple(vec), d
+        return tuple(vec), d, step
     p, q = c.numerator, c.denominator
     den = q**d - p**d
     for u in range(d):
@@ -498,7 +505,7 @@ def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int]:
     g = gcd(den, *vec)
     if den < 0:
         g = -g
-    return tuple(v // g for v in vec), den // g
+    return tuple(v // g for v in vec), den // g, step
 
 
 class GroupAlgebraElem:
@@ -638,7 +645,7 @@ class GroupAlgebraElem:
             p, r = support
             a, b = vec[p], vec[r]
             c = -b // a if b % a == 0 else Fraction(-b, a)  # an int key hashes fast
-            bvec, bden = _binomial_inverse(m, r - p, c)
+            bvec, bden, _ = _binomial_inverse(m, r - p, c)
             factor = self.den if a > 0 else -self.den
             out = [v * factor for v in bvec[p:] + bvec[:p]]  # times x^-p
             return GroupAlgebraElem(m, out, bden * abs(a))
@@ -662,11 +669,12 @@ _Term = NamedTuple("_Term", [("c", Fraction), ("e", int), ("s", int), ("t", Frac
 def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
     """The sum of the terms in the group algebra of Q(zeta_m), over one
     common denominator D.  A first pass takes each term's 1/(1 - t x^s) as
-    (vec, vden) from _binomial_inverse ((1,) over 1 for t = 0) and sets D
-    to the lcm of vden * c.denominator over the terms with c != 0; a second
-    adds (D / (vden * c.denominator)) * c.numerator * x^e * vec into one
-    integer vector.  A denominator 1 - t x^s that is zero in Q(zeta_m)
-    raises ZeroDivisionError, even when c = 0.
+    (vec, vden, step) from _binomial_inverse ((1,) over 1 for t = 0) and
+    sets D to the lcm of vden * c.denominator over the terms with c != 0; a
+    second adds (D / (vden * c.denominator)) * c.numerator * x^e * vec into
+    one integer vector, reading only the entries of vec at multiples of
+    step, where its nonzero entries lie.  A denominator 1 - t x^s that is
+    zero in Q(zeta_m) raises ZeroDivisionError, even when c = 0.
 
     >>> _field_sum(3, [(1, 0, 1, 1)]).value()  # 1/(1 - x)
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
@@ -674,15 +682,16 @@ def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
     parts = []
     den = 1
     for c, e, s, t in terms:
-        vec, vden = _binomial_inverse(m, s % m, t) if t else ((1,), 1)
+        vec, vden, step = _binomial_inverse(m, s % m, t) if t else ((1,), 1, m)
         if c:
             d = vden * c.denominator
             den = lcm(den, d)
-            parts.append((vec, d, c.numerator, e))
+            parts.append((vec, step, d, c.numerator, e))
     acc = [0] * m
-    for vec, d, num, e in parts:
+    for vec, step, d, num, e in parts:
         factor = den // d * num
-        for i, v in enumerate(vec):
+        for i in range(0, m, step):
+            v = vec[i]
             if v:
                 acc[(i + e) % m] += factor * v
     return GroupAlgebraElem(m, acc, den)

@@ -9,35 +9,38 @@ Grammar (whitespace-insensitive)::
     call   := ('qbin' | 'qcat' | 'legendre3' | 'floor') '(' expr {',' expr} ')'
             | 'sum' '(' NAME '=' expr '..' expr ',' expr ')'
 
-One tree walker, _evaluate, computes every value.  A subexpression
-without q is a Python rational: an int, or a Fraction only for a
-non-integral quotient or a negative power, never a float.  A subexpression
-with q (or a qbin / qcat) is a ring value: an exact Poly in poly mode, where
-q is the indeterminate, and a lazy cyclotomic.GroupAlgebraElem in cyclo
-mode, where q = zeta_m^j.  q^e is one monomial in both modes.  A rational
-is lifted into the ring only where it meets a ring value (the ring
-operators accept int and Fraction operands) and at the exits: eval_poly,
-eval_cyclo and run_corpus_entry.  Exponents, summation bounds and the
-arguments of qbin/qcat/legendre3 are integer positions: _scalar requires
-their value to be rational, and it must also be integral.  The argument of
+_compile, the one evaluator, turns an expression into closures once, and
+the closures run for every case.  A subexpression without q is a Python
+rational: an int, or a Fraction only for a non-integral quotient or a
+negative power, never a float.  A subexpression with q (or a qbin / qcat)
+is an exact Poly in poly mode, where q is the indeterminate.  In cyclo
+mode, where q = zeta_m^j, it is a term list [(c, e, s, t), ...], the sum
+of c q^e / (1 - t q^s) (t = 0 for a monomial) that cyclotomic._field_sum
+adds: + - and sum concatenate lists, a factor made of monomials multiplies
+term by term, a divisor that collects to one monomial shifts and scales,
+and one that collects to two turns a numerator of monomials into quotient
+terms, its denominator checked then.  A value the list cannot hold (a
+product of two lists of quotient terms, another divisor, a power of a
+list, qbin / qcat) is a lazy cyclotomic.GroupAlgebraElem.  Exponents,
+summation bounds and the arguments of qbin/qcat/legendre3 are integer
+positions: their value must be rational and integral; the argument of
 floor must be rational.  q is reserved: it cannot be bound, not even as a
 sum variable.
 
-In cyclo mode q^e is a unit vector and sums and products are vector
-operations in Q[x]/(x^m - 1).  Divisions by the two-term values
-1 - t*q^s that the paper's identities are made of use the closed-form
-binomial inverses.  A value is reduced mod Phi_m only to invert a value
-with three or more terms, to render a failing case, and for the CycloElem
-that eval_cyclo returns.  Zero tests in Q(zeta_m) use
-cyclotomic.phi_power_divides instead, and lhs - rhs mod Phi(n)^e in poly
-mode is judged by congruence._residue_witness, the one Phi_n^e verdict.
+Zero tests reduce nothing: a cyclo case is zero when the _field_sum of
+lhs - rhs passes cyclotomic.phi_power_divides, and lhs - rhs mod Phi(n)^e
+in poly mode is judged by congruence._residue_witness, the one Phi_n^e
+verdict.  A value is reduced mod Phi_m only to invert a value with three
+or more terms, to render a failing case, and for the CycloElem that
+eval_cyclo returns.
 
 One deliberate semantic: a product whose left factor has already
 evaluated to exactly zero short-circuits without evaluating the right
-factor.  Statements write vanishing Legendre-symbol coefficients in front
-of powers whose exponent is fractional precisely when the coefficient is
-zero; the convention 0 * (anything) = 0 makes such lines directly
-expressible.
+factor (a left term list of two or more terms is summed by _field_sum
+for that test).  Statements write vanishing Legendre-symbol coefficients
+in front of powers whose exponent is fractional precisely when the
+coefficient is zero; the convention 0 * (anything) = 0 makes such lines
+directly expressible.
 
 A corpus line states one identity::
 
@@ -58,10 +61,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
-from typing import Iterator, Optional, Union
+from operator import add, sub
+from typing import Callable, Iterator, Optional, Union
 
 from .congruence import VerificationReport, _residue_witness, run_check
-from .cyclotomic import CycloElem, GroupAlgebraElem
+from .cyclotomic import CycloElem, GroupAlgebraElem, _binomial_inverse, _field_sum
 from .qcomb import gaussian_binomial, legendre3, q_catalan
 from .ring import Poly
 from .rootid import galois_orbit
@@ -376,7 +380,7 @@ def render(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation: each expression is compiled once into closures
 
 
 _RATIONAL = (int, Fraction)
@@ -404,9 +408,20 @@ class EvalContext:
             if gcd(j, m) != 1:
                 raise ValueError(f"j = {j} is not coprime to m = {m}")
 
+    def evaluate(self, compiled: Callable[[dict], object]):
+        """The lifted value of a compiled expression, whose closures read one
+        dict: the bindings and, in cyclo mode, q (never a binding) holding
+        the field (m, j)."""
+        env = dict(self.bindings)
+        if self.mode == "cyclo":
+            env["q"] = self.field
+        return self.lift(compiled(env))
+
     def lift(self, value):
         """A value as an element of the mode's ring: a rational becomes a
-        constant Poly or a scalar GroupAlgebraElem."""
+        constant Poly or a scalar GroupAlgebraElem, a term list its sum."""
+        if type(value) is list:
+            return _field_sum(self.field[0], value)
         if type(value) not in _RATIONAL:
             return value
         if self.mode == "poly":
@@ -414,153 +429,274 @@ class EvalContext:
         return GroupAlgebraElem.monomial(self.field[0], value)
 
 
-def _scalar(e: Expr, ctx: EvalContext) -> Union[int, Fraction]:
-    """Evaluate an integer-position subexpression: its _evaluate value, which
-    must be rational because q may not occur there."""
-    value = _evaluate(e, ctx)
-    if type(value) not in _RATIONAL:
-        raise EvalError("q is not allowed in an integer position", e)
-    return value
+def _elem(value, env):
+    """A term list summed into a GroupAlgebraElem; other values unchanged."""
+    return _field_sum(env["q"][0], value) if type(value) is list else value
 
 
-def _int(value: Union[int, Fraction], e: Expr) -> int:
-    if type(value) is int:
-        return value
-    if value.denominator != 1:
-        raise EvalError(f"expected an integer, got {value}", e)
-    return value.numerator
+def _promote(a, b, env):
+    """Operands, one of them a term list, in one representation: a rational
+    becomes a constant term, and a list meeting a GroupAlgebraElem its sum."""
+    if type(a) in _RATIONAL:
+        return [(a, 0, 0, 0)], b
+    if type(b) in _RATIONAL:
+        return a, [(b, 0, 0, 0)]
+    if type(a) is list and type(b) is list:
+        return a, b
+    return _elem(a, env), _elem(b, env)
 
 
-def _arity(e: Call, n: int) -> None:
-    if len(e.args) != n:
-        raise EvalError(f"{e.name} takes {n} argument(s)", e)
+def _monomials(terms) -> bool:
+    for term in terms:
+        if term[3]:
+            return False
+    return True
 
 
-def _evaluate(e: Expr, ctx: EvalContext):
-    """The one tree walker: the value of e under ctx.
+def _quotient(a, b):
+    """a / b for rationals: an int when both are ints and b divides a."""
+    if type(a) is int and type(b) is int and a % b == 0:
+        return a // b
+    return a * (Fraction(1) / b)
 
-    A subexpression without q evaluates to an int, or to a Fraction only
-    for a non-integral quotient or a negative power, in exactly that
-    arithmetic.  A subexpression with q, qbin or qcat evaluates to a Poly in
-    poly mode and to a GroupAlgebraElem in cyclo mode.  A rational meets a
-    ring value only in the ring's own + - * (which lift it), as the
-    numerator of an exact Poly division (ctx.lift), and at the exits.
-    """
-    if isinstance(e, Bin):
-        a = _evaluate(e.left, ctx)
-        if e.op == "+":
-            return a + _evaluate(e.right, ctx)
-        if e.op == "-":
-            return a - _evaluate(e.right, ctx)
-        if e.op == "*":
-            # zero short-circuit: the right factor may be undefined
-            if type(a) in _RATIONAL:
-                if a == 0:
-                    return 0
-            elif a.is_zero():
-                return a
-            return a * _evaluate(e.right, ctx)
-        b = _evaluate(e.right, ctx)
-        if type(b) in _RATIONAL:
-            if b == 0:
-                raise EvalError("division by zero", e)
-            if type(a) is int and type(b) is int and a % b == 0:
-                return a // b
-            return a * (Fraction(1) / b)
-        if isinstance(b, GroupAlgebraElem):
-            try:
-                return a * b.inv()
-            except ZeroDivisionError:
-                raise EvalError("division by a zero field element", e) from None
+
+def _negate(value):
+    if type(value) is list:
+        return [(-c, e, s, t) for c, e, s, t in value]
+    return -value
+
+
+def _plus(a, b, env):
+    """a + b; two term lists concatenate."""
+    if type(a) is list or type(b) is list:
+        a, b = _promote(a, b, env)
+    return a + b
+
+
+def _times(a, b, env):
+    """a * b; two term lists multiply term by term if one holds only
+    monomials, and in the group algebra otherwise."""
+    if type(a) is list or type(b) is list:
+        a, b = _promote(a, b, env)
+        if type(a) is list:
+            if len(a) > len(b):
+                a, b = b, a
+            if not _monomials(a):
+                a, b = b, a
+                if not _monomials(a):
+                    return _elem(a, env) * _elem(b, env)
+            return [(c * d, x + y, s, t) for c, x, _, _ in a for d, y, s, t in b]
+    return a * b
+
+
+def _is_zero(value, env) -> bool:
+    if type(value) in _RATIONAL:
+        return value == 0
+    if type(value) is list and len(value) == 1:  # its denominator is a unit
+        return value[0][0] == 0
+    return _elem(value, env).is_zero()
+
+
+def _divide(a, b, e: Expr, env):
+    """a / b.  In cyclo mode a divisor that collects to one monomial scales
+    and shifts the numerator's terms, and one that collects to two,
+    c q^p + d q^r = c q^p (1 - t q^(r - p)) with t = -d/c, turns a numerator
+    of monomials into quotient terms; any other divisor is inverted in the
+    group algebra."""
+    if type(b) in _RATIONAL:
+        if b == 0:
+            raise EvalError("division by zero", e)
+        if type(a) in _RATIONAL:
+            return _quotient(a, b)
+        return _times(a, Fraction(1) / b, env)
+    if isinstance(b, Poly):
         if b.is_zero():
             raise EvalError("division by zero", e)
         try:
-            return ctx.lift(a).exact_div(b)
+            return (Poly.constant(a) if type(a) in _RATIONAL else a).exact_div(b)
         except ValueError as exc:
             raise EvalError(str(exc), e) from None
-    if isinstance(e, Num):
-        v = e.value
-        return v.numerator if v.denominator == 1 else v
-    if isinstance(e, Var):
-        if e.name == "q":
-            return _q_power(ctx, 1, e)
-        if e.name not in ctx.bindings:
-            raise EvalError(f"unbound variable {e.name!r}", e)
-        return ctx.bindings[e.name]
-    if isinstance(e, Pow):
-        ex = _int(_scalar(e.exponent, ctx), e)
-        if isinstance(e.base, Var) and e.base.name == "q":
-            return _q_power(ctx, ex, e)
-        base = _evaluate(e.base, ctx)
-        if ex < 0:
-            if isinstance(base, Poly) and base.degree > 0:
-                raise EvalError("negative power of a non-constant polynomial", e)
-            ex = -ex
+    if type(a) in _RATIONAL:
+        a = [(a, 0, 0, 0)]
+    if type(a) is list and type(b) is list and _monomials(a) and _monomials(b):
+        m, collected = env["q"][0], {}
+        for c, x, _, _ in b:
+            x %= m
+            collected[x] = collected.get(x, 0) + c
+        support = sorted([item for item in collected.items() if item[1]])
+        if len(support) == 1:  # 1 / (c q^p) = (1/c) q^-p
+            ((p, c),) = support
+            return _times(a, [(_quotient(1, c), -p, 0, 0)], env)
+        if len(support) == 2:
+            (p, c), (r, d) = support
+            t = _quotient(-d, c)
             try:
-                if isinstance(base, GroupAlgebraElem):
-                    base = base.inv()
-                elif isinstance(base, Poly):
-                    base = Poly.constant(Fraction(1) / base[0])
-                else:
-                    base = Fraction(1) / base
+                _binomial_inverse(m, r - p, t)
             except ZeroDivisionError:
-                raise EvalError("zero to a negative power", e) from None
-        return base**ex
-    if isinstance(e, Neg):
-        return -_evaluate(e.operand, ctx)
-    if isinstance(e, Sum):
-        lo = _int(_scalar(e.lower, ctx), e)
-        hi = _int(_scalar(e.upper, ctx), e)
-        total = 0
-        saved = ctx.bindings.get(e.var)
+                raise EvalError("division by a zero field element", e) from None
+            if c != 1:
+                a = [(_quotient(k, c), x, 0, 0) for k, x, _, _ in a]
+            return [(k, x - p, r - p, t) for k, x, _, _ in a]
+    try:
+        inverse = _elem(b, env).inv()
+    except ZeroDivisionError:
+        raise EvalError("division by a zero field element", e) from None
+    return _times(a, inverse, env)
+
+
+def _power(base, ex: int, e: Expr, env):
+    base = _elem(base, env)
+    if ex < 0:
+        if isinstance(base, Poly) and base.degree > 0:
+            raise EvalError("negative power of a non-constant polynomial", e)
+        ex = -ex
         try:
-            for v in range(lo, hi + 1):
-                ctx.bindings[e.var] = v
-                total = total + _evaluate(e.body, ctx)
-        finally:
-            if saved is None:
-                ctx.bindings.pop(e.var, None)
+            if isinstance(base, GroupAlgebraElem):
+                base = base.inv()
+            elif isinstance(base, Poly):
+                base = Poly.constant(Fraction(1) / base[0])
             else:
-                ctx.bindings[e.var] = saved
+                base = Fraction(1) / base
+        except ZeroDivisionError:
+            raise EvalError("zero to a negative power", e) from None
+    return base**ex
+
+
+def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
+    """e as a closure env -> value, built once and run for every case.
+    Every error is raised when the closure runs, as an EvalError on its
+    node."""
+    if isinstance(e, Bin):
+        left, right = _compile(e.left, mode), _compile(e.right, mode)
+        if e.op != "/" and _q_free(e):  # rational operands: Python's own operators
+            if e.op == "*":
+                return lambda env: 0 if (a := left(env)) == 0 else a * right(env)
+            op = add if e.op == "+" else sub
+            return lambda env: op(left(env), right(env))
+        if e.op == "+":
+            return lambda env: _plus(left(env), right(env), env)
+        if e.op == "-":
+            return lambda env: _plus(left(env), _negate(right(env)), env)
+        if e.op == "/":
+            return lambda env: _divide(left(env), right(env), e, env)
+
+        def product(env):
+            a = left(env)
+            if _is_zero(a, env):  # the right factor may be undefined
+                return 0 if type(a) in _RATIONAL else a
+            return _times(a, right(env), env)
+
+        return product
+    if isinstance(e, Num):
+        value = e.value.numerator if e.value.denominator == 1 else e.value
+        return lambda env: value
+    if isinstance(e, Var) and e.name != "q":
+
+        def variable(env):
+            if e.name not in env:
+                raise EvalError(f"unbound variable {e.name!r}", e)
+            return env[e.name]
+
+        return variable
+    if e == Var("q") or isinstance(e, Pow) and e.base == Var("q"):  # a monomial
+        one = Num(Fraction(1))  # q is q^1
+        exponent = _integer(e.exponent if isinstance(e, Pow) else one, mode, e)
+        if mode == "cyclo":
+            return lambda env: [(1, env["q"][1] * exponent(env), 0, 0)]
+
+        def q_power(env):
+            ex = exponent(env)
+            if ex < 0:
+                raise EvalError("negative power of a non-constant polynomial", e)
+            return Poly.monomial(1, ex)
+
+        return q_power
+    if isinstance(e, Pow):
+        exponent, base = _integer(e.exponent, mode, e), _compile(e.base, mode)
+
+        def power(env):
+            ex = exponent(env)
+            return _power(base(env), ex, e, env)
+
+        return power
+    if isinstance(e, Neg):
+        operand = _compile(e.operand, mode)
+        return lambda env: _negate(operand(env))
+    if isinstance(e, Sum):
+        lower, upper = _integer(e.lower, mode, e), _integer(e.upper, mode, e)
+        body = _compile(e.body, mode)
+
+        def total(env):
+            lo, hi = lower(env), upper(env)
+            value, saved = 0, env.get(e.var)
+            try:
+                for v in range(lo, hi + 1):
+                    env[e.var] = v
+                    value = _plus(value, body(env), env)
+            finally:
+                if saved is None:
+                    env.pop(e.var, None)
+                else:
+                    env[e.var] = saved
+            return value
+
         return total
     if isinstance(e, Call):
-        if e.name == "legendre3":
-            _arity(e, 1)
-            return legendre3(_int(_scalar(e.args[0], ctx), e))
-        if e.name == "floor":
-            _arity(e, 1)
-            return floor(_scalar(e.args[0], ctx))
-        if e.name == "qbin":
-            _arity(e, 2)
-            p = gaussian_binomial(
-                _int(_scalar(e.args[0], ctx), e), _int(_scalar(e.args[1], ctx), e)
-            )
-        elif e.name == "qcat":
-            _arity(e, 1)
-            k = _int(_scalar(e.args[0], ctx), e)
-            if k < 0:
+        arity = {"legendre3": 1, "floor": 1, "qbin": 2, "qcat": 1}.get(e.name)
+        args = [_integer(a, mode, None if e.name == "floor" else e) for a in e.args]
+
+        def call(env):
+            if arity is None:
+                raise EvalError(f"unknown function {e.name!r}", e)
+            if len(args) != arity:
+                raise EvalError(f"{e.name} takes {arity} argument(s)", e)
+            values = [arg(env) for arg in args]
+            if e.name == "floor":
+                return floor(values[0])
+            if e.name == "legendre3":
+                return legendre3(values[0])
+            if e.name == "qcat" and values[0] < 0:
                 raise EvalError("qcat needs a nonnegative index", e)
-            p = q_catalan(k)
-        else:
-            raise EvalError(f"unknown function {e.name!r}", e)
-        return p if ctx.mode == "poly" else _poly_at_root(ctx, p)
+            p = gaussian_binomial(*values) if e.name == "qbin" else q_catalan(*values)
+            return p if mode == "poly" else _poly_at_root(p, env["q"])
+
+        return call
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _q_power(ctx: EvalContext, ex: int, e: Expr):
-    """q^ex as one monomial: q^ex in poly mode, the unit vector of
-    zeta_m^(j*ex) in cyclo mode."""
-    if ctx.mode == "cyclo":
-        return GroupAlgebraElem.monomial(ctx.field[0], 1, ctx.field[1] * ex)
-    if ex < 0:
-        raise EvalError("negative power of a non-constant polynomial", e)
-    return Poly.monomial(1, ex)
+def _q_free(e: Expr) -> bool:
+    """Whether e has no q, qbin or qcat, so that its value is rational."""
+    if isinstance(e, Var):
+        return e.name != "q"
+    if isinstance(e, Call):
+        return e.name not in ("qbin", "qcat") and all(map(_q_free, e.args))
+    parts = [getattr(e, field.name) for field in dataclasses.fields(e)]
+    return all(_q_free(part) for part in parts if not isinstance(part, (str, Fraction)))
 
 
-def _poly_at_root(ctx: EvalContext, p: Poly) -> GroupAlgebraElem:
+def _integer(sub: Expr, mode: str, node: Optional[Expr]):
+    """The closure of an integer position sub of node: its value must be
+    rational, since q may not occur there, and integral unless node is None
+    (the argument of floor)."""
+    value = _compile(sub, mode)
+
+    def integer(env):
+        v = value(env)
+        if type(v) is int:
+            return v
+        if type(v) is not Fraction:
+            raise EvalError("q is not allowed in an integer position", sub)
+        if node is not None and v.denominator != 1:
+            raise EvalError(f"expected an integer, got {v}", node)
+        return v if node is None else v.numerator
+
+    return integer
+
+
+def _poly_at_root(p: Poly, field: tuple[int, int]) -> GroupAlgebraElem:
     """Evaluate an integer polynomial at q = zeta_m^j by folding q^i onto
     x^(ij); the folded vector is not reduced mod Phi_m."""
-    m, j = ctx.field
+    m, j = field
     folded = [0] * m
     for i, c in enumerate(p.coeffs):
         folded[(i * j) % m] += c
@@ -574,7 +710,7 @@ def eval_poly(e: Expr, bindings: Optional[dict[str, int]] = None) -> Poly:
     Poly('1 + q^2 + q^3 + q^4 + q^6')
     """
     ctx = EvalContext("poly", dict(bindings or {}))
-    return ctx.lift(_evaluate(e, ctx))
+    return ctx.evaluate(_compile(e, "poly"))
 
 
 def eval_cyclo(
@@ -586,7 +722,7 @@ def eval_cyclo(
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
     """
     ctx = EvalContext("cyclo", dict(bindings or {}), (m, j))
-    return ctx.lift(_evaluate(e, ctx)).value()
+    return ctx.evaluate(_compile(e, "cyclo")).value()
 
 
 # ---------------------------------------------------------------------------
@@ -653,56 +789,64 @@ def shipped_corpus() -> list[CorpusEntry]:
     return load_corpus(text)
 
 
+def _cases(entry: CorpusEntry) -> Iterator[dict[str, int]]:
+    """The bindings of every case of a corpus line, in sweep order.  Each
+    bound is compiled once as a poly-mode integer position: name=expr as
+    the range expr..expr, and j=all sweeps the residues coprime to m."""
+    bounds = []
+    for name, kind, payload in entry.bindings:
+        if kind == "all":
+            bounds.append((name, None))
+            continue
+        exprs = payload if kind == "range" else (payload, payload, None)
+        closures = [e if e is None else _integer(e, "poly", e) for e in exprs]
+        bounds.append((name, closures))
+    return _sweep(entry.line_no, bounds, 0, {})
+
+
 def _sweep(
-    entry: CorpusEntry, idx: int, bound: dict[str, int]
+    line_no: int, bounds: list, idx: int, bound: dict[str, int]
 ) -> Iterator[dict[str, int]]:
-    if idx == len(entry.bindings):
+    if idx == len(bounds):
         yield dict(bound)
         return
-    name, kind, payload = entry.bindings[idx]
-    scalar_ctx = EvalContext("poly", bound)
-    if kind == "expr":
-        bound[name] = _int(_scalar(payload, scalar_ctx), payload)
-        yield from _sweep(entry, idx + 1, bound)
-        del bound[name]
-    elif kind == "range":
-        lo_e, hi_e, step_e = payload
-        lo = _int(_scalar(lo_e, scalar_ctx), lo_e)
-        hi = _int(_scalar(hi_e, scalar_ctx), hi_e)
-        step = _int(_scalar(step_e, scalar_ctx), step_e) if step_e is not None else 1
+    name, closures = bounds[idx]
+    if closures is None:  # j=all; parse_corpus_line bound m earlier
+        values = galois_orbit(bound["m"])
+    else:
+        lo, hi, step = (f(bound) if f else 1 for f in closures)
         if step < 1:
             raise ValueError(
-                f"line {entry.line_no}: range step must be at least 1, got {step}"
+                f"line {line_no}: range step must be at least 1, got {step}"
             )
-        for v in range(lo, hi + 1, step):
-            bound[name] = v
-            yield from _sweep(entry, idx + 1, bound)
-        bound.pop(name, None)
-    else:  # j=all; parse_corpus_line bound m earlier
-        for v in galois_orbit(bound["m"]):
-            bound[name] = v
-            yield from _sweep(entry, idx + 1, bound)
-        bound.pop(name, None)
+        values = range(lo, hi + 1, step)
+    for v in values:
+        bound[name] = v
+        yield from _sweep(line_no, bounds, idx + 1, bound)
+    bound.pop(name, None)
 
 
 def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
-    """Check one corpus identity across its whole parameter sweep."""
+    """Check one corpus identity across its whole parameter sweep.  The line
+    is compiled once, inside the timed check, and its closures run per case."""
     cases = 0
 
     def witness() -> Optional[str]:
         nonlocal cases
-        for binding in _sweep(entry, 0, {}):
+        diff = _compile(Bin("-", entry.lhs, entry.rhs), entry.mode)
+        index = entry.mod_index
+        if index is not None:
+            index = _integer(index, "poly", index)
+        for binding in _cases(entry):
             cases += 1
             field = (binding["m"], binding["j"]) if entry.mode == "cyclo" else None
-            ctx = EvalContext(entry.mode, dict(binding), field)
-            diff = ctx.lift(_evaluate(entry.lhs, ctx) - _evaluate(entry.rhs, ctx))
-            if entry.mod_index is not None:
-                n = _int(_scalar(entry.mod_index, ctx), entry.mod_index)
-                residue = _residue_witness(diff, n, entry.mod_power)
+            value = EvalContext(entry.mode, binding, field).evaluate(diff)
+            if index is not None:
+                residue = _residue_witness(value, index(binding), entry.mod_power)
                 if residue is not None:
                     return f"{binding}: residue {residue}"
-            elif not diff.is_zero():
-                shown = diff if field is None else diff.value()
+            elif not value.is_zero():
+                shown = value if field is None else value.value()
                 return f"{binding}: {shown.render()}"
         return None
 

@@ -12,6 +12,7 @@ from qcatalan.cyclotomic import (
     GroupAlgebraElem,
     _binomial_inverse,
     _field_sum,
+    _phi_power,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -33,6 +34,13 @@ def test_phi_small():
     assert cyclotomic_poly(2) == Q + 1
     assert cyclotomic_poly(3) == Poly([1, 1, 1])
     assert cyclotomic_poly(4) == Poly([1, 0, 1])
+
+
+def test_phi_power_one_is_the_memoised_phi():
+    # Phi_n^1 is Phi_n itself, not a second copy of it
+    for n in (1, 7, 12):
+        assert _phi_power(n, 1) is cyclotomic_poly(n)
+    assert _phi_power(7, 2) == cyclotomic_poly(7) ** 2
 
 
 def test_phi_6_against_independent_division():
@@ -377,8 +385,10 @@ def test_binomial_inverse_matches_norm_product():
                     with pytest.raises(ZeroDivisionError):
                         _binomial_inverse(m, s, c)
                     continue
-                vec, den = _binomial_inverse(m, s, c)
-                assert len(vec) == m and den > 0
+                vec, den, step = _binomial_inverse(m, s, c)
+                assert len(vec) == m and den > 0 and m % step == 0
+                # _field_sum reads only the entries at multiples of step
+                assert all(v == 0 for i, v in enumerate(vec) if i % step), (m, s, c)
                 assert f.element(vec, den) == _conjugate(norm_inverse[g], u), (m, s, c)
 
 

@@ -11,7 +11,6 @@ from qcatalan.cyclotomic import CycloElem, reduce_mod_phi_power
 from qcatalan.qdsl import (
     Bin,
     Call,
-    EvalContext,
     EvalError,
     Neg,
     Num,
@@ -19,7 +18,7 @@ from qcatalan.qdsl import (
     Pow,
     Sum,
     Var,
-    _scalar,
+    _compile,
     eval_cyclo,
     eval_poly,
     load_corpus,
@@ -133,6 +132,10 @@ def test_cyclo_edge_cases_pinned():
     with pytest.raises(EvalError) as exc:
         eval_poly(parse("(1 + q + q^2) * (1/(1 - q^0))"))
     assert str(exc.value) == "division by zero (in: 1 / (1 - q^0))"
+    # a zero numerator does not short-circuit a division
+    with pytest.raises(EvalError) as exc:
+        eval_cyclo(parse("0/(1 - q^0)"), 3, 1)
+    assert str(exc.value) == "division by a zero field element (in: 0 / (1 - q^0))"
     # a divisor that is zero only mod Phi_3 is caught by the inverse
     with pytest.raises(EvalError) as exc:
         eval_cyclo(parse("1/(1 + q + q^2)"), 3, 1)
@@ -152,17 +155,18 @@ def test_integer_positions_stay_exact():
     assert eval_poly(parse("q^(4^(-1)*8)")) == Poly([0, 0, 1])
     assert eval_cyclo(parse("q^(4^(-1)*8)"), 3, 1) == CycloElem(3, [-1, -1])
     # int arithmetic, with a Fraction only for a non-integral quotient or a
-    # negative power; never a float
-    ctx = EvalContext("poly", {"n": 7})
+    # negative power; never a float, and the same in both modes
     for text, value in (
         ("2^3 + n/7 - floor(n/2)", 6),
         ("2^(-2)", Fraction(1, 4)),
         ("(-2)^(0-3)", Fraction(-1, 8)),
         ("n/2", Fraction(7, 2)),
         ("sum(k=1..n, k)", 28),
+        ("(1/2 - 1/2) * (1/0)", 0),
     ):
-        result = _scalar(parse(text), ctx)
-        assert result == value and type(result) is type(value), text
+        for mode in ("poly", "cyclo"):
+            result = _compile(parse(text), mode)({"n": 7})
+            assert result == value and type(result) is type(value), (text, mode)
 
 
 def test_eval_error_texts_pinned():
@@ -312,8 +316,7 @@ def test_mode_consistency():
         direct = eval_cyclo(e, m, j, {"n": n})
         assert direct == _at_root(via_poly, m, j), (render(e), n, m, j)
         if "q" not in render(e):  # no q and no qbin / qcat: a rational value
-            ctx = EvalContext("poly", {"n": n})
-            assert via_poly == Poly.constant(_scalar(e, ctx)), render(e)
+            assert via_poly == Poly.constant(_compile(e, "poly")({"n": n})), render(e)
 
 
 def _at_root(p, m, j):
@@ -445,6 +448,34 @@ def test_cyclo_failure_witness_is_the_reduced_difference():
     rep = run_corpus_entry(parse_corpus_line(1, "1/(1 - q) == 1 @ cyclo(m=6, j=all)"))
     diff = (CycloElem.one(6) - CycloElem.root_power(6, 1)).inv() - 1
     assert rep.witness == f"{{'m': 6, 'j': 1}}: {diff.render()}"
+
+
+def test_corpus_j_must_be_coprime_to_m():
+    for line, message in (
+        ("q == q @ cyclo(m=6, j=2)", "j = 2 is not coprime to m = 6"),
+        ("q == q @ cyclo(n=4, m=2*n, j=n/2)", "j = 2 is not coprime to m = 8"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            run_corpus_entry(parse_corpus_line(1, line))
+        assert str(exc.value) == message
+
+
+def test_failure_witnesses_pinned():
+    # the witness texts of a failing cyclo line and a failing Phi_n^2 line
+    for line, witness in (
+        (
+            "sum(k=1..n, 1/(1 - q^(3*k-1))) == (n/3)*(1 + q^n)"
+            " @ cyclo(n=1..10, m=3*n, j=all)",
+            "{'n': 1, 'm': 3, 'j': 1}: -2/3*x (mod Phi_3)",
+        ),
+        (
+            "sum(k=0..n-1, q^k*qcat(k)) == q^(n*(2*n+1)/3)"
+            " + (1/3)*(q^n - 1)*(2 + (n+1)*q^(2*n/3)) + (1/2)*(q^n - 1)*q"
+            " @ poly(n=3..15..3) mod Phi(n)^2",
+            "{'n': 3}: residue 1/2 + 3/2*q + 3/2*q^2 + q^3",
+        ),
+    ):
+        assert run_corpus_entry(parse_corpus_line(1, line)).witness == witness
 
 
 def test_shipped_corpus_all_pass():
