@@ -44,7 +44,6 @@ class _GroupData:
 
     m: int
     prime_powers: tuple[int, ...]  # p^a per factor
-    generators: tuple[int, ...]  # one generator per factor
     orders: tuple[int, ...]  # phi(p^a) per factor
     exponent: int  # lcm of the orders
     dlogs: tuple[dict[int, int], ...]  # residue -> discrete log, per factor
@@ -54,7 +53,7 @@ class _GroupData:
 def _group_data(m: int) -> _GroupData:
     if m < 3 or m % 2 == 0:
         raise ValueError("modulus must be an odd integer >= 3")
-    pps, gens, orders, dlogs = [], [], [], []
+    pps, orders, dlogs = [], [], []
     for p, a in factorize(m):
         pk = p**a
         g = primitive_root(p, a)
@@ -65,13 +64,11 @@ def _group_data(m: int) -> _GroupData:
             table[x] = i
             x = x * g % pk
         pps.append(pk)
-        gens.append(g)
         orders.append(order)
         dlogs.append(table)
     return _GroupData(
         m,
         tuple(pps),
-        tuple(gens),
         tuple(orders),
         lcm(*orders) if orders else 1,
         tuple(dlogs),

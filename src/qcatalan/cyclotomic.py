@@ -434,9 +434,10 @@ class CycloField:
     inv_one_minus / inv_one_plus give group-algebra representatives
     (vector, denominator) of 1/(1 - x^s) and 1/(1 + x^s), i.e. integer
     vectors v of length m with (1/d) * sum v[i] x^i equal to the inverse
-    mod Phi_m.  They come from the closed forms of _binomial_inverse, so
-    _field_sum adds many such terms as integer rotations into one vector,
-    which is reduced mod Phi_m only when its value is read.
+    mod Phi_m, read from the closed forms of _binomial_inverse.  No library
+    code calls them: _field_sum calls _binomial_inverse itself and adds many
+    such terms as integer rotations into one vector, which is reduced mod
+    Phi_m only when its value is read.
     """
 
     def __init__(self, m: int):

@@ -10,22 +10,22 @@ Grammar (whitespace-insensitive)::
             | 'sum' '(' NAME '=' expr '..' expr ',' expr ')'
 
 _compile, the one evaluator, turns an expression into closures once, and
-the closures run for every case.  A subexpression without q is a Python
-rational: an int, or a Fraction only for a non-integral quotient or a
-negative power, never a float.  A subexpression with q (or a qbin / qcat)
-is an exact Poly in poly mode, where q is the indeterminate.  In cyclo
-mode, where q = zeta_m^j, it is a term list [(c, e, s, t), ...], the sum
-of c q^e / (1 - t q^s) (t = 0 for a monomial) that cyclotomic._field_sum
-adds: + - and sum concatenate lists, a factor made of monomials multiplies
+the closures run for every case.  A value is of one of two kinds.  A
+subexpression without q is a Python rational: an int, or a Fraction only
+for a non-integral quotient or a negative power, never a float.  A
+subexpression with q (or a qbin / qcat) is an exact Poly in poly mode,
+where q is the indeterminate.  In cyclo mode, where q = zeta_m^j, it is a
+term list [(c, e, s, t), ...], the sum of c q^e / (1 - t q^s) (t = 0 for a
+monomial) that cyclotomic._field_sum adds: + - and sum concatenate lists,
+qbin / qcat are their monomials, a factor made of monomials multiplies
 term by term, a divisor that collects to one monomial shifts and scales,
 and one that collects to two turns a numerator of monomials into quotient
-terms, its denominator checked then.  A value the list cannot hold (a
-product of two lists of quotient terms, another divisor, a power of a
-list, qbin / qcat) is a lazy cyclotomic.GroupAlgebraElem.  Exponents,
-summation bounds and the arguments of qbin/qcat/legendre3 are integer
-positions: their value must be rational and integral; the argument of
-floor must be rational.  q is reserved: it cannot be bound, not even as a
-sum variable.
+terms, its denominator checked then.  Any other product, quotient or
+power is computed once in the group algebra and read back as monomials.
+Exponents, summation bounds and the arguments of qbin/qcat/legendre3 are
+integer positions: their value must be rational and integral; the
+argument of floor must be rational.  q is reserved: it cannot be bound,
+not even as a sum variable.
 
 Zero tests reduce nothing: a cyclo case is zero when the _field_sum of
 lhs - rhs passes cyclotomic.phi_power_divides, and lhs - rhs mod Phi(n)^e
@@ -51,7 +51,8 @@ A corpus line states one identity::
 The bindings sweep left to right: ``name=lo..hi`` or ``name=lo..hi..step``
 (step >= 1), ``name=expr`` from earlier bindings, and ``j=all`` for the
 residues coprime to m.  No name is bound twice, q is not bound at all, and
-cyclo mode needs m and j.  ``mod`` is allowed only in poly mode.
+cyclo mode needs m and j.  ``mod`` is allowed only in poly mode.  A line
+whose bindings select no case is an error, not a pass.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from typing import Callable, Iterator, Optional, Union
 from .congruence import VerificationReport, _residue_witness, run_check
 from .cyclotomic import CycloElem, GroupAlgebraElem, _binomial_inverse, _field_sum
 from .qcomb import gaussian_binomial, legendre3, q_catalan
-from .ring import Poly
+from .ring import Poly, coeff_div
 from .rootid import galois_orbit
 
 # ---------------------------------------------------------------------------
@@ -150,12 +151,14 @@ _CALL_NAMES = ("qbin", "qcat", "legendre3", "floor")
 # tokenizer + recursive descent parser
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<dots>\.\.)"
-    r"|(?P<sym>==|[-+*/^(),=@]))"
+    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<sym>==|\.\.|[-+*/^(),=@]))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, column) per token: the kind is num or name, and a symbol
+    is its own kind."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -165,15 +168,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if not stripped:
                 break
             raise ParseError(text, len(text) - len(stripped), ["a token"])
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.group("name") is not None:
-            tokens.append(("name", m.group("name"), m.start("name")))
-        elif m.group("dots") is not None:
-            tokens.append(("..", "..", m.start("dots")))
-        else:
-            sym = m.group("sym")
-            tokens.append((sym, sym, m.start("sym")))
+        group = m.lastgroup
+        token = m.group(group)
+        tokens.append((token if group == "sym" else group, token, m.start(group)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -405,6 +402,8 @@ class EvalContext:
             if self.field is None:
                 raise ValueError("cyclo mode needs field = (m, j)")
             m, j = self.field
+            if m < 1:
+                raise ValueError("field order must be a positive integer")
             if gcd(j, m) != 1:
                 raise ValueError(f"j = {j} is not coprime to m = {m}")
 
@@ -429,21 +428,13 @@ class EvalContext:
         return GroupAlgebraElem.monomial(self.field[0], value)
 
 
-def _elem(value, env):
-    """A term list summed into a GroupAlgebraElem; other values unchanged."""
-    return _field_sum(env["q"][0], value) if type(value) is list else value
-
-
-def _promote(a, b, env):
-    """Operands, one of them a term list, in one representation: a rational
-    becomes a constant term, and a list meeting a GroupAlgebraElem its sum."""
+def _promote(a, b):
+    """Both operands as term lists: a rational becomes a constant term."""
     if type(a) in _RATIONAL:
         return [(a, 0, 0, 0)], b
     if type(b) in _RATIONAL:
         return a, [(b, 0, 0, 0)]
-    if type(a) is list and type(b) is list:
-        return a, b
-    return _elem(a, env), _elem(b, env)
+    return a, b
 
 
 def _monomials(terms) -> bool:
@@ -453,11 +444,9 @@ def _monomials(terms) -> bool:
     return True
 
 
-def _quotient(a, b):
-    """a / b for rationals: an int when both are ints and b divides a."""
-    if type(a) is int and type(b) is int and a % b == 0:
-        return a // b
-    return a * (Fraction(1) / b)
+def _terms(value: GroupAlgebraElem) -> list:
+    """A group-algebra value read back as its monomial terms (c, i, 0, 0)."""
+    return [(coeff_div(c, value.den), i, 0, 0) for i, c in enumerate(value.vec) if c]
 
 
 def _negate(value):
@@ -466,10 +455,10 @@ def _negate(value):
     return -value
 
 
-def _plus(a, b, env):
+def _plus(a, b):
     """a + b; two term lists concatenate."""
     if type(a) is list or type(b) is list:
-        a, b = _promote(a, b, env)
+        a, b = _promote(a, b)
     return a + b
 
 
@@ -477,15 +466,15 @@ def _times(a, b, env):
     """a * b; two term lists multiply term by term if one holds only
     monomials, and in the group algebra otherwise."""
     if type(a) is list or type(b) is list:
-        a, b = _promote(a, b, env)
-        if type(a) is list:
-            if len(a) > len(b):
-                a, b = b, a
+        a, b = _promote(a, b)
+        if len(a) > len(b):
+            a, b = b, a
+        if not _monomials(a):
+            a, b = b, a
             if not _monomials(a):
-                a, b = b, a
-                if not _monomials(a):
-                    return _elem(a, env) * _elem(b, env)
-            return [(c * d, x + y, s, t) for c, x, _, _ in a for d, y, s, t in b]
+                m = env["q"][0]
+                return _terms(_field_sum(m, a) * _field_sum(m, b))
+        return [(c * d, x + y, s, t) for c, x, _, _ in a for d, y, s, t in b]
     return a * b
 
 
@@ -494,21 +483,21 @@ def _is_zero(value, env) -> bool:
         return value == 0
     if type(value) is list and len(value) == 1:  # its denominator is a unit
         return value[0][0] == 0
-    return _elem(value, env).is_zero()
+    return (_field_sum(env["q"][0], value) if type(value) is list else value).is_zero()
 
 
 def _divide(a, b, e: Expr, env):
     """a / b.  In cyclo mode a divisor that collects to one monomial scales
     and shifts the numerator's terms, and one that collects to two,
     c q^p + d q^r = c q^p (1 - t q^(r - p)) with t = -d/c, turns a numerator
-    of monomials into quotient terms; any other divisor is inverted in the
+    of monomials into quotient terms; any other quotient is computed in the
     group algebra."""
     if type(b) in _RATIONAL:
         if b == 0:
             raise EvalError("division by zero", e)
         if type(a) in _RATIONAL:
-            return _quotient(a, b)
-        return _times(a, Fraction(1) / b, env)
+            return coeff_div(a, b)
+        return _times(a, coeff_div(1, b), env)
     if isinstance(b, Poly):
         if b.is_zero():
             raise EvalError("division by zero", e)
@@ -516,49 +505,48 @@ def _divide(a, b, e: Expr, env):
             return (Poly.constant(a) if type(a) in _RATIONAL else a).exact_div(b)
         except ValueError as exc:
             raise EvalError(str(exc), e) from None
-    if type(a) in _RATIONAL:
-        a = [(a, 0, 0, 0)]
-    if type(a) is list and type(b) is list and _monomials(a) and _monomials(b):
-        m, collected = env["q"][0], {}
+    a, b = _promote(a, b)
+    m = env["q"][0]
+    if _monomials(b):
+        collected = {}
         for c, x, _, _ in b:
             x %= m
             collected[x] = collected.get(x, 0) + c
         support = sorted([item for item in collected.items() if item[1]])
         if len(support) == 1:  # 1 / (c q^p) = (1/c) q^-p
             ((p, c),) = support
-            return _times(a, [(_quotient(1, c), -p, 0, 0)], env)
-        if len(support) == 2:
+            return _times(a, [(coeff_div(1, c), -p, 0, 0)], env)
+        if len(support) == 2 and _monomials(a):
             (p, c), (r, d) = support
-            t = _quotient(-d, c)
+            t = coeff_div(-d, c)
             try:
                 _binomial_inverse(m, r - p, t)
             except ZeroDivisionError:
                 raise EvalError("division by a zero field element", e) from None
             if c != 1:
-                a = [(_quotient(k, c), x, 0, 0) for k, x, _, _ in a]
+                a = [(coeff_div(k, c), x, 0, 0) for k, x, _, _ in a]
             return [(k, x - p, r - p, t) for k, x, _, _ in a]
     try:
-        inverse = _elem(b, env).inv()
+        inverse = _field_sum(m, b).inv()
     except ZeroDivisionError:
         raise EvalError("division by a zero field element", e) from None
-    return _times(a, inverse, env)
+    return _terms(_field_sum(m, a) * inverse)
 
 
 def _power(base, ex: int, e: Expr, env):
-    base = _elem(base, env)
-    if ex < 0:
-        if isinstance(base, Poly) and base.degree > 0:
-            raise EvalError("negative power of a non-constant polynomial", e)
-        ex = -ex
-        try:
-            if isinstance(base, GroupAlgebraElem):
-                base = base.inv()
-            elif isinstance(base, Poly):
-                base = Poly.constant(Fraction(1) / base[0])
+    if ex < 0 and isinstance(base, Poly) and base.degree > 0:
+        raise EvalError("negative power of a non-constant polynomial", e)
+    try:
+        if type(base) is list:
+            return _terms(_field_sum(env["q"][0], base) ** ex)
+        if ex < 0:
+            ex = -ex
+            if isinstance(base, Poly):
+                base = Poly.constant(coeff_div(1, base[0]))
             else:
-                base = Fraction(1) / base
-        except ZeroDivisionError:
-            raise EvalError("zero to a negative power", e) from None
+                base = coeff_div(1, base)
+    except ZeroDivisionError:
+        raise EvalError("zero to a negative power", e) from None
     return base**ex
 
 
@@ -574,9 +562,9 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
             op = add if e.op == "+" else sub
             return lambda env: op(left(env), right(env))
         if e.op == "+":
-            return lambda env: _plus(left(env), right(env), env)
+            return lambda env: _plus(left(env), right(env))
         if e.op == "-":
-            return lambda env: _plus(left(env), _negate(right(env)), env)
+            return lambda env: _plus(left(env), _negate(right(env)))
         if e.op == "/":
             return lambda env: _divide(left(env), right(env), e, env)
 
@@ -632,7 +620,7 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
             try:
                 for v in range(lo, hi + 1):
                     env[e.var] = v
-                    value = _plus(value, body(env), env)
+                    value = _plus(value, body(env))
             finally:
                 if saved is None:
                     env.pop(e.var, None)
@@ -658,7 +646,9 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
             if e.name == "qcat" and values[0] < 0:
                 raise EvalError("qcat needs a nonnegative index", e)
             p = gaussian_binomial(*values) if e.name == "qbin" else q_catalan(*values)
-            return p if mode == "poly" else _poly_at_root(p, env["q"])
+            if mode == "poly":
+                return p
+            return [(c, env["q"][1] * i, 0, 0) for i, c in enumerate(p.coeffs) if c]
 
         return call
     raise TypeError(f"not an Expr: {e!r}")
@@ -691,16 +681,6 @@ def _integer(sub: Expr, mode: str, node: Optional[Expr]):
         return v if node is None else v.numerator
 
     return integer
-
-
-def _poly_at_root(p: Poly, field: tuple[int, int]) -> GroupAlgebraElem:
-    """Evaluate an integer polynomial at q = zeta_m^j by folding q^i onto
-    x^(ij); the folded vector is not reduced mod Phi_m."""
-    m, j = field
-    folded = [0] * m
-    for i, c in enumerate(p.coeffs):
-        folded[(i * j) % m] += c
-    return GroupAlgebraElem(m, folded)
 
 
 def eval_poly(e: Expr, bindings: Optional[dict[str, int]] = None) -> Poly:
@@ -848,6 +828,8 @@ def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
             elif not value.is_zero():
                 shown = value if field is None else value.value()
                 return f"{binding}: {shown.render()}"
+        if not cases:
+            raise ValueError(f"line {entry.line_no}: the bindings select no case")
         return None
 
     report = run_check("dsl-corpus", {"line": entry.line_no}, witness)

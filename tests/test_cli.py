@@ -63,6 +63,13 @@ def test_eval_domain_error_exits_2(capsys):
     assert "error" in err
 
 
+def test_eval_nonpositive_field_order_exits_2(capsys):
+    for m in ("0", "-3"):
+        code, out, err = run_cli(["eval", "q", "--root", m, "1"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: field order must be a positive integer\n", m
+
+
 def test_eval_binding_q_exits_2(capsys):
     code, out, err = run_cli(["eval", "q+1", "--poly", "--bind", "q=3"], capsys)
     assert code == 2 and out == ""

@@ -63,6 +63,11 @@ def test_parse_errors():
         parse("1 + ")
     with pytest.raises(ParseError):
         parse("foo(3)")  # unknown call name
+    # a character that starts no token is reported at its own column
+    for text, pos in (("q + $", 4), ("1 . 2", 2), ("sum(k=1.2, k)", 7)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.pos == pos and exc.value.expected == ["a token"], text
 
 
 def test_eval_poly_examples():
@@ -124,6 +129,10 @@ def test_eval_cyclo_errors():
     assert "1 - q^3" in str(exc.value)
     with pytest.raises(ValueError):
         eval_cyclo(parse("q"), 6, 2)  # j not coprime
+    for m in (0, -3):
+        with pytest.raises(ValueError) as exc:
+            eval_cyclo(parse("2"), m, 1)
+        assert str(exc.value) == "field order must be a positive integer"
 
 
 def test_cyclo_edge_cases_pinned():
@@ -210,6 +219,14 @@ def test_corpus_range_step():
         message = f"line 9: range step must be at least 1, got {step}"
         with pytest.raises(ValueError, match=message):
             run_corpus_entry(entry)
+
+
+def test_corpus_line_without_cases_is_an_error():
+    # a sweep that selects no case runs no check, so it must not pass
+    for line in ("q == 0 @ poly(n=5..1)", "q == 0 @ cyclo(m=0, j=all)"):
+        with pytest.raises(ValueError) as exc:
+            run_corpus_entry(parse_corpus_line(4, line))
+        assert str(exc.value) == "line 4: the bindings select no case", line
 
 
 def test_negative_exponents_in_cyclo():
