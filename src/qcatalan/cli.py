@@ -499,7 +499,7 @@ def _cmd_eval(args, stdout: TextIO) -> int:
             m, j = args.root
             stdout.write(qdsl.eval_cyclo(expr, m, j, bindings).render() + "\n")
         return 0
-    except (qdsl.ParseError, qdsl.EvalError, ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -552,7 +552,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 as_json=args.json,
             )
             return run_verify(config, stdout)
-    except ValueError as exc:
+    except (ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     parser.error("no command")

@@ -13,14 +13,17 @@ GroupAlgebraElem is a lazy value in the group algebra Q[x]/(x^m - 1),
 which maps onto Q(zeta_m) = Q[x]/Phi_m: sums and products are plain
 vector operations, and a value is reduced mod Phi_m only when it is
 read or inverted with three or more terms.  _field_sum adds a list of
-terms c * x^e / (1 - t * x^s) into one such value in one pass over one
-common denominator; it is the only code that sums a term list, for the
-rootid suites, the reduction chain, the character sums and the values
-that compiled qdsl expressions build in cyclo mode.
-Zero tests reduce nothing (phi_power_divides).  reduce_mod_phi_power is
-the one reduction mod Phi: it renders both kinds of failure witness, a
-remainder mod Phi_n^e and a reduced CycloElem (CycloField.element, root
-powers, products and the norm-product CycloElem.inv all call it).
+terms c * q^e / (1 - t * q^s) at q = x^j into one such value in one pass
+over one common denominator; it is the only code that sums a term list,
+for the rootid suites, the reduction chain, the character sums and the
+values that compiled qdsl expressions build in cyclo mode, and the only
+code that applies j: x -> x^j (gcd(j, m) = 1) is an automorphism of
+Q(zeta_m), so a value is zero at zeta_m^j exactly when it is at zeta_m.
+Zero tests reduce nothing (phi_power_divides), and _field_witness is the
+one field verdict.  reduce_mod_phi_power is the one reduction mod Phi: it
+renders both kinds of failure witness, a remainder mod Phi_n^e and a
+reduced CycloElem (CycloField.element, root powers, products and the
+norm-product CycloElem.inv all call it).
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from functools import lru_cache
 from itertools import compress
 from math import comb, gcd, lcm, prod
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ring import Coeff, Poly, as_coeff, power
+from .ring import Coeff, Poly, as_coeff, coeff_div, power
 
 # ---------------------------------------------------------------------------
 # elementary number theory helpers
@@ -524,10 +527,10 @@ class GroupAlgebraElem:
       cyclic convolution otherwise;
     * an int or Fraction operand of ``+`` / ``-`` changes entry 0 only, and
       one of ``*`` scales the vector;
-    * inv() inverts a monomial directly and a two-term value a x^p + b x^r
-      by the closed form of _binomial_inverse; anything else is reduced
-      mod Phi_m and inverted with the memoised CycloElem.inv.  A value that
-      is zero in Q(zeta_m) raises ZeroDivisionError there;
+    * inv() inverts a monomial or a two-term value a x^p + b x^r as the term
+      x^-p / (a (1 - t x^(r - p))), t = -b/a, summed by _field_sum; anything
+      else is reduced mod Phi_m and inverted with the memoised CycloElem.inv.
+      A value that is zero in Q(zeta_m) raises ZeroDivisionError there;
     * is_zero() reads a single term directly and tests anything else with
       phi_power_divides, with no reduction: (1 + x + x^2) is zero at m = 3.
 
@@ -635,23 +638,14 @@ class GroupAlgebraElem:
         """Multiplicative inverse in Q(zeta_m); ZeroDivisionError for zero."""
         m, vec = self.m, self.vec
         support = self._support()
-        if len(support) == 1:
-            (p,) = support
-            a = vec[p]
-            out = [0] * m
-            out[-p % m] = self.den if a > 0 else -self.den
-            return GroupAlgebraElem(m, out, abs(a))
-        if len(support) == 2:
-            # a x^p + b x^r = a x^p (1 - c x^s) with c = -b/a, s = r - p
-            p, r = support
-            a, b = vec[p], vec[r]
-            c = -b // a if b % a == 0 else Fraction(-b, a)  # an int key hashes fast
-            bvec, bden, _ = _binomial_inverse(m, r - p, c)
-            factor = self.den if a > 0 else -self.den
-            out = [v * factor for v in bvec[p:] + bvec[:p]]  # times x^-p
-            return GroupAlgebraElem(m, out, bden * abs(a))
         if not support:
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
+        if len(support) <= 2:
+            # a x^p + b x^r = a x^p (1 - t x^(r - p)) with t = -b/a (t = 0 for r = p)
+            p, r = support[0], support[-1]
+            a = vec[p]
+            t = coeff_div(-vec[r], a) if r != p else 0  # an int key hashes fast
+            return _field_sum(m, [(coeff_div(self.den, a), -p, r - p, t)])
         inverse = self.value().inv()
         out = list(inverse.num)
         return GroupAlgebraElem(m, out + [0] * (m - len(out)), inverse.den)
@@ -667,14 +661,15 @@ class GroupAlgebraElem:
 _Term = NamedTuple("_Term", [("c", Fraction), ("e", int), ("s", int), ("t", Fraction)])
 
 
-def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
-    """The sum of the terms in the group algebra of Q(zeta_m), over one
-    common denominator D.  A first pass takes each term's 1/(1 - t x^s) as
+def _field_sum(m: int, terms: Iterable[_Term], j: int = 1) -> GroupAlgebraElem:
+    """The sum of the terms at q = x^j (c q^e / (1 - t q^s) is read as
+    c x^(je) / (1 - t x^(js))) in the group algebra of Q(zeta_m), over one
+    common denominator D.  A first pass takes each 1/(1 - t x^(js)) as
     (vec, vden, step) from _binomial_inverse ((1,) over 1 for t = 0) and
     sets D to the lcm of vden * c.denominator over the terms with c != 0; a
-    second adds (D / (vden * c.denominator)) * c.numerator * x^e * vec into
-    one integer vector, reading only the entries of vec at multiples of
-    step, where its nonzero entries lie.  A denominator 1 - t x^s that is
+    second adds (D / (vden * c.denominator)) * c.numerator * x^(je) * vec
+    into one integer vector, reading only the entries of vec at multiples of
+    step, where its nonzero entries lie.  A denominator 1 - t x^(js) that is
     zero in Q(zeta_m) raises ZeroDivisionError, even when c = 0.
 
     >>> _field_sum(3, [(1, 0, 1, 1)]).value()  # 1/(1 - x)
@@ -683,11 +678,11 @@ def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
     parts = []
     den = 1
     for c, e, s, t in terms:
-        vec, vden, step = _binomial_inverse(m, s % m, t) if t else ((1,), 1, m)
+        vec, vden, step = _binomial_inverse(m, s * j % m, t) if t else ((1,), 1, m)
         if c:
             d = vden * c.denominator
             den = lcm(den, d)
-            parts.append((vec, step, d, c.numerator, e))
+            parts.append((vec, step, d, c.numerator, e * j))
     acc = [0] * m
     for vec, step, d, num, e in parts:
         factor = den // d * num
@@ -696,6 +691,12 @@ def _field_sum(m: int, terms: Iterable[_Term]) -> GroupAlgebraElem:
             if v:
                 acc[(i + e) % m] += factor * v
     return GroupAlgebraElem(m, acc, den)
+
+
+def _field_witness(m: int, terms: Iterable[_Term], j: int = 1) -> Optional[str]:
+    """None if the terms sum to zero at q = zeta_m^j, else the rendered sum."""
+    acc = _field_sum(m, terms, j)
+    return None if acc.is_zero() else acc.value().render()
 
 
 if __name__ == "__main__":

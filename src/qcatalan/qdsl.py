@@ -14,14 +14,18 @@ the closures run for every case.  A value is of one of two kinds.  A
 subexpression without q is a Python rational: an int, or a Fraction only
 for a non-integral quotient or a negative power, never a float.  A
 subexpression with q (or a qbin / qcat) is an exact Poly in poly mode,
-where q is the indeterminate.  In cyclo mode, where q = zeta_m^j, it is a
-term list [(c, e, s, t), ...], the sum of c q^e / (1 - t q^s) (t = 0 for a
-monomial) that cyclotomic._field_sum adds: + - and sum concatenate lists,
-qbin / qcat are their monomials, a factor made of monomials multiplies
-term by term, a divisor that collects to one monomial shifts and scales,
-and one that collects to two turns a numerator of monomials into quotient
-terms, its denominator checked then.  Any other product, quotient or
-power is computed once in the group algebra and read back as monomials.
+where q is the indeterminate.  In cyclo mode it is a term list
+[(c, e, s, t), ...] in q, the sum of c q^e / (1 - t q^s) (t = 0 for a
+monomial) that EvalContext.lift adds at q = zeta_m^j by _field_sum, the
+one place j is applied: + - and sum concatenate lists, qbin / qcat are
+their monomials, a factor made of monomials multiplies term by term, a
+divisor that collects to one monomial shifts and scales, and one that
+collects to two turns a numerator of monomials into quotient terms, its
+denominator checked then.  Any other product, quotient or power is
+computed once in the group algebra and read back as monomials.  These
+fallbacks, the divisor checks and the zero test of a left factor run at
+q = zeta_m, exact since x -> x^j is an automorphism of Q(zeta_m): a value
+is zero at zeta_m^j exactly when it is zero at zeta_m.
 Exponents, summation bounds and the arguments of qbin/qcat/legendre3 are
 integer positions: their value must be rational and integral; the
 argument of floor must be rational.  q is reserved: it cannot be bound,
@@ -410,17 +414,17 @@ class EvalContext:
     def evaluate(self, compiled: Callable[[dict], object]):
         """The lifted value of a compiled expression, whose closures read one
         dict: the bindings and, in cyclo mode, q (never a binding) holding
-        the field (m, j)."""
+        the field order m; the closures never see j."""
         env = dict(self.bindings)
         if self.mode == "cyclo":
-            env["q"] = self.field
+            env["q"] = self.field[0]
         return self.lift(compiled(env))
 
     def lift(self, value):
-        """A value as an element of the mode's ring: a rational becomes a
-        constant Poly or a scalar GroupAlgebraElem, a term list its sum."""
+        """A value in the mode's ring: a rational becomes a constant Poly or a
+        scalar GroupAlgebraElem, a term list its sum at q = zeta_m^j."""
         if type(value) is list:
-            return _field_sum(self.field[0], value)
+            return _field_sum(self.field[0], value, self.field[1])
         if type(value) not in _RATIONAL:
             return value
         if self.mode == "poly":
@@ -472,8 +476,7 @@ def _times(a, b, env):
         if not _monomials(a):
             a, b = b, a
             if not _monomials(a):
-                m = env["q"][0]
-                return _terms(_field_sum(m, a) * _field_sum(m, b))
+                return _terms(_field_sum(env["q"], a) * _field_sum(env["q"], b))
         return [(c * d, x + y, s, t) for c, x, _, _ in a for d, y, s, t in b]
     return a * b
 
@@ -483,7 +486,7 @@ def _is_zero(value, env) -> bool:
         return value == 0
     if type(value) is list and len(value) == 1:  # its denominator is a unit
         return value[0][0] == 0
-    return (_field_sum(env["q"][0], value) if type(value) is list else value).is_zero()
+    return (_field_sum(env["q"], value) if type(value) is list else value).is_zero()
 
 
 def _divide(a, b, e: Expr, env):
@@ -506,27 +509,24 @@ def _divide(a, b, e: Expr, env):
         except ValueError as exc:
             raise EvalError(str(exc), e) from None
     a, b = _promote(a, b)
-    m = env["q"][0]
-    if _monomials(b):
-        collected = {}
-        for c, x, _, _ in b:
-            x %= m
-            collected[x] = collected.get(x, 0) + c
-        support = sorted([item for item in collected.items() if item[1]])
-        if len(support) == 1:  # 1 / (c q^p) = (1/c) q^-p
-            ((p, c),) = support
-            return _times(a, [(coeff_div(1, c), -p, 0, 0)], env)
-        if len(support) == 2 and _monomials(a):
-            (p, c), (r, d) = support
-            t = coeff_div(-d, c)
-            try:
-                _binomial_inverse(m, r - p, t)
-            except ZeroDivisionError:
-                raise EvalError("division by a zero field element", e) from None
-            if c != 1:
-                a = [(coeff_div(k, c), x, 0, 0) for k, x, _, _ in a]
-            return [(k, x - p, r - p, t) for k, x, _, _ in a]
+    m = env["q"]
     try:
+        if _monomials(b):
+            collected = {}
+            for c, x, _, _ in b:
+                x %= m
+                collected[x] = collected.get(x, 0) + c
+            support = sorted([item for item in collected.items() if item[1]])
+            if len(support) == 1:  # 1 / (c q^p) = (1/c) q^-p
+                ((p, c),) = support
+                return _times(a, [(coeff_div(1, c), -p, 0, 0)], env)
+            if len(support) == 2 and _monomials(a):
+                (p, c), (r, d) = support
+                t = coeff_div(-d, c)
+                _binomial_inverse(m, r - p, t)  # ZeroDivisionError if the divisor is 0
+                if c != 1:
+                    a = [(coeff_div(k, c), x, 0, 0) for k, x, _, _ in a]
+                return [(k, x - p, r - p, t) for k, x, _, _ in a]
         inverse = _field_sum(m, b).inv()
     except ZeroDivisionError:
         raise EvalError("division by a zero field element", e) from None
@@ -538,7 +538,7 @@ def _power(base, ex: int, e: Expr, env):
         raise EvalError("negative power of a non-constant polynomial", e)
     try:
         if type(base) is list:
-            return _terms(_field_sum(env["q"][0], base) ** ex)
+            return _terms(_field_sum(env["q"], base) ** ex)
         if ex < 0:
             ex = -ex
             if isinstance(base, Poly):
@@ -590,7 +590,7 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
         one = Num(Fraction(1))  # q is q^1
         exponent = _integer(e.exponent if isinstance(e, Pow) else one, mode, e)
         if mode == "cyclo":
-            return lambda env: [(1, env["q"][1] * exponent(env), 0, 0)]
+            return lambda env: [(1, exponent(env), 0, 0)]
 
         def q_power(env):
             ex = exponent(env)
@@ -648,7 +648,7 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
             p = gaussian_binomial(*values) if e.name == "qbin" else q_catalan(*values)
             if mode == "poly":
                 return p
-            return [(c, env["q"][1] * i, 0, 0) for i, c in enumerate(p.coeffs) if c]
+            return [(c, i, 0, 0) for i, c in enumerate(p.coeffs) if c]
 
         return call
     raise TypeError(f"not an Expr: {e!r}")

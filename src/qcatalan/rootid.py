@@ -1,19 +1,20 @@
 """Root-of-unity identity suites, evaluated exactly in Q(zeta_m).
 
 Every field identity is (left side) - (right side) as one list of terms
-(c, e, s, t), each c * x^e / (1 - t * x^s) with c and t rational; t = 0 is
-the monomial c * x^e.  cyclotomic._field_sum, the one evaluator of such
-lists, adds a list into one GroupAlgebraElem (the group algebra
-Q[x]/(x^m - 1) over one common denominator), taking each 1/(1 - t x^s) from
-the closed forms of cyclotomic._binomial_inverse, and _residue tests the
-sum for zero and reduces it mod Phi_m only to render a failure.  Inverses:
+(c, e, s, t), each c * q^e / (1 - t * q^s) with c and t rational; t = 0 is
+the monomial c * q^e.  cyclotomic._field_sum, the one evaluator of such
+lists, adds a list at q = x^j into one GroupAlgebraElem (the group algebra
+Q[x]/(x^m - 1) over one common denominator), taking each 1/(1 - t x^(js))
+from the closed forms of cyclotomic._binomial_inverse, so no suite applies
+j itself; cyclotomic._field_witness tests the sum for zero and reduces it
+mod Phi_m only to render a failure.  Inverses:
 
 * t = +-1 (main3n, explicit, main3n-new, even, odd, aux): the discrete
   sawtooth -(1/d) sum_{u<d} u x^(su) and its alternating variant;
 * t = 1/z (extan), t = +-x at each rational point x (pfd): the geometric
   series sum_{u<d} t^u x^(su) / (1 - t^d);
-* sawtooth: the expansion R passes when (1 - x^s) R - 1 is zero, with no
-  inverse; a failure renders 1/(1 - x^s) - R by the t = 1 closed form.
+* sawtooth: the expansion R passes when (1 - q^s) R - 1 is zero, with no
+  inverse; a failure renders 1/(1 - q^s) - R by the t = 1 closed form.
 
 The rearrangement lemma (mid) is the one identity in a free variable w: its
 terms have the same shape, and it is certified by the integer Taylor series
@@ -27,22 +28,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice
 from math import gcd
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .congruence import VerificationReport, _chain_sums, run_check
-from .cyclotomic import CycloElem, _field_sum, _Term
+from .cyclotomic import CycloElem, _field_sum, _field_witness, _Term
 
 
-def _residue(m: int, terms: list[_Term]) -> Optional[str]:
-    """None if the terms sum to zero in Q(zeta_m), else the rendered sum."""
-    acc = _field_sum(m, terms)
-    return None if acc.is_zero() else acc.value().render()
-
-
-def _residues(m: int, named: Iterable[tuple[str, list[_Term]]]) -> Iterator[str]:
-    """'<name> residue: <sum>' for each named term list with a nonzero sum."""
+def _residues(m: int, named: list[tuple[str, list[_Term]]], j: int) -> Iterator[str]:
+    """'<name> residue: <sum>' for each named term list nonzero at q = zeta_m^j."""
     for name, terms in named:
-        residue = _residue(m, terms)
+        residue = _field_witness(m, terms, j)
         if residue is not None:
             yield f"{name} residue: {residue}"
 
@@ -66,15 +61,14 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
       + sum_{k=1}^{n-1} (-1)^k q^{k(3k+5)/2} / (1 - q^{3k})
       = 1/3 + (3n+1)/6 * q^{2n}.
 
-    The left side is congruence._chain_sums(3n) with q = x^j.
+    The left side is congruence._chain_sums(3n).
     """
     m = 3 * n
     _require_root("n", n, j, m)
 
     def witness() -> Optional[str]:
-        terms = [(Fraction(-1, 3), 0, 0, 0), (Fraction(-3 * n - 1, 6), 2 * n * j, 0, 0)]
-        terms += [(c, j * e, j * s, t) for c, e, s, t in _chain_sums(m)]
-        return _residue(m, terms)
+        terms = [(Fraction(-1, 3), 0, 0, 0), (Fraction(-3 * n - 1, 6), 2 * n, 0, 0)]
+        return _field_witness(m, terms + _chain_sums(m), j)
 
     return run_check("main3n", {"n": n, "j": j}, witness)
 
@@ -85,17 +79,17 @@ def verify_explicit(n: int, j: int) -> VerificationReport:
     _require_root("n", n, j, m)
 
     def witness() -> Optional[str]:
-        terms = [(1, 0, j * (3 * k - 1), 1) for k in range(1, n + 1)]
-        terms += [(Fraction(-n, 3), 0, 0, 0), (Fraction(n, 3), j * n, 0, 0)]
-        return _residue(m, terms)
+        terms = [(1, 0, 3 * k - 1, 1) for k in range(1, n + 1)]
+        terms += [(Fraction(-n, 3), 0, 0, 0), (Fraction(n, 3), n, 0, 0)]
+        return _field_witness(m, terms, j)
 
     return run_check("explicit", {"n": n, "j": j}, witness)
 
 
 def verify_main3n_new(n: int, j: int) -> VerificationReport:
     """The half-power rearrangement of the central identity, verified in
-    Q(zeta_{6n}) with the square root of q pinned to zeta_{6n}^j (so every
-    q^{t/2} means x^{jt}):
+    Q(zeta_{6n}) with the square root r of q pinned to zeta_{6n}^j (so every
+    q^{t/2} is r^t, and the terms are written in r):
 
         (-1)^(n-1)/2 * sum_{k<n} q^{k(3n+2)/2} / (1 + q^{3k/2})
       + 1/2 * sum_{k<n} (-1)^k q^{k(3n+2)/2} / (1 - q^{3k/2})
@@ -109,15 +103,15 @@ def verify_main3n_new(n: int, j: int) -> VerificationReport:
         half_sign = Fraction((-1) ** (n - 1), 2)
         terms: list[_Term] = []
         for k in range(1, n):
-            e, s = j * k * (3 * n + 2), 3 * j * k
+            e, s = k * (3 * n + 2), 3 * k
             terms += [(half_sign, e, s, -1), (Fraction((-1) ** k, 2), e, s, 1)]
-        terms += [(-1, 0, 2 * j * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)]
+        terms += [(-1, 0, 2 * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)]
         terms += [
             (Fraction(n - 1, 3) - Fraction(2 * n - 1 + (-1) ** n, 4), 0, 0, 0),
-            (Fraction(-n, 3), 2 * j * n, 0, 0),
-            (Fraction(-(3 * n + 1), 6), 4 * j * n, 0, 0),
+            (Fraction(-n, 3), 2 * n, 0, 0),
+            (Fraction(-(3 * n + 1), 6), 4 * n, 0, 0),
         ]
-        return _residue(m, terms)
+        return _field_witness(m, terms, j)
 
     return run_check("main3n-new", {"n": n, "j": j}, witness)
 
@@ -141,20 +135,19 @@ def verify_even_case(N: int, j: int) -> VerificationReport:
     """
     m = 6 * N
     _require_root("N", N, j, m)
-    assert j % 6 in (1, 5)
 
     def witness() -> Optional[str]:
-        shared = [(1, j * (2 * N + k), 6 * k * j, 1) for k in range(1, N)]
-        shared += [(1, j * (2 * k - 1), (6 * k - 3) * j, 1) for k in range(1, N + 1)]
-        shared += [(-1, 0, (3 * k - 2) * j, 1) for k in range(1, N + 1)]
+        shared = [(1, 2 * N + k, 6 * k, 1) for k in range(1, N)]
+        shared += [(1, 2 * k - 1, 6 * k - 3, 1) for k in range(1, N + 1)]
+        shared += [(-1, 0, 3 * k - 2, 1) for k in range(1, N + 1)]
         display = shared + [
             (Fraction(2 * N, 3) - N - Fraction(1, 3), 0, 0, 0),
-            (Fraction(-2 * N, 3), 2 * N * j, 0, 0),
-            (Fraction(6 * N + 1, 6), N * j, 0, 0),
+            (Fraction(-2 * N, 3), 2 * N, 0, 0),
+            (Fraction(6 * N + 1, 6), N, 0, 0),
         ]
         core = shared + [(Fraction(N - 1, 3), 0, 0, 0)]
-        core.append((Fraction(2 * N + 1, 6), N * j, 0, 0))
-        return next(_residues(m, [("display", display), ("core", core)]), None)
+        core.append((Fraction(2 * N + 1, 6), N, 0, 0))
+        return next(_residues(m, [("display", display), ("core", core)], j), None)
 
     return run_check("even", {"N": N, "j": j}, witness)
 
@@ -177,17 +170,16 @@ def verify_odd_case(N: int, j: int) -> VerificationReport:
     def witness() -> Optional[str]:
         shared: list[_Term] = []
         for k in range(1, N):
-            s = 6 * k * j
-            shared += [(1, j * (2 * N - 1 + k), s, 1), (1, 2 * k * j, s, 1)]
-        shared += [(-1, 0, (3 * k - 2) * j, 1) for k in range(1, N + 1)]
+            shared += [(1, 2 * N - 1 + k, 6 * k, 1), (1, 2 * k, 6 * k, 1)]
+        shared += [(-1, 0, 3 * k - 2, 1) for k in range(1, N + 1)]
         display = shared + [
             (Fraction(2 * N - 1, 3) - (N - 1) - Fraction(1, 3), 0, 0, 0),
-            (Fraction(-(2 * N - 1), 3), (2 * N - 1) * j, 0, 0),
-            (Fraction(1, 3) - N, 2 * (2 * N - 1) * j, 0, 0),
+            (Fraction(-(2 * N - 1), 3), 2 * N - 1, 0, 0),
+            (Fraction(1, 3) - N, 2 * (2 * N - 1), 0, 0),
         ]
         core = shared + [(Fraction(N, 3), 0, 0, 0)]
-        core.append((Fraction(-N, 3), 2 * (2 * N - 1) * j, 0, 0))
-        return next(_residues(m, [("display", display), ("core", core)]), None)
+        core.append((Fraction(-N, 3), 2 * (2 * N - 1), 0, 0))
+        return next(_residues(m, [("display", display), ("core", core)], j), None)
 
     return run_check("odd", {"N": N, "j": j}, witness)
 
@@ -219,8 +211,8 @@ class EvenOddAuxiliaries:
 
 
 def _aux_rows(N: int, j: int, case: str) -> tuple[int, dict[str, list[_Term]]]:
-    """m and each auxiliary sum as terms 1/(1 - t q^s), q = x^j: A_l sums
-    over k < N for the (t, h) of row l, B1..B3 (even only), C1, C2 to N."""
+    """m and each auxiliary sum as terms 1/(1 - t q^s): A_l sums over k < N
+    for the (t, h) of row l, B1..B3 (even only), C1, C2 to N."""
     if case == "even":
         m = 6 * N
         a_rows = [(1, 0), (1, N), (1, 2 * N), (-1, 0), (-1, N), (-1, 2 * N)]
@@ -237,14 +229,14 @@ def _aux_rows(N: int, j: int, case: str) -> tuple[int, dict[str, list[_Term]]]:
         rows["b1"] = (1, [2 * k - 1 for k in kb])
         rows["b2"] = (1, [2 * N + 2 * k - 1 for k in kb])
         rows["b3"] = (-1, [N + 2 * k - 1 for k in kb])
-    return m, {name: [(1, 0, j * s, t) for s in ss] for name, (t, ss) in rows.items()}
+    return m, {name: [(1, 0, s, t) for s in ss] for name, (t, ss) in rows.items()}
 
 
 def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
     """The sums of _aux_rows in Q(zeta_m): q = zeta_{6N}^j, w = q^N for "even",
     q = zeta_{3(2N-1)}^j, w = -q^{2(2N-1)} for "odd"."""
     m, rows = _aux_rows(N, j, case)
-    sums = {name: _field_sum(m, terms).value() for name, terms in rows.items()}
+    sums = {name: _field_sum(m, terms, j).value() for name, terms in rows.items()}
     if case == "odd":
         omega = -CycloElem.root_power(m, 2 * (2 * N - 1) * j)
         return EvenOddAuxiliaries(b1=None, b2=None, b3=None, omega=omega, **sums)
@@ -289,34 +281,33 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
             props = [("A-relation residue", rel, 0)]
         failures = []
         for label, terms, target in props:
-            acc = _field_sum(m, terms)
+            acc = _field_sum(m, terms, j)
             if not (acc - target).is_zero():
                 failures.append(f"{label}: {acc.value().render()}")
         if case == "odd":
-            a = 2 * (2 * N - 1) * j  # w = -x^a
+            a = 2 * (2 * N - 1)  # w = -q^a
             sum3: list[_Term] = []
             sum4: list[_Term] = []
             for k in range(1, N):
-                s3, s6 = 3 * j * k, 6 * j * k
                 sum3 += [
                     # q^k (1 - q^k) / (1 + q^{3k})
-                    (1, j * k, s3, -1),
-                    (-1, 2 * j * k, s3, -1),
-                    # 3 w q^k (1 - w q^k) / (1 - q^{3k}), w q^k = -x^{a+jk}
-                    (-3, a + j * k, s3, 1),
-                    (-3, 2 * (a + j * k), s3, 1),
-                    # - w^2 q^k (1 - w^2 q^k) / (1 + q^{3k}), w^2 q^k = x^{2a+jk}
-                    (-1, 2 * a + j * k, s3, -1),
-                    (1, 4 * a + 2 * j * k, s3, -1),
+                    (1, k, 3 * k, -1),
+                    (-1, 2 * k, 3 * k, -1),
+                    # 3 w q^k (1 - w q^k) / (1 - q^{3k}), w q^k = -q^{a+k}
+                    (-3, a + k, 3 * k, 1),
+                    (-3, 2 * (a + k), 3 * k, 1),
+                    # - w^2 q^k (1 - w^2 q^k) / (1 + q^{3k}), w^2 q^k = q^{2a+k}
+                    (-1, 2 * a + k, 3 * k, -1),
+                    (1, 4 * a + 2 * k, 3 * k, -1),
                 ]
                 # q^k (1 + w q^{3k})(1 - w q^k) / (1 - q^{6k})
-                sum4 += [(1, j * k, s6, 1), (1, a + 2 * j * k, s6, 1)]
-                sum4 += [(-1, a + 4 * j * k, s6, 1), (-1, 2 * a + 5 * j * k, s6, 1)]
-            sides = [(1, 0, -2 * k * j, 1) for k in range(1, N)]
-            sides += [(1, 0, -(2 * k - 1) * j, 1) for k in range(1, N)]
-            sides += [(-1, 0, -k * j, 1) for k in range(1, 2 * N - 1)]
+                sum4 += [(1, k, 6 * k, 1), (1, a + 2 * k, 6 * k, 1)]
+                sum4 += [(-1, a + 4 * k, 6 * k, 1), (-1, 2 * a + 5 * k, 6 * k, 1)]
+            sides = [(1, 0, -2 * k, 1) for k in range(1, N)]
+            sides += [(1, 0, -(2 * k - 1), 1) for k in range(1, N)]
+            sides += [(-1, 0, -k, 1) for k in range(1, 2 * N - 1)]
             named = [("three-term reformulation", sum3), ("product-form", sum4)]
-            failures += _residues(6 * N - 3, named + [("two-sided sum", sides)])
+            failures += _residues(6 * N - 3, named + [("two-sided sum", sides)], j)
             if not multiset_identity_holds(N):
                 failures.append("multiset identity failed")
         return "; ".join(failures) if failures else None
@@ -382,7 +373,7 @@ def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
 
     def witness() -> Optional[str]:
         for x in _pfd_points(points):
-            residue = _residue(6, _pfd_terms(kind, x))
+            residue = _field_witness(6, _pfd_terms(kind, x))
             if residue is not None:
                 return f"disagreement at x = {x}: {residue}"
         return None
@@ -395,32 +386,9 @@ def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
 # power-series certification of the rearrangement identity
 
 
-def _mid_lhs(n: int, w: Fraction) -> Fraction:
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        total += Fraction((-1) ** k) * w ** (k * (3 * k - 1)) / (1 - w ** (2 * (3 * k - 1)))
-    for k in range(1, n):
-        total += Fraction((-1) ** k) * w ** (k * (3 * k + 5)) / (1 - w ** (6 * k))
-    return total
-
-
-def _mid_rhs(n: int, w: Fraction) -> Fraction:
-    total = -Fraction(2 * n - 1 + (-1) ** n, 4)
-    sign = (-1) ** (n - 1)
-    for k in range(1, n):
-        p = w ** (k * (3 * n + 2))
-        total += Fraction(sign, 2) * p / (1 + w ** (3 * k))
-        total += Fraction((-1) ** k, 2) * p / (1 - w ** (3 * k))
-    for k in range(1, n + 1):
-        total += Fraction(1) / (1 - w ** (2 * (3 * k - 1)))
-    for k in range(1, (n + 1) // 2 + 1):
-        total -= Fraction(1) / (1 - w ** (2 * (3 * k - 2)))
-    return total
-
-
 # A side of the identity as a list of terms c * w^e / (1 - t * w^s), with
 # t = +-1, e >= 0, s >= 1, or t = 0 for the monomial c * w^e (s = 0); the
-# same terms as _mid_lhs / _mid_rhs.
+# tests check them against the Fraction oracles _mid_lhs / _mid_rhs.
 
 
 def _mid_lhs_terms(n: int) -> list[_Term]:
@@ -510,7 +478,7 @@ def verify_extan(m: int, z: Fraction) -> VerificationReport:
         zinv = 1 / z
         terms = [(1, 0, k, zinv) for k in range(1, m + 1)]
         terms.append((-m / (1 - zinv**m), 0, 0, 0))
-        return _residue(m, terms)
+        return _field_witness(m, terms)
 
     return run_check("extan", params, witness)
 
@@ -546,7 +514,7 @@ def verify_trig_identity(N: int, tol: float = 1e-9) -> VerificationReport:
 
 
 def _sawtooth_rhs(N: int, f: int) -> list[_Term]:
-    """-1/(2N-1) * sum_{u<2N-1} u x^{uf} as monomial terms."""
+    """-1/(2N-1) * sum_{u<2N-1} u q^{uf} as monomial terms."""
     return [(Fraction(-u, 2 * N - 1), u * f, 0, 0) for u in range(2 * N - 1)]
 
 
@@ -567,16 +535,16 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
     _require_root("N", N, j, m)
     if k % (2 * N - 1) == 0:
         raise ValueError("k must not be divisible by 2N-1")
-    f6 = 6 * k * j % m
+    f6 = 6 * k % m
     assert f6 != 0, "q^{6k} = 1 despite the precondition"
 
     def witness() -> Optional[str]:
         rhs = _sawtooth_rhs(N, f6)
         product = rhs + [(-c, e + f6, s, t) for c, e, s, t in rhs] + [(-1, 0, 0, 0)]
-        if _field_sum(m, product).is_zero():
+        if _field_sum(m, product, j).is_zero():
             return None
         diff = [(1, 0, f6, 1)] + [(-c, e, s, t) for c, e, s, t in rhs]
-        return _field_sum(m, diff).value().render()
+        return _field_witness(m, diff, j)
 
     return run_check("sawtooth", {"N": N, "j": j, "k": k}, witness)
 

@@ -70,6 +70,22 @@ def test_eval_nonpositive_field_order_exits_2(capsys):
         assert err == "error: field order must be a positive integer\n", m
 
 
+def test_outsized_input_exits_2_without_a_traceback(capsys):
+    # nesting too deep to parse, and sizes that no list can hold (10^20 does
+    # not fit an index, so nothing is allocated)
+    deep = "(" * 400 + "1" + ")" * 400
+    cases = [
+        (["eval", deep, "--poly"], "error: maximum recursion depth exceeded"),
+        (["eval", "q^(10^20)", "--poly"], "error: cannot fit 'int'"),
+        (["eval", "qbin(10^20, 1)", "--root", "3", "1"], "error: cannot fit"),
+        (["qbin", "100000000000000000000", "1"], "error: cannot fit 'int'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "", argv[:2]
+        assert err.startswith(message) and "Traceback" not in err, argv[:2]
+
+
 def test_eval_binding_q_exits_2(capsys):
     code, out, err = run_cli(["eval", "q+1", "--poly", "--bind", "q=3"], capsys)
     assert code == 2 and out == ""

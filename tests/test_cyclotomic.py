@@ -12,6 +12,7 @@ from qcatalan.cyclotomic import (
     GroupAlgebraElem,
     _binomial_inverse,
     _field_sum,
+    _field_witness,
     _phi_power,
     cyclotomic_poly,
     divisors,
@@ -467,34 +468,41 @@ def test_group_algebra_ops_match_field_arithmetic():
 
 
 def test_field_sum_matches_field_arithmetic():
-    # random term lists c x^e / (1 - t x^s) against CycloElem arithmetic,
-    # with exponents outside [0, m) and zero coefficients among the terms
-    rng = random.Random(1515)
+    # random term lists c q^e / (1 - t q^s) at q = x^j against CycloElem
+    # arithmetic on x^(je) / (1 - t x^(js)), with exponents outside [0, m),
+    # zero coefficients among the terms and a random j coprime to m
+    rng, jrng = random.Random(1515), random.Random(1516)
     for _ in range(120):
         m = rng.randint(1, 60)
+        j = jrng.choice([j for j in range(1, m + 1) if gcd(j, m) == 1])
         one = CycloElem.one(m)
         terms, oracle, den = [], CycloElem.zero(m), 1
         for _ in range(rng.randint(0, 30)):
             t = rng.choice((0, 1, -1, 2, Fraction(-1, 2), Fraction(3, 5)))
             c = Fraction(rng.choice((0, rng.randint(-7, 7))), rng.randint(1, 6))
             e, s = rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m)
-            term = CycloElem.root_power(m, e) * c
+            term = CycloElem.root_power(m, j * e) * c
             vden = 1
             if t:
-                denom = one - CycloElem.root_power(m, s) * t
+                denom = one - CycloElem.root_power(m, j * s) * t
                 if denom.is_zero():
                     continue
                 term = term * denom.inv()
-                vden = _binomial_inverse(m, s % m, t)[1]
+                vden = _binomial_inverse(m, j * s % m, t)[1]
             terms.append((c, e, s, t))
             oracle = oracle + term
             if c:
                 den = lcm(den, vden * c.denominator)
-        acc = _field_sum(m, terms)
+        acc = _field_sum(m, terms, j)
         assert len(acc.vec) == m and acc.m == m
-        assert acc.den == den, (m, terms)
-        assert acc.value() == oracle, (m, terms)
+        assert acc.den == den, (m, j, terms)
+        assert acc.value() == oracle, (m, j, terms)
         assert acc.is_zero() == oracle.is_zero()
+        # the field verdict: None on a zero sum, else the rendered value
+        want = None if oracle.is_zero() else oracle.render()
+        assert _field_witness(m, terms, j) == want, (m, j, terms)
+        negated = [(-c, e, s, t) for c, e, s, t in terms]
+        assert _field_witness(m, terms + negated, j) is None, (m, j, terms)
 
 
 def test_field_sum_edge_cases():

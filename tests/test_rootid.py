@@ -25,7 +25,7 @@ from qcatalan.rootid import (
     verify_trig_identity,
 )
 from qcatalan import rootid
-from qcatalan.rootid import _mid_lhs, _mid_lhs_terms, _mid_rhs, _mid_rhs_terms
+from qcatalan.rootid import _mid_lhs_terms, _mid_rhs_terms
 
 
 def test_root_context_validation():
@@ -220,13 +220,14 @@ def _term_value(m, term):
 def test_dropped_term_is_caught_with_exact_witness(monkeypatch):
     # every field suite, with the first term of each list it sums left out,
     # fails with minus that term as its residue, under its own prefix
-    real, dropped = rootid._residue, []
+    real, dropped = rootid._field_witness, []
 
-    def drop_first(m, terms):
-        dropped.append((m, terms[0]))
-        return real(m, terms[1:])
+    def drop_first(m, terms, j=1):
+        c, e, s, t = terms[0]
+        dropped.append((m, (c, e * j, s * j, t)))  # the term at q = x^j
+        return real(m, terms[1:], j)
 
-    monkeypatch.setattr(rootid, "_residue", drop_first)
+    monkeypatch.setattr(rootid, "_field_witness", drop_first)
     pfd = "disagreement at x = 2: {}"
     cases = [
         (lambda: verify_main3n(3, 2), ["{}"]),
@@ -258,6 +259,64 @@ def test_dropped_term_is_caught_with_exact_witness(monkeypatch):
             for prefix, (m, term) in zip(prefixes, dropped)
         ]
         assert rep.witness == "; ".join(parts), rep.params
+
+
+def test_each_suite_hands_its_root_exponent_to_the_field_sum(monkeypatch):
+    # the suites write their terms in q and leave q = x^j to _field_sum, so
+    # a verdict at a conjugate is the same with j dropped: only the j that
+    # each sum receives shows that the witness is rendered at zeta_m^j
+    from qcatalan import cyclotomic
+
+    seen = []
+
+    def recording(real):
+        def wrapper(m, terms, j=1):
+            seen.append(j)
+            return real(m, terms, j)
+
+        return wrapper
+
+    for name in ("_field_sum", "_field_witness"):
+        monkeypatch.setattr(rootid, name, recording(getattr(cyclotomic, name)))
+    cases = [
+        (5, lambda j: verify_main3n(4, j)),
+        (5, lambda j: verify_explicit(4, j)),
+        (7, lambda j: verify_main3n_new(4, j)),
+        (5, lambda j: verify_even_case(3, j)),
+        (2, lambda j: verify_odd_case(3, j)),
+        (5, lambda j: verify_aux_properties(3, j, "even")),
+        (2, lambda j: verify_aux_properties(3, j, "odd")),
+        (5, lambda j: compute_auxiliaries(3, j, "even")),
+        (2, lambda j: verify_sawtooth(3, j, 4)),
+    ]
+    for j, run in cases:
+        seen.clear()
+        result = run(j)
+        assert getattr(result, "passed", True), j
+        assert seen and set(seen) == {j}, (j, seen)
+
+
+def _mid_lhs(n: int, w: Fraction) -> Fraction:
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        total += Fraction((-1) ** k) * w ** (k * (3 * k - 1)) / (1 - w ** (2 * (3 * k - 1)))
+    for k in range(1, n):
+        total += Fraction((-1) ** k) * w ** (k * (3 * k + 5)) / (1 - w ** (6 * k))
+    return total
+
+
+def _mid_rhs(n: int, w: Fraction) -> Fraction:
+    total = -Fraction(2 * n - 1 + (-1) ** n, 4)
+    sign = (-1) ** (n - 1)
+    for k in range(1, n):
+        p = w ** (k * (3 * n + 2))
+        total += Fraction(sign, 2) * p / (1 + w ** (3 * k))
+        total += Fraction((-1) ** k, 2) * p / (1 - w ** (3 * k))
+    for k in range(1, n + 1):
+        total += Fraction(1) / (1 - w ** (2 * (3 * k - 1)))
+    for k in range(1, (n + 1) // 2 + 1):
+        total -= Fraction(1) / (1 - w ** (2 * (3 * k - 2)))
+    return total
 
 
 def _mid_points(count):
