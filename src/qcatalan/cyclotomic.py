@@ -16,9 +16,11 @@ read or inverted with three or more terms.  _field_sum adds a list of
 terms c * q^e / (1 - t * q^s) at q = x^j into one such value in one pass
 over one common denominator; it is the only code that sums a term list,
 for the rootid suites, the reduction chain, the character sums and the
-values that compiled qdsl expressions build in cyclo mode, and the only
-code that applies j: x -> x^j (gcd(j, m) = 1) is an automorphism of
-Q(zeta_m), so a value is zero at zeta_m^j exactly when it is at zeta_m.
+values that compiled qdsl expressions build in cyclo mode.  With
+GroupAlgebraElem.conjugate, which maps a sum at zeta_m onto the sum at
+zeta_m^j, it is the only code that applies j: x -> x^j (gcd(j, m) = 1) is
+an automorphism of Q(zeta_m), so a value is zero at zeta_m^j exactly when
+it is at zeta_m.
 Zero tests reduce nothing (phi_power_divides), and _field_witness is the
 one field verdict.  reduce_mod_phi_power is the one reduction mod Phi: it
 renders both kinds of failure witness, a remainder mod Phi_n^e and a
@@ -357,7 +359,7 @@ class CycloElem:
 
             a^-1 = prod_{j != 1} sigma_j(a) / N(a).
 
-        Each conjugate is the index map x^i -> x^(i*j mod m) on the integer
+        Each conjugate is GroupAlgebraElem.conjugate of the integer
         numerator, and each partial product is reduced by
         reduce_mod_phi_power.
 
@@ -370,12 +372,11 @@ class CycloElem:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
         m, num = self.m, self.num
+        padded = GroupAlgebraElem(m, list(num) + [0] * (m - len(num)))
         cofactor = Poly.one()
         for j in range(2, m):
             if gcd(j, m) == 1:
-                conj = [0] * m
-                for i, c in enumerate(num):
-                    conj[i * j % m] += c
+                conj = padded.conjugate(j).vec
                 cofactor = reduce_mod_phi_power(cofactor * Poly(conj), m)
         norm = reduce_mod_phi_power(cofactor * Poly(num), m)
         if norm.degree != 0:
@@ -532,7 +533,11 @@ class GroupAlgebraElem:
       else is reduced mod Phi_m and inverted with the memoised CycloElem.inv.
       A value that is zero in Q(zeta_m) raises ZeroDivisionError there;
     * is_zero() reads a single term directly and tests anything else with
-      phi_power_divides, with no reduction: (1 + x + x^2) is zero at m = 3.
+      phi_power_divides, with no reduction: (1 + x + x^2) is zero at m = 3;
+    * conjugate(j) is sigma_j: x -> x^j for gcd(j, m) = 1, the one
+      conjugation kernel: entry i moves to i*j mod m.  It is an automorphism
+      of Q[x]/(x^m - 1) and of Q(zeta_m), and it maps _field_sum(m, T, 1)
+      onto _field_sum(m, T, j) entry for entry, denominator and all.
 
     Every operation builds a new value; a sum of many terms
     c * x^e / (1 - t * x^s) is built in one pass by _field_sum.
@@ -570,6 +575,12 @@ class GroupAlgebraElem:
         if len(support) <= 1:  # zero, or a unit c x^p
             return not support
         return phi_power_divides(self.vec, self.m)
+
+    def conjugate(self, j: int) -> "GroupAlgebraElem":
+        """sigma_j(self): x -> x^j, for j coprime to m; the denominator is kept."""
+        m, vec = self.m, self.vec
+        k = pow(j, -1, m)  # entry i * j comes from entry i; ValueError unless coprime
+        return GroupAlgebraElem(m, [vec[i * k % m] for i in range(m)], self.den)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -16,16 +16,17 @@ for a non-integral quotient or a negative power, never a float.  A
 subexpression with q (or a qbin / qcat) is an exact Poly in poly mode,
 where q is the indeterminate.  In cyclo mode it is a term list
 [(c, e, s, t), ...] in q, the sum of c q^e / (1 - t q^s) (t = 0 for a
-monomial) that EvalContext.lift adds at q = zeta_m^j by _field_sum, the
-one place j is applied: + - and sum concatenate lists, qbin / qcat are
-their monomials, a factor made of monomials multiplies term by term, a
-divisor that collects to one monomial shifts and scales, and one that
-collects to two turns a numerator of monomials into quotient terms, its
-denominator checked then.  Any other product, quotient or power is
-computed once in the group algebra and read back as monomials.  These
-fallbacks, the divisor checks and the zero test of a left factor run at
-q = zeta_m, exact since x -> x^j is an automorphism of Q(zeta_m): a value
-is zero at zeta_m^j exactly when it is zero at zeta_m.
+monomial) that EvalContext.lift adds at q = zeta_m^j by _field_sum (a
+corpus sweep sums at zeta_m once and maps the sum by conjugate(j)).  + -
+and sum concatenate lists, qbin / qcat are their monomials folded mod m,
+a factor of monomials multiplies term by term, a divisor that collects to
+one monomial shifts and scales, and one that collects to two turns a
+numerator of monomials into quotient terms, its denominator checked then.
+Any other product, quotient or power is computed once in the group
+algebra and read back as monomials.  These fallbacks, the divisor checks
+and the zero test of a left factor run at q = zeta_m, exact since
+x -> x^j is an automorphism of Q(zeta_m): a value is zero at zeta_m^j
+exactly when it is zero at zeta_m.
 Exponents, summation bounds and the arguments of qbin/qcat/legendre3 are
 integer positions: their value must be rational and integral; the
 argument of floor must be rational.  q is reserved: it cannot be bound,
@@ -556,7 +557,7 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
     node."""
     if isinstance(e, Bin):
         left, right = _compile(e.left, mode), _compile(e.right, mode)
-        if e.op != "/" and _q_free(e):  # rational operands: Python's own operators
+        if e.op != "/" and _names(e).isdisjoint(("q", "qbin", "qcat")):  # rationals
             if e.op == "*":
                 return lambda env: 0 if (a := left(env)) == 0 else a * right(env)
             op = add if e.op == "+" else sub
@@ -648,20 +649,23 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
             p = gaussian_binomial(*values) if e.name == "qbin" else q_catalan(*values)
             if mode == "poly":
                 return p
-            return [(c, i, 0, 0) for i, c in enumerate(p.coeffs) if c]
+            m = env["q"]  # folded mod m, as q^m = 1 at every m-th root of unity
+            return [(c, r, 0, 0) for r in range(m) if (c := sum(p.coeffs[r::m]))]
 
         return call
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _q_free(e: Expr) -> bool:
-    """Whether e has no q, qbin or qcat, so that its value is rational."""
-    if isinstance(e, Var):
-        return e.name != "q"
-    if isinstance(e, Call):
-        return e.name not in ("qbin", "qcat") and all(map(_q_free, e.args))
-    parts = [getattr(e, field.name) for field in dataclasses.fields(e)]
-    return all(_q_free(part) for part in parts if not isinstance(part, (str, Fraction)))
+def _names(e: Expr) -> set[str]:
+    """The names of the variables and functions that occur in e."""
+    if isinstance(e, (Var, Call)):
+        names, parts = {e.name}, getattr(e, "args", ())
+    else:
+        names, parts = set(), [getattr(e, f.name) for f in dataclasses.fields(e)]
+    for part in parts:
+        if not isinstance(part, (str, Fraction)):
+            names |= _names(part)
+    return names
 
 
 def _integer(sub: Expr, mode: str, node: Optional[Expr]):
@@ -808,19 +812,29 @@ def _sweep(
 
 def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
     """Check one corpus identity across its whole parameter sweep.  The line
-    is compiled once, inside the timed check, and its closures run per case."""
+    is compiled once, inside the timed check, and its closures run per case;
+    a cyclo case maps the sum at q = zeta_m for its bindings but j by x -> x^j."""
     cases = 0
 
     def witness() -> Optional[str]:
         nonlocal cases
-        diff = _compile(Bin("-", entry.lhs, entry.rhs), entry.mode)
+        expr = Bin("-", entry.lhs, entry.rhs)
+        diff, reads_j, sums = _compile(expr, entry.mode), "j" in _names(expr), {}
         index = entry.mod_index
         if index is not None:
             index = _integer(index, "poly", index)
         for binding in _cases(entry):
             cases += 1
             field = (binding["m"], binding["j"]) if entry.mode == "cyclo" else None
-            value = EvalContext(entry.mode, binding, field).evaluate(diff)
+            context = EvalContext(entry.mode, binding, field)  # checks gcd(j, m)
+            if field is None:
+                value = context.evaluate(diff)
+            else:  # one sum at q = zeta_m per binding of the names but j
+                key = tuple(v for k, v in binding.items() if k != "j" or reads_j)
+                if key not in sums:
+                    at_root = EvalContext("cyclo", binding, (field[0], 1))
+                    sums[key] = at_root.evaluate(diff)
+                value = sums[key].conjugate(field[1])
             if index is not None:
                 residue = _residue_witness(value, index(binding), entry.mod_power)
                 if residue is not None:

@@ -505,6 +505,54 @@ def test_field_sum_matches_field_arithmetic():
         assert _field_witness(m, terms + negated, j) is None, (m, j, terms)
 
 
+def _admits(kind, m, s):
+    """Whether 1 - t x^s, t of the given kind, is a nonzero denominator of
+    that kind; d is the order m / gcd(m, s) of x^s."""
+    d = m // gcd(m, s % m)
+    if kind == "t = 1":
+        return d > 1
+    if kind == "t = -1, d odd":
+        return d % 2 == 1
+    if kind == "t = -1, d even":
+        return d % 2 == 0 and d > 2  # 1 + x^(m/2) is zero
+    return True
+
+
+def test_conjugate_maps_the_sum_at_zeta_onto_the_sum_at_each_root():
+    # sigma_j(_field_sum(m, T, 1)) is _field_sum(m, T, j) entry for entry and
+    # in the denominator, for every m <= 30 and every j coprime to m, on
+    # random term lists with every kind of t and negative e and s
+    rng = random.Random(2121)
+    kinds = {
+        "t = 0": 0,
+        "t = 1": 1,
+        "t = -1, d odd": -1,
+        "t = -1, d even": -1,
+        "rational t": Fraction(-3, 5),
+    }
+    seen = set()
+    for m in range(1, 31):
+        terms = []
+        for _ in range(4):
+            for kind, t in kinds.items():
+                choices = [s for s in range(-2 * m, 2 * m + 1) if _admits(kind, m, s)]
+                if choices:
+                    s, e = rng.choice(choices), rng.randint(-3 * m, 3 * m)
+                    c = Fraction(rng.randint(-7, 7), rng.randint(1, 6))
+                    terms.append((c, e, s, t))
+                    seen.add(kind)
+        rng.shuffle(terms)
+        at_zeta = _field_sum(m, terms)
+        for j in range(1, m + 1):
+            if gcd(j, m) == 1:
+                conjugate, want = at_zeta.conjugate(j), _field_sum(m, terms, j)
+                assert conjugate.vec == want.vec and conjugate.den == want.den, (m, j)
+        assert any(e < 0 for _, e, _, _ in terms) and any(s < 0 for _, _, s, _ in terms)
+    assert seen == set(kinds)
+    with pytest.raises(ValueError):  # x -> x^2 is no automorphism at m = 6
+        GroupAlgebraElem.monomial(6, 1, 1).conjugate(2)
+
+
 def test_field_sum_edge_cases():
     empty = _field_sum(7, [])
     assert empty.vec == [0] * 7 and empty.den == 1 and empty.is_zero()

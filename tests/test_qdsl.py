@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from qcatalan.cyclotomic import CycloElem, reduce_mod_phi_power
+from qcatalan.cyclotomic import CycloElem, GroupAlgebraElem, reduce_mod_phi_power
 from qcatalan.qdsl import (
     Bin,
     Call,
@@ -475,6 +475,48 @@ def test_corpus_j_must_be_coprime_to_m():
         with pytest.raises(ValueError) as exc:
             run_corpus_entry(parse_corpus_line(1, line))
         assert str(exc.value) == message
+
+
+def test_corpus_sweeps_go_through_conjugate(monkeypatch):
+    # an index map that is not an automorphism of Q[x]/(x^m - 1) in place of
+    # x -> x^j breaks some shipped j=all line, and a j that is not coprime
+    # to m errors as before, also once the sum for its other bindings exists
+    def not_an_automorphism(self, j):
+        out = [0] * self.m
+        for i, c in enumerate(self.vec):
+            out[i * j % (self.m - 1 or 1)] += c
+        return GroupAlgebraElem(self.m, out, self.den)
+
+    def not_injective(self, j):
+        out = [0] * self.m
+        for i, c in enumerate(self.vec):
+            out[i * j % self.m // 2] += c
+        return GroupAlgebraElem(self.m, out, self.den)
+
+    sweeps = [e for e in shipped_corpus() if ("j", "all", None) in e.bindings]
+    assert len(sweeps) == 18
+    for bad in (not_an_automorphism, not_injective):
+        monkeypatch.setattr(GroupAlgebraElem, "conjugate", bad)
+        failed = 0
+        for entry in sweeps:
+            try:
+                failed += run_corpus_entry(entry).status == "fail"
+            except (ArithmeticError, ValueError):
+                failed += 1
+        assert failed >= len(sweeps) // 2, (bad.__name__, failed)
+        for line in ("q == q @ cyclo(m=6, j=2)", "q == q @ cyclo(m=6, j=1..2)"):
+            with pytest.raises(ValueError) as exc:
+                run_corpus_entry(parse_corpus_line(1, line))
+            assert str(exc.value) == "j = 2 is not coprime to m = 6"
+
+
+def test_corpus_line_that_reads_j_is_summed_per_case():
+    # the sum at zeta_m is shared by the conjugates only if the line's
+    # expressions do not read j
+    rep = run_corpus_entry(parse_corpus_line(1, "j == 1 @ cyclo(m=5, j=all)"))
+    assert rep.witness == "{'m': 5, 'j': 2}: 1 (mod Phi_5)"
+    rep = run_corpus_entry(parse_corpus_line(1, "q^j*j == j*q^j @ cyclo(m=5, j=all)"))
+    assert rep.passed and rep.params["cases"] == 4
 
 
 def test_failure_witnesses_pinned():

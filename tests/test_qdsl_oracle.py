@@ -16,7 +16,7 @@ from math import floor, gcd
 from typing import Union
 
 from qcatalan.congruence import _residue_witness
-from qcatalan.cyclotomic import GroupAlgebraElem
+from qcatalan.cyclotomic import GroupAlgebraElem, _field_sum
 from qcatalan.qcomb import gaussian_binomial, legendre3, q_catalan
 from qcatalan.qdsl import (
     Bin,
@@ -230,6 +230,24 @@ def test_compiled_evaluator_matches_the_tree_walker_on_the_corpus():
                         got, value = got.value(), value.value()
                     assert got == value, (entry.raw, binding)
     assert valued > 1500, valued
+
+
+def test_conjugate_matches_the_sum_at_each_root_on_the_corpus():
+    # every case of every shipped j=all line: the term list of lhs - rhs
+    # summed at zeta_m and mapped by x -> x^j is its sum at zeta_m^j, entry
+    # for entry and in the denominator
+    sweeps = [e for e in shipped_corpus() if ("j", "all", None) in e.bindings]
+    assert len(sweeps) == 18
+    for entry in sweeps:
+        diff = _compile(Bin("-", entry.lhs, entry.rhs), "cyclo")
+        for binding in _cases(entry):
+            m, j = binding["m"], binding["j"]
+            terms = diff({**binding, "q": m})
+            if type(terms) is not list:  # a rational, such as an empty sum
+                terms = [(terms, 0, 0, 0)]
+            conjugate, want = _field_sum(m, terms).conjugate(j), _field_sum(m, terms, j)
+            assert conjugate.vec == want.vec, (entry.raw, binding)
+            assert conjugate.den == want.den, (entry.raw, binding)
 
 
 def test_cyclo_lines_reject_a_rational_offset():
