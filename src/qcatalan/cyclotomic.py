@@ -438,10 +438,9 @@ class CycloField:
     inv_one_minus / inv_one_plus give group-algebra representatives
     (vector, denominator) of 1/(1 - x^s) and 1/(1 + x^s), i.e. integer
     vectors v of length m with (1/d) * sum v[i] x^i equal to the inverse
-    mod Phi_m, read from the closed forms of _binomial_inverse.  No library
-    code calls them: _field_sum calls _binomial_inverse itself and adds many
-    such terms as integer rotations into one vector, which is reduced mod
-    Phi_m only when its value is read.
+    mod Phi_m, read from a one-term _field_sum.  No library code calls
+    them: _field_sum writes such closed forms for many terms into one
+    vector, which is reduced mod Phi_m only when its value is read.
     """
 
     def __init__(self, m: int):
@@ -457,11 +456,28 @@ class CycloField:
 
     def inv_one_minus(self, s: int) -> tuple[tuple[int, ...], int]:
         """Group-algebra representative of 1/(1 - x^s); s must not be 0 mod m."""
-        return _binomial_inverse(self.m, s % self.m, 1)[:2]
+        acc = _field_sum(self.m, [(1, 0, s, 1)])
+        return tuple(acc.vec), acc.den
 
     def inv_one_plus(self, s: int) -> tuple[tuple[int, ...], int]:
         """Group-algebra representative of 1/(1 + x^s)."""
-        return _binomial_inverse(self.m, s % self.m, -1)[:2]
+        acc = _field_sum(self.m, [(1, 0, s, -1)])
+        return tuple(acc.vec), acc.den
+
+
+def _unit_binomial(m: int, s: int, t: int) -> tuple[int, int, int]:
+    """(s, t, d) for 1 - t x^s with t = +-1 and s in [0, m), d the order of
+    x^s: 1 + x^s with d even is rewritten as 1 - x^(s + m/2), since m is
+    even and x^(m/2) = -1 in Q(zeta_m).  So 1 - t x^s is zero in Q(zeta_m)
+    exactly when the result has t = 1 and d = 1, which raises
+    ZeroDivisionError."""
+    d = m // gcd(m, s)
+    if t == -1 and d % 2 == 0:
+        s = (s + m // 2) % m
+        t, d = 1, m // gcd(m, s)
+    if t == 1 and d == 1:
+        raise ZeroDivisionError(f"1 - x^{s} is zero in Q(zeta_{m})")
+    return s, t, d
 
 
 @lru_cache(maxsize=1024)
@@ -470,39 +486,24 @@ def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int, i
     Q(zeta_m); the nonzero entries of vec lie on the multiples of step.
 
     s is taken in [0, m) and c is a nonzero rational.  Let d = m / gcd(m, s)
-    be the order of z = x^s, so z^d = 1 already in Q[x]/(x^m - 1).
+    be the order of z = x^s, so z^d = 1 already in Q[x]/(x^m - 1).  For
+    c^d != 1, (1 - c z) * sum_{u<d} (c z)^u = 1 - c^d, so
 
-    * c^d != 1: (1 - c z) * sum_{u<d} (c z)^u = 1 - c^d, so
+        1/(1 - c z) = sum_{u<d} c^u z^u / (1 - c^d),
 
-          1/(1 - c z) = sum_{u<d} c^u z^u / (1 - c^d),
-
-      an inverse in the group algebra itself.
-    * c = 1: the discrete sawtooth.  For d > 1, zeta^s is a primitive d-th
-      root of unity, so sum_{u<d} zeta^(su) = 0 and
-
-          1/(1 - z) = -(1/d) * sum_{u<d} u z^u   in Q(zeta_m).
-
-      For d = 1, 1 - z is zero.
-    * c = -1 with d even: m is even and x^(m/2) = -1 in Q(zeta_m), so
-      1 + z = 1 - x^(s + m/2), which is the case c = 1.
-
-    So 1 - c z is zero in Q(zeta_m) exactly when c = 1 and s = 0, or
-    c = -1 and s = m/2; both raise ZeroDivisionError.  Every nonzero entry
-    sits at some s*u mod m, a multiple of step = gcd(m, s) = m / d, for the
-    s solved for after the shift.  The 1024 most recently used inverses are
-    memoised, keyed by (m, s, c).
+    an inverse in the group algebra itself, whose entries lie at s*u mod m,
+    multiples of step = gcd(m, s) = m / d.  _field_sum reads it for every
+    rational t but +-1; the 1024 most recently used inverses are memoised,
+    keyed by (m, s, c).  For c = +-1, where c^d can be 1, the vector is
+    read from the one-term _field_sum, which writes those closed forms
+    itself, and step is gcd(m, s) for the s that _unit_binomial solves for;
+    a 1 - c x^s that is zero in Q(zeta_m) raises ZeroDivisionError.
     """
-    step = gcd(m, s)
-    d = m // step
-    if c == -1 and d % 2 == 0:
-        return _binomial_inverse(m, (s + m // 2) % m, 1)
+    if c == 1 or c == -1:
+        acc = _field_sum(m, [(1, 0, s, c)])
+        return tuple(acc.vec), acc.den, gcd(m, _unit_binomial(m, s, c)[0])
+    d = m // gcd(m, s)
     vec = [0] * m
-    if c == 1:
-        if d == 1:
-            raise ZeroDivisionError(f"1 - x^{s} is zero in Q(zeta_{m})")
-        for u in range(1, d):
-            vec[s * u % m] = -u
-        return tuple(vec), d, step
     p, q = c.numerator, c.denominator
     den = q**d - p**d
     for u in range(d):
@@ -510,7 +511,7 @@ def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int, i
     g = gcd(den, *vec)
     if den < 0:
         g = -g
-    return tuple(v // g for v in vec), den // g, step
+    return tuple(v // g for v in vec), den // g, gcd(m, s)
 
 
 class GroupAlgebraElem:
@@ -675,32 +676,70 @@ _Term = NamedTuple("_Term", [("c", Fraction), ("e", int), ("s", int), ("t", Frac
 def _field_sum(m: int, terms: Iterable[_Term], j: int = 1) -> GroupAlgebraElem:
     """The sum of the terms at q = x^j (c q^e / (1 - t q^s) is read as
     c x^(je) / (1 - t x^(js))) in the group algebra of Q(zeta_m), over one
-    common denominator D.  A first pass takes each 1/(1 - t x^(js)) as
-    (vec, vden, step) from _binomial_inverse ((1,) over 1 for t = 0) and
-    sets D to the lcm of vden * c.denominator over the terms with c != 0; a
-    second adds (D / (vden * c.denominator)) * c.numerator * x^(je) * vec
-    into one integer vector, reading only the entries of vec at multiples of
-    step, where its nonzero entries lie.  A denominator 1 - t x^(js) that is
-    zero in Q(zeta_m) raises ZeroDivisionError, even when c = 0.
+    common denominator D.  A first pass sets D to the lcm of vden *
+    c.denominator over the terms with c != 0, where vden is the denominator
+    of 1/(1 - t x^(js)); a second adds (D / (vden * c.denominator)) *
+    c.numerator * x^(je) / (1 - t x^(js)) into one integer vector.  With z
+    = x^(js) of order d (so z^d = 1 already in Q[x]/(x^m - 1)):
+
+    * t = 1: the discrete sawtooth 1/(1 - z) = -(1/d) sum_{u<d} u z^u,
+      exact in Q(zeta_m) for d > 1, where z is a primitive d-th root of
+      unity and sum_{u<d} z^u = 0;
+    * t = -1, d odd: (1 + z) sum_{u<d} (-1)^u z^u = 1 + z^d = 2;
+    * t = -1, d even: m is even and x^(m/2) = -1 in Q(zeta_m), so 1 + z is
+      1 - x^(js + m/2), the case t = 1 with its own d;
+    * t = 0: the monomial c x^(je);
+    * any other rational t: the vector of _binomial_inverse, read only at
+      the multiples of its step, where its nonzero entries lie.
+
+    The t = +-1 forms are written straight into the vector, O(d) per term,
+    with no vector built and no memo read.  A denominator 1 - t x^(js) that
+    is zero in Q(zeta_m) (t = 1 with d = 1) raises ZeroDivisionError, even
+    when c = 0.
 
     >>> _field_sum(3, [(1, 0, 1, 1)]).value()  # 1/(1 - x)
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
     """
-    parts = []
+    units, stored = [], []
     den = 1
     for c, e, s, t in terms:
-        vec, vden, step = _binomial_inverse(m, s * j % m, t) if t else ((1,), 1, m)
+        s = s * j % m
+        unit = t == 1 or t == -1
+        if unit:
+            s, t, d = _unit_binomial(m, s, t)
+            vden = d if t == 1 else 2
+        elif t:
+            vec, vden, step = _binomial_inverse(m, s, t)
+        else:
+            vec, vden, step = (1,), 1, m
         if c:
-            d = vden * c.denominator
-            den = lcm(den, d)
-            parts.append((vec, step, d, c.numerator, e * j))
+            cden = vden * c.denominator
+            den = lcm(den, cden)
+            if unit:
+                units.append((t, s, d, cden, c.numerator, e * j))
+            else:
+                stored.append((vec, step, cden, c.numerator, e * j))
     acc = [0] * m
-    for vec, step, d, num, e in parts:
-        factor = den // d * num
+    for vec, step, cden, num, e in stored:
+        factor = den // cden * num
         for i in range(0, m, step):
             v = vec[i]
             if v:
                 acc[(i + e) % m] += factor * v
+    for t, s, d, cden, num, e in units:
+        factor = den // cden * num
+        pos = e % m
+        if t == 1:  # -factor * u at x^(e + su), u = 1 .. d - 1
+            weight = 0
+            for _ in range(1, d):
+                pos = (pos + s) % m
+                weight += factor
+                acc[pos] -= weight
+        else:  # (-1)^u * factor at x^(e + su), u = 0 .. d - 1
+            for _ in range(d):
+                acc[pos] += factor
+                pos = (pos + s) % m
+                factor = -factor
     return GroupAlgebraElem(m, acc, den)
 
 

@@ -9,6 +9,7 @@ polynomials and stay on the integer fast path throughout.
 
 from __future__ import annotations
 
+import sys
 import threading
 from collections import namedtuple
 from functools import lru_cache
@@ -146,9 +147,17 @@ def chain_info() -> ChainInfo:
         return ChainInfo(_walk.k, len(_walk.residues))
 
 
-def _residues(n: int) -> tuple[Poly, Poly]:
+def _check_steps(n: int) -> None:
+    """A walk to n needs n >= 1; an n above sys.maxsize raises OverflowError
+    up front, since the walk's tables could never hold it."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > sys.maxsize:
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
+
+
+def _residues(n: int) -> tuple[Poly, Poly]:
+    _check_steps(n)
     with _chain_lock:
         walk = _walk
         while walk.k < n:
@@ -185,8 +194,7 @@ def q_catalan(k: int) -> Poly:
 
 def _walked(n: int) -> _Walk:
     """A fresh walk of n steps, apart from the shared one."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_steps(n)
     walk = _Walk()
     for _ in range(n):
         walk.step()

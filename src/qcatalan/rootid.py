@@ -4,17 +4,23 @@ Every field identity is (left side) - (right side) as one list of terms
 (c, e, s, t), each c * q^e / (1 - t * q^s) with c and t rational; t = 0 is
 the monomial c * q^e.  cyclotomic._field_sum, the one evaluator of such
 lists, adds a list at q = x^j into one GroupAlgebraElem (the group algebra
-Q[x]/(x^m - 1) over one common denominator), taking each 1/(1 - t x^(js))
-from the closed forms of cyclotomic._binomial_inverse, so no suite applies
-j itself; cyclotomic._field_witness tests the sum for zero and reduces it
-mod Phi_m only to render a failure.  Inverses:
+Q[x]/(x^m - 1) over one common denominator), so no suite applies j to a
+term itself; cyclotomic._field_witness tests the sum for zero and reduces
+it mod Phi_m only to render a failure.  Inverses:
 
 * t = +-1 (main3n, explicit, main3n-new, even, odd, aux): the discrete
-  sawtooth -(1/d) sum_{u<d} u x^(su) and its alternating variant;
+  sawtooth -(1/d) sum_{u<d} u x^(su) and its alternating variant, which
+  _field_sum writes straight into its vector;
 * t = 1/z (extan), t = +-x at each rational point x (pfd): the geometric
-  series sum_{u<d} t^u x^(su) / (1 - t^d);
+  series sum_{u<d} t^u x^(su) / (1 - t^d) of cyclotomic._binomial_inverse;
 * sawtooth: the expansion R passes when (1 - q^s) R - 1 is zero, with no
   inverse; a failure renders 1/(1 - q^s) - R by the t = 1 closed form.
+
+main3n, explicit, even, odd and aux sweep whole Galois orbits.  Their term
+lists do not depend on j, so each is summed once per orbit, at zeta_m
+(_orbit_sums), and the check at j maps that sum by sigma_j: x -> x^j and
+zero-tests the image: a j sweep re-tests sigma_j and the zero test, it
+does not re-derive the identity at a new root.
 
 The rearrangement lemma (mid) is the one identity in a free variable w: its
 terms have the same shape, and it is certified by the integer Taylor series
@@ -24,22 +30,22 @@ of lhs - rhs (verify_mid_identity).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, count, islice
 from math import gcd
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .congruence import VerificationReport, _chain_sums, run_check
-from .cyclotomic import CycloElem, _field_sum, _field_witness, _Term
+from .cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, _field_witness, _Term
+from .ring import Coeff
 
-
-def _residues(m: int, named: list[tuple[str, list[_Term]]], j: int) -> Iterator[str]:
-    """'<name> residue: <sum>' for each named term list nonzero at q = zeta_m^j."""
-    for name, terms in named:
-        residue = _field_witness(m, terms, j)
-        if residue is not None:
-            yield f"{name} residue: {residue}"
+# A suite's named term lists: (label, terms, target), the terms summing to
+# the rational target at q = zeta_m^j for every j coprime to m.
+_Named = list[tuple[str, list[_Term], Coeff]]
+_Builder = Callable[..., tuple[int, _Named]]
 
 
 def _require_root(name: str, n: int, j: int, m: int) -> None:
@@ -48,6 +54,38 @@ def _require_root(name: str, n: int, j: int, m: int) -> None:
         raise ValueError(f"need {name} >= 1")
     if gcd(j, m) != 1:
         raise ValueError(f"j = {j} is not coprime to {m}")
+
+
+# ---------------------------------------------------------------------------
+# one sum per Galois orbit
+
+
+@lru_cache(maxsize=64)
+def _orbit_sums(builder: _Builder, *key: object) -> list[tuple[str, GroupAlgebraElem, Coeff]]:
+    """Each list of builder(*key) summed at q = zeta_m, with its label and
+    target.  The builder is the suite and key its n (or N and the parity
+    case); the 64 most recently used orbits are memoised."""
+    m, named = builder(*key)
+    return [(label, _field_sum(m, terms), target) for label, terms, target in named]
+
+
+def _orbit_failures(builder: _Builder, key: tuple, j: int) -> Iterator[str]:
+    """'<label>: <sum>' (the sum alone for an empty label), the sum at
+    q = zeta_m^j, for each list of builder(*key) that misses its target.
+
+    For gcd(j, m) = 1, sigma_j: x -> x^j is an automorphism of
+    Q[x]/(x^m - 1), and it maps _field_sum(m, T, 1) onto _field_sum(m, T, j)
+    entry for entry (Lang, Algebra, ch. VI section 3).  So the check at j is
+    sigma_j of the memoised sum at zeta_m and one zero test; sigma_j fixes
+    the rational target, and the rendered sum leaves it out.  The memo is
+    read here, inside the timed check, so the first check of an orbit pays
+    for the sums.
+    """
+    for label, acc, target in _orbit_sums(builder, *key):
+        acc = acc.conjugate(j)
+        if not (acc - target if target else acc).is_zero():
+            rendered = acc.value().render()
+            yield f"{label}: {rendered}" if label else rendered
 
 
 # ---------------------------------------------------------------------------
@@ -63,27 +101,36 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
 
     The left side is congruence._chain_sums(3n).
     """
-    m = 3 * n
-    _require_root("n", n, j, m)
+    _require_root("n", n, j, 3 * n)
 
     def witness() -> Optional[str]:
-        terms = [(Fraction(-1, 3), 0, 0, 0), (Fraction(-3 * n - 1, 6), 2 * n, 0, 0)]
-        return _field_witness(m, terms + _chain_sums(m), j)
+        return next(_orbit_failures(_main3n_lists, (n,), j), None)
 
     return run_check("main3n", {"n": n, "j": j}, witness)
 
 
+def _main3n_lists(n: int) -> tuple[int, _Named]:
+    """m = 3n and lhs - rhs of the central identity, written in q."""
+    m = 3 * n
+    terms = [(Fraction(-1, 3), 0, 0, 0), (Fraction(-3 * n - 1, 6), 2 * n, 0, 0)]
+    return m, [("", terms + _chain_sums(m), 0)]
+
+
 def verify_explicit(n: int, j: int) -> VerificationReport:
     """At q = zeta_{3n}^j: sum_{k=1}^{n} 1/(1 - q^{3k-1}) = (n/3)(1 - q^n)."""
-    m = 3 * n
-    _require_root("n", n, j, m)
+    _require_root("n", n, j, 3 * n)
 
     def witness() -> Optional[str]:
-        terms = [(1, 0, 3 * k - 1, 1) for k in range(1, n + 1)]
-        terms += [(Fraction(-n, 3), 0, 0, 0), (Fraction(n, 3), n, 0, 0)]
-        return _field_witness(m, terms, j)
+        return next(_orbit_failures(_explicit_lists, (n,), j), None)
 
     return run_check("explicit", {"n": n, "j": j}, witness)
+
+
+def _explicit_lists(n: int) -> tuple[int, _Named]:
+    """m = 3n and lhs - rhs of the explicit sum, written in q."""
+    terms = [(1, 0, 3 * k - 1, 1) for k in range(1, n + 1)]
+    terms += [(Fraction(-n, 3), 0, 0, 0), (Fraction(n, 3), n, 0, 0)]
+    return 3 * n, [("", terms, 0)]
 
 
 def verify_main3n_new(n: int, j: int) -> VerificationReport:
@@ -95,6 +142,10 @@ def verify_main3n_new(n: int, j: int) -> VerificationReport:
       + 1/2 * sum_{k<n} (-1)^k q^{k(3n+2)/2} / (1 - q^{3k/2})
       + (n/3)(1 - q^n) - sum_{k=1}^{floor((n+1)/2)} 1/(1 - q^{3k-2})
       - (2n - 1 + (-1)^n)/4  =  1/3 + (3n+1)/6 * q^{2n}.
+
+    Unlike the other orbit suites it sums per j: j need only be coprime to
+    3n, but the field is Q(zeta_{6n}), where for odd n and even j the map
+    x -> x^j is not an automorphism, so no sum at zeta_{6n} maps onto it.
     """
     _require_root("n", n, j, 3 * n)
     m = 6 * n
@@ -132,24 +183,30 @@ def verify_even_case(N: int, j: int) -> VerificationReport:
 
         w^2 sum_{k<N} q^k/(1-q^{6k}) + sum_{k<=N} q^{2k-1}/(1-q^{6k-3})
         - sum_{k<=N} 1/(1-q^{3k-2}) = -(N/3)(1+w) + 1/3 - w/6.
+
+    The witness is the first residue that is not zero, display first.
     """
-    m = 6 * N
-    _require_root("N", N, j, m)
+    _require_root("N", N, j, 6 * N)
 
     def witness() -> Optional[str]:
-        shared = [(1, 2 * N + k, 6 * k, 1) for k in range(1, N)]
-        shared += [(1, 2 * k - 1, 6 * k - 3, 1) for k in range(1, N + 1)]
-        shared += [(-1, 0, 3 * k - 2, 1) for k in range(1, N + 1)]
-        display = shared + [
-            (Fraction(2 * N, 3) - N - Fraction(1, 3), 0, 0, 0),
-            (Fraction(-2 * N, 3), 2 * N, 0, 0),
-            (Fraction(6 * N + 1, 6), N, 0, 0),
-        ]
-        core = shared + [(Fraction(N - 1, 3), 0, 0, 0)]
-        core.append((Fraction(2 * N + 1, 6), N, 0, 0))
-        return next(_residues(m, [("display", display), ("core", core)], j), None)
+        return next(_orbit_failures(_even_lists, (N,), j), None)
 
     return run_check("even", {"N": N, "j": j}, witness)
+
+
+def _even_lists(N: int) -> tuple[int, _Named]:
+    """m = 6N and lhs - rhs of the even display and core, written in q."""
+    shared = [(1, 2 * N + k, 6 * k, 1) for k in range(1, N)]
+    shared += [(1, 2 * k - 1, 6 * k - 3, 1) for k in range(1, N + 1)]
+    shared += [(-1, 0, 3 * k - 2, 1) for k in range(1, N + 1)]
+    display = shared + [
+        (Fraction(2 * N, 3) - N - Fraction(1, 3), 0, 0, 0),
+        (Fraction(-2 * N, 3), 2 * N, 0, 0),
+        (Fraction(6 * N + 1, 6), N, 0, 0),
+    ]
+    core = shared + [(Fraction(N - 1, 3), 0, 0, 0)]
+    core.append((Fraction(2 * N + 1, 6), N, 0, 0))
+    return 6 * N, [("display residue", display, 0), ("core residue", core, 0)]
 
 
 def verify_odd_case(N: int, j: int) -> VerificationReport:
@@ -163,25 +220,31 @@ def verify_odd_case(N: int, j: int) -> VerificationReport:
 
         w^2 sum_{k<N} q^k/(1-q^{6k}) + sum_{k<N} q^{2k}/(1-q^{6k})
         - sum_{k<=N} 1/(1-q^{3k-2}) = -(N/3)(1+w).
+
+    The witness is the first residue that is not zero, display first.
     """
-    m = 6 * N - 3
-    _require_root("N", N, j, m)
+    _require_root("N", N, j, 6 * N - 3)
 
     def witness() -> Optional[str]:
-        shared: list[_Term] = []
-        for k in range(1, N):
-            shared += [(1, 2 * N - 1 + k, 6 * k, 1), (1, 2 * k, 6 * k, 1)]
-        shared += [(-1, 0, 3 * k - 2, 1) for k in range(1, N + 1)]
-        display = shared + [
-            (Fraction(2 * N - 1, 3) - (N - 1) - Fraction(1, 3), 0, 0, 0),
-            (Fraction(-(2 * N - 1), 3), 2 * N - 1, 0, 0),
-            (Fraction(1, 3) - N, 2 * (2 * N - 1), 0, 0),
-        ]
-        core = shared + [(Fraction(N, 3), 0, 0, 0)]
-        core.append((Fraction(-N, 3), 2 * (2 * N - 1), 0, 0))
-        return next(_residues(m, [("display", display), ("core", core)], j), None)
+        return next(_orbit_failures(_odd_lists, (N,), j), None)
 
     return run_check("odd", {"N": N, "j": j}, witness)
+
+
+def _odd_lists(N: int) -> tuple[int, _Named]:
+    """m = 6N - 3 and lhs - rhs of the odd display and core, written in q."""
+    shared: list[_Term] = []
+    for k in range(1, N):
+        shared += [(1, 2 * N - 1 + k, 6 * k, 1), (1, 2 * k, 6 * k, 1)]
+    shared += [(-1, 0, 3 * k - 2, 1) for k in range(1, N + 1)]
+    display = shared + [
+        (Fraction(2 * N - 1, 3) - (N - 1) - Fraction(1, 3), 0, 0, 0),
+        (Fraction(-(2 * N - 1), 3), 2 * N - 1, 0, 0),
+        (Fraction(1, 3) - N, 2 * (2 * N - 1), 0, 0),
+    ]
+    core = shared + [(Fraction(N, 3), 0, 0, 0)]
+    core.append((Fraction(-N, 3), 2 * (2 * N - 1), 0, 0))
+    return 6 * N - 3, [("display residue", display, 0), ("core residue", core, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +273,22 @@ class EvenOddAuxiliaries:
     omega: CycloElem
 
 
-def _aux_rows(N: int, j: int, case: str) -> tuple[int, dict[str, list[_Term]]]:
+def _aux_order(N: int, case: str) -> int:
+    """m of the parity branch: 6N for "even", 6N - 3 for "odd"."""
+    if case not in ("even", "odd"):
+        raise ValueError("case must be 'even' or 'odd'")
+    return 6 * N if case == "even" else 6 * N - 3
+
+
+def _aux_rows(N: int, case: str) -> tuple[int, dict[str, list[_Term]]]:
     """m and each auxiliary sum as terms 1/(1 - t q^s): A_l sums over k < N
     for the (t, h) of row l, B1..B3 (even only), C1, C2 to N."""
+    m = _aux_order(N, case)
     if case == "even":
-        m = 6 * N
         a_rows = [(1, 0), (1, N), (1, 2 * N), (-1, 0), (-1, N), (-1, 2 * N)]
-    elif case == "odd":
-        m, two = 6 * N - 3, 2 * (2 * N - 1)
-        a_rows = [(1, 0), (-1, two), (1, 2 * N - 1), (-1, 0), (1, two), (-1, 2 * N - 1)]
     else:
-        raise ValueError("case must be 'even' or 'odd'")
-    _require_root("N", N, j, m)
+        two = 2 * (2 * N - 1)
+        a_rows = [(1, 0), (-1, two), (1, 2 * N - 1), (-1, 0), (1, two), (-1, 2 * N - 1)]
     ks, kb = range(1, N), range(1, N + 1)
     rows = {f"a{i}": (t, [h + k for k in ks]) for i, (t, h) in enumerate(a_rows, 1)}
     rows["c1"], rows["c2"] = (1, [3 * k - 1 for k in kb]), (1, [3 * k - 2 for k in kb])
@@ -235,7 +302,8 @@ def _aux_rows(N: int, j: int, case: str) -> tuple[int, dict[str, list[_Term]]]:
 def compute_auxiliaries(N: int, j: int, case: str) -> EvenOddAuxiliaries:
     """The sums of _aux_rows in Q(zeta_m): q = zeta_{6N}^j, w = q^N for "even",
     q = zeta_{3(2N-1)}^j, w = -q^{2(2N-1)} for "odd"."""
-    m, rows = _aux_rows(N, j, case)
+    _require_root("N", N, j, _aux_order(N, case))
+    m, rows = _aux_rows(N, case)
     sums = {name: _field_sum(m, terms, j).value() for name, terms in rows.items()}
     if case == "odd":
         omega = -CycloElem.root_power(m, 2 * (2 * N - 1) * j)
@@ -259,60 +327,60 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
     fraction reformulations (the three-term combination over 1 -+ q^{3k}
     and the (1 + w q^{3k})(1 - w q^k) product form), the two-sided
     reindexed sum equality, and the integer multiset identity behind it.
+    The witness lists every failing property, each with its sum.
     """
-    if case not in ("even", "odd"):
-        raise ValueError("case must be 'even' or 'odd'")
-    if N < 1:
-        raise ValueError("need N >= 1")
+    _require_root("N", N, j, _aux_order(N, case))
     params = {"N": N, "j": j, "even": 1 if case == "even" else 0}
 
     def witness() -> Optional[str]:
-        m, rows = _aux_rows(N, j, case)
-        # each property (label, terms, target): the terms sum to target
-        if case == "even":
-            props = [("B2 != N/2", rows["b2"], Fraction(N, 2))]
-            props.append(("B1+B3 != N", rows["b1"] + rows["b3"], N))
-            for i in (1, 2, 3):
-                pair = rows[f"a{i}"] + rows[f"a{7 - i}"]
-                props.append((f"A{i}+A{7 - i} != N-1", pair, N - 1))
-        else:
-            weights = {"a1": 1, "a3": 1, "a4": -1, "a5": -2, "a6": 1}
-            rel = [(w, 0, s, t) for a, w in weights.items() for _, _, s, t in rows[a]]
-            props = [("A-relation residue", rel, 0)]
-        failures = []
-        for label, terms, target in props:
-            acc = _field_sum(m, terms, j)
-            if not (acc - target).is_zero():
-                failures.append(f"{label}: {acc.value().render()}")
-        if case == "odd":
-            a = 2 * (2 * N - 1)  # w = -q^a
-            sum3: list[_Term] = []
-            sum4: list[_Term] = []
-            for k in range(1, N):
-                sum3 += [
-                    # q^k (1 - q^k) / (1 + q^{3k})
-                    (1, k, 3 * k, -1),
-                    (-1, 2 * k, 3 * k, -1),
-                    # 3 w q^k (1 - w q^k) / (1 - q^{3k}), w q^k = -q^{a+k}
-                    (-3, a + k, 3 * k, 1),
-                    (-3, 2 * (a + k), 3 * k, 1),
-                    # - w^2 q^k (1 - w^2 q^k) / (1 + q^{3k}), w^2 q^k = q^{2a+k}
-                    (-1, 2 * a + k, 3 * k, -1),
-                    (1, 4 * a + 2 * k, 3 * k, -1),
-                ]
-                # q^k (1 + w q^{3k})(1 - w q^k) / (1 - q^{6k})
-                sum4 += [(1, k, 6 * k, 1), (1, a + 2 * k, 6 * k, 1)]
-                sum4 += [(-1, a + 4 * k, 6 * k, 1), (-1, 2 * a + 5 * k, 6 * k, 1)]
-            sides = [(1, 0, -2 * k, 1) for k in range(1, N)]
-            sides += [(1, 0, -(2 * k - 1), 1) for k in range(1, N)]
-            sides += [(-1, 0, -k, 1) for k in range(1, 2 * N - 1)]
-            named = [("three-term reformulation", sum3), ("product-form", sum4)]
-            failures += _residues(6 * N - 3, named + [("two-sided sum", sides)], j)
-            if not multiset_identity_holds(N):
-                failures.append("multiset identity failed")
+        failures = list(_orbit_failures(_aux_lists, (N, case), j))
+        if case == "odd" and not multiset_identity_holds(N):
+            failures.append("multiset identity failed")
         return "; ".join(failures) if failures else None
 
     return run_check("aux", params, witness)
+
+
+def _aux_lists(N: int, case: str) -> tuple[int, _Named]:
+    """m and each property of the auxiliary sums as (label, terms, target),
+    the sums read from _aux_rows."""
+    m, rows = _aux_rows(N, case)
+    if case == "even":
+        props = [("B2 != N/2", rows["b2"], Fraction(N, 2))]
+        props.append(("B1+B3 != N", rows["b1"] + rows["b3"], N))
+        for i in (1, 2, 3):
+            pair = rows[f"a{i}"] + rows[f"a{7 - i}"]
+            props.append((f"A{i}+A{7 - i} != N-1", pair, N - 1))
+        return m, props
+    weights = {"a1": 1, "a3": 1, "a4": -1, "a5": -2, "a6": 1}
+    rel = [(w, 0, s, t) for a, w in weights.items() for _, _, s, t in rows[a]]
+    a = 2 * (2 * N - 1)  # w = -q^a
+    sum3: list[_Term] = []
+    sum4: list[_Term] = []
+    for k in range(1, N):
+        sum3 += [
+            # q^k (1 - q^k) / (1 + q^{3k})
+            (1, k, 3 * k, -1),
+            (-1, 2 * k, 3 * k, -1),
+            # 3 w q^k (1 - w q^k) / (1 - q^{3k}), w q^k = -q^{a+k}
+            (-3, a + k, 3 * k, 1),
+            (-3, 2 * (a + k), 3 * k, 1),
+            # - w^2 q^k (1 - w^2 q^k) / (1 + q^{3k}), w^2 q^k = q^{2a+k}
+            (-1, 2 * a + k, 3 * k, -1),
+            (1, 4 * a + 2 * k, 3 * k, -1),
+        ]
+        # q^k (1 + w q^{3k})(1 - w q^k) / (1 - q^{6k})
+        sum4 += [(1, k, 6 * k, 1), (1, a + 2 * k, 6 * k, 1)]
+        sum4 += [(-1, a + 4 * k, 6 * k, 1), (-1, 2 * a + 5 * k, 6 * k, 1)]
+    sides = [(1, 0, -2 * k, 1) for k in range(1, N)]
+    sides += [(1, 0, -(2 * k - 1), 1) for k in range(1, N)]
+    sides += [(-1, 0, -k, 1) for k in range(1, 2 * N - 1)]
+    return m, [
+        ("A-relation residue", rel, 0),
+        ("three-term reformulation residue", sum3, 0),
+        ("product-form residue", sum4, 0),
+        ("two-sided sum residue", sides, 0),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +623,10 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
 
 def galois_orbit(m: int) -> list[int]:
     """All admissible j for a primitive m-th root context: 1 <= j < m with
-    gcd(j, m) = 1 (j = 1 when m = 1)."""
+    gcd(j, m) = 1 (j = 1 when m = 1).  An m above sys.maxsize raises
+    OverflowError, since no list of its units could be held."""
+    if m > sys.maxsize:
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
     if m == 1:
         return [1]
     return [j for j in range(1, m) if gcd(j, m) == 1]

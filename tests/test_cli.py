@@ -79,6 +79,8 @@ def test_outsized_input_exits_2_without_a_traceback(capsys):
         (["eval", "q^(10^20)", "--poly"], "error: cannot fit 'int'"),
         (["eval", "qbin(10^20, 1)", "--root", "3", "1"], "error: cannot fit"),
         (["qbin", "100000000000000000000", "1"], "error: cannot fit 'int'"),
+        (["catalan-sum", "100000000000000000000"], "error: cannot fit 'int'"),
+        (["verify", "main3n", "--n", "100000000000000000000"], "error: cannot fit 'int'"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(argv, capsys)

@@ -393,6 +393,66 @@ def test_binomial_inverse_matches_norm_product():
                 assert f.element(vec, den) == _conjugate(norm_inverse[g], u), (m, s, c)
 
 
+def _unit_inverse_vector(m, s, c):
+    """The t = +-1 vector builder _binomial_inverse had before _field_sum
+    wrote those closed forms itself: (vec, den, step) of 1/(1 - c x^s)."""
+    s %= m
+    step = gcd(m, s)
+    d = m // step
+    if c == -1 and d % 2 == 0:  # x^(m/2) = -1: 1 + x^s = 1 - x^(s + m/2)
+        return _unit_inverse_vector(m, s + m // 2, 1)
+    vec = [0] * m
+    if c == 1:
+        if d == 1:
+            raise ZeroDivisionError(f"1 - x^{s} is zero in Q(zeta_{m})")
+        for u in range(1, d):
+            vec[s * u % m] = -u  # the sawtooth -(1/d) sum u x^(su)
+        return tuple(vec), d, step
+    for u in range(d):
+        vec[s * u % m] = (-1) ** u  # d odd: sum (-1)^u x^(su) / 2
+    return tuple(vec), 2, step
+
+
+def test_unit_closed_forms_match_the_old_vector_builder():
+    # 1/(1 -+ x^s) as _field_sum writes it, entry for entry and in the
+    # denominator, against the stored vectors it replaced, for every m <= 40,
+    # s in [-m, 2m) and t = +-1; _binomial_inverse still answers for t = +-1
+    for m in range(1, 41):
+        for s in range(-m, 2 * m):
+            for t in (1, -1):
+                try:
+                    vec, den, step = _unit_inverse_vector(m, s, t)
+                except ZeroDivisionError:
+                    with pytest.raises(ZeroDivisionError):
+                        _field_sum(m, [(1, 0, s, t)])
+                    with pytest.raises(ZeroDivisionError):
+                        _binomial_inverse(m, s % m, t)
+                    continue
+                acc = _field_sum(m, [(1, 0, s, t)])
+                assert tuple(acc.vec) == vec and acc.den == den, (m, s, t)
+                assert _binomial_inverse(m, s % m, t) == (vec, den, step), (m, s, t)
+                field = CycloField(m)
+                inverse = field.inv_one_minus if t == 1 else field.inv_one_plus
+                assert inverse(s) == (vec, den), (m, s, t)
+
+
+def test_unit_terms_do_not_enter_the_inverse_memo():
+    # a sum of t = +-1 terms, and even one of every m and s, leaves the
+    # memo of the other rational t as it was: no lookup, no entry
+    rng = random.Random(2222)
+    before = _binomial_inverse.cache_info()
+    for m in range(3, 61):
+        terms = [
+            (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-m, m), s, t)
+            for s in range(1, m)
+            for t in (1, -1)
+            if m % 2 or s != m // 2
+        ]
+        j = rng.choice([j for j in range(1, m) if gcd(j, m) == 1])
+        assert len(_field_sum(m, terms, j).vec) == m
+    assert _binomial_inverse.cache_info() == before
+
+
 def _random_algebra_value(rng, f):
     """A monomial, a two-term value or a sparse value, over a small denominator."""
     vec = [0] * f.m

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from qcatalan.cyclotomic import CycloElem
+from qcatalan.cyclotomic import CycloElem, GroupAlgebraElem, _field_sum
 from qcatalan.rootid import (
     compute_auxiliaries,
     galois_orbit,
@@ -26,6 +26,22 @@ from qcatalan.rootid import (
 )
 from qcatalan import rootid
 from qcatalan.rootid import _mid_lhs_terms, _mid_rhs_terms
+
+
+@pytest.fixture
+def patch_terms(monkeypatch):
+    """monkeypatch.setattr on rootid (a term builder, _aux_rows, ...) that
+    empties the orbit-sum memo first, so no check reads a sum that another
+    test, or another patch, left there; the memo is emptied again after the
+    test, so none of the patched sums outlives it."""
+
+    def patch(name, value):
+        rootid._orbit_sums.cache_clear()
+        monkeypatch.setattr(rootid, name, value)
+
+    rootid._orbit_sums.cache_clear()
+    yield patch
+    rootid._orbit_sums.cache_clear()
 
 
 def test_root_context_validation():
@@ -217,9 +233,10 @@ def _term_value(m, term):
     return value
 
 
-def test_dropped_term_is_caught_with_exact_witness(monkeypatch):
-    # every field suite, with the first term of each list it sums left out,
-    # fails with minus that term as its residue, under its own prefix
+def test_dropped_term_is_caught_with_exact_witness(patch_terms):
+    # every field suite, with the first term of a list it sums left out,
+    # fails with minus that term as its residue, under its own prefix; the
+    # orbit suites lose it in their builder, the others in _field_witness
     real, dropped = rootid._field_witness, []
 
     def drop_first(m, terms, j=1):
@@ -227,14 +244,30 @@ def test_dropped_term_is_caught_with_exact_witness(monkeypatch):
         dropped.append((m, (c, e * j, s * j, t)))  # the term at q = x^j
         return real(m, terms[1:], j)
 
-    monkeypatch.setattr(rootid, "_field_witness", drop_first)
+    def dropping(builder, prefixes, j):
+        # the builder, with the first term dropped from each list whose
+        # witness would carry one of the prefixes
+        def wrapper(*key):
+            m, named = builder(*key)
+            out = []
+            for label, terms, target in named:
+                if (f"{label}: {{}}" if label else "{}") in prefixes:
+                    c, e, s, t = terms[0]
+                    dropped.append((m, (c, e * j, s * j, t)))  # at q = x^j
+                    terms = terms[1:]
+                out.append((label, terms, target))
+            return m, out
+
+        return wrapper
+
+    patch_terms("_field_witness", drop_first)
     pfd = "disagreement at x = 2: {}"
     cases = [
-        (lambda: verify_main3n(3, 2), ["{}"]),
-        (lambda: verify_explicit(4, 5), ["{}"]),
-        (lambda: verify_main3n_new(4, 7), ["{}"]),
-        (lambda: verify_even_case(3, 5), ["display residue: {}"]),
-        (lambda: verify_odd_case(3, 2), ["display residue: {}"]),
+        (lambda: verify_main3n(3, 2), ["{}"], "_main3n_lists", 2),
+        (lambda: verify_explicit(4, 5), ["{}"], "_explicit_lists", 5),
+        (lambda: verify_main3n_new(4, 7), ["{}"], None, 7),
+        (lambda: verify_even_case(3, 5), ["display residue: {}"], "_even_lists", 5),
+        (lambda: verify_odd_case(3, 2), ["display residue: {}"], "_odd_lists", 2),
         (
             lambda: verify_aux_properties(3, 2, "odd"),
             [
@@ -242,14 +275,19 @@ def test_dropped_term_is_caught_with_exact_witness(monkeypatch):
                 "product-form residue: {}",
                 "two-sided sum residue: {}",
             ],
+            "_aux_lists",
+            2,
         ),
-        (lambda: verify_extan(12, Fraction(7, 3)), ["{}"]),
-        (lambda: verify_extan(5, Fraction(-2)), ["{}"]),
-        (lambda: verify_pfd("pfd3"), [pfd]),
-        (lambda: verify_pfd("pfd6"), [pfd]),
-        (lambda: verify_pfd("cube"), [pfd]),
+        (lambda: verify_extan(12, Fraction(7, 3)), ["{}"], None, 1),
+        (lambda: verify_extan(5, Fraction(-2)), ["{}"], None, 1),
+        (lambda: verify_pfd("pfd3"), [pfd], None, 1),
+        (lambda: verify_pfd("pfd6"), [pfd], None, 1),
+        (lambda: verify_pfd("cube"), [pfd], None, 1),
     ]
-    for run, prefixes in cases:
+    builders = {name: getattr(rootid, name) for _, _, name, _ in cases if name}
+    for run, prefixes, builder, j in cases:
+        if builder:
+            patch_terms(builder, dropping(builders[builder], prefixes, j))
         dropped.clear()
         rep = run()
         assert rep.status == "fail", rep.params
@@ -261,39 +299,115 @@ def test_dropped_term_is_caught_with_exact_witness(monkeypatch):
         assert rep.witness == "; ".join(parts), rep.params
 
 
-def test_each_suite_hands_its_root_exponent_to_the_field_sum(monkeypatch):
-    # the suites write their terms in q and leave q = x^j to _field_sum, so
-    # a verdict at a conjugate is the same with j dropped: only the j that
-    # each sum receives shows that the witness is rendered at zeta_m^j
+def test_each_suite_hands_its_root_exponent_to_the_field_sum(monkeypatch, patch_terms):
+    # the suites write their terms in q and apply q = x^j in one place: the
+    # orbit suites sum at zeta_m (j = 1) and map the sum by conjugate(j),
+    # while main3n-new, sawtooth and compute_auxiliaries hand j to the
+    # field sum.  A verdict at a conjugate is the same with j dropped, so
+    # only the j that each place receives shows that the witness is
+    # rendered at zeta_m^j
     from qcatalan import cyclotomic
 
-    seen = []
+    seen = {"sum": [], "conjugate": []}
+    real_conjugate = GroupAlgebraElem.conjugate
 
-    def recording(real):
+    def summing(real):
         def wrapper(m, terms, j=1):
-            seen.append(j)
+            seen["sum"].append(j)
             return real(m, terms, j)
 
         return wrapper
 
+    def conjugating(self, j):
+        seen["conjugate"].append(j)
+        return real_conjugate(self, j)
+
     for name in ("_field_sum", "_field_witness"):
-        monkeypatch.setattr(rootid, name, recording(getattr(cyclotomic, name)))
+        patch_terms(name, summing(getattr(cyclotomic, name)))
+    monkeypatch.setattr(GroupAlgebraElem, "conjugate", conjugating)
     cases = [
-        (5, lambda j: verify_main3n(4, j)),
-        (5, lambda j: verify_explicit(4, j)),
-        (7, lambda j: verify_main3n_new(4, j)),
-        (5, lambda j: verify_even_case(3, j)),
-        (2, lambda j: verify_odd_case(3, j)),
-        (5, lambda j: verify_aux_properties(3, j, "even")),
-        (2, lambda j: verify_aux_properties(3, j, "odd")),
-        (5, lambda j: compute_auxiliaries(3, j, "even")),
-        (2, lambda j: verify_sawtooth(3, j, 4)),
+        (5, lambda j: verify_main3n(4, j), "conjugate"),
+        (5, lambda j: verify_explicit(4, j), "conjugate"),
+        (7, lambda j: verify_main3n_new(4, j), "sum"),
+        (5, lambda j: verify_even_case(3, j), "conjugate"),
+        (2, lambda j: verify_odd_case(3, j), "conjugate"),
+        (5, lambda j: verify_aux_properties(3, j, "even"), "conjugate"),
+        (2, lambda j: verify_aux_properties(3, j, "odd"), "conjugate"),
+        (5, lambda j: compute_auxiliaries(3, j, "even"), "sum"),
+        (2, lambda j: verify_sawtooth(3, j, 4), "sum"),
     ]
-    for j, run in cases:
-        seen.clear()
+    for j, run, place in cases:
+        for calls in seen.values():
+            calls.clear()
         result = run(j)
         assert getattr(result, "passed", True), j
-        assert seen and set(seen) == {j}, (j, seen)
+        assert seen[place] and set(seen[place]) == {j}, (j, place, seen)
+        if place == "conjugate":  # the memo was empty: one sum at zeta_m
+            assert seen["sum"] and set(seen["sum"]) == {1}, (j, seen)
+        else:
+            assert not seen["conjugate"], (j, seen)
+
+
+def _orbit_keys(top):
+    """(builder, key) of every memoised suite for n (or N) <= top."""
+    keys = []
+    for n in range(1, top + 1):
+        keys += [(rootid._main3n_lists, (n,)), (rootid._explicit_lists, (n,))]
+        keys += [(rootid._even_lists, (n,)), (rootid._odd_lists, (n,))]
+        keys += [(rootid._aux_lists, (n, "even")), (rootid._aux_lists, (n, "odd"))]
+    return keys
+
+
+def test_orbit_sums_map_onto_the_sum_at_each_root(patch_terms):
+    # for each memoised suite, every n (or N) <= 10 and every j in its
+    # orbit, the memoised sum at zeta_m mapped by conjugate(j) is the direct
+    # sum at q = zeta_m^j, entry for entry and in the denominator
+    for builder, key in _orbit_keys(10):
+        m, named = builder(*key)
+        sums = rootid._orbit_sums(builder, *key)
+        assert [label for label, _, _ in sums] == [label for label, _, _ in named]
+        for j in galois_orbit(m):
+            for (label, terms, target), (_, acc, memo_target) in zip(named, sums):
+                assert acc.m == m
+                got, want = acc.conjugate(j), _field_sum(m, terms, j)
+                assert got.vec == want.vec and got.den == want.den, (key, j, label)
+                assert memo_target == target
+
+
+def test_orbit_memo_is_bounded(patch_terms):
+    # a sweep over more orbits than the memo holds keeps at most maxsize sums
+    size = rootid._orbit_sums.cache_info().maxsize
+    for n in range(1, size + 11):
+        assert verify_explicit(n, 1).passed, n
+    info = rootid._orbit_sums.cache_info()
+    assert info.misses == size + 10 and info.currsize == size
+
+
+def test_orbit_suites_go_through_conjugate(monkeypatch, patch_terms):
+    # an index map that is not an automorphism of Q[x]/(x^m - 1) in place of
+    # x -> x^j fails checks of every memoised suite
+    def not_an_automorphism(self, j):
+        out = [0] * self.m
+        for i, c in enumerate(self.vec):
+            out[i * j % (self.m - 1 or 1)] += c
+        return GroupAlgebraElem(self.m, out, self.den)
+
+    monkeypatch.setattr(GroupAlgebraElem, "conjugate", not_an_automorphism)
+    sweeps = {
+        "main3n": lambda n, j: verify_main3n(n, j),
+        "even": lambda n, j: verify_even_case(n, j),
+        "odd": lambda n, j: verify_odd_case(n, j),
+        "aux even": lambda n, j: verify_aux_properties(n, j, "even"),
+        "aux odd": lambda n, j: verify_aux_properties(n, j, "odd"),
+    }
+    orders = {"main3n": 3, "even": 6, "odd": 6, "aux even": 6, "aux odd": 6}
+    for name, run in sweeps.items():
+        reports = []
+        for n in range(2, 6):
+            m = orders[name] * n - (3 if "odd" in name else 0)
+            reports += [run(n, j) for j in galois_orbit(m)]
+        failed = sum(rep.status == "fail" for rep in reports)
+        assert failed >= len(reports) // 2, (name, failed, len(reports))
 
 
 def _mid_lhs(n: int, w: Fraction) -> Fraction:
@@ -506,7 +620,7 @@ def test_sawtooth_failure_renders_lhs_minus_rhs(monkeypatch):
         assert rep.status == "fail" and rep.witness == (lhs - rhs).render(), (N, j, k)
 
 
-def test_aux_failures_render_the_sums_themselves(monkeypatch):
+def test_aux_failures_render_the_sums_themselves(patch_terms):
     # a term dropped from one row of the table fails exactly the property
     # that uses it, and the witness renders that sum as compute_auxiliaries
     # reads it from the same table
@@ -525,12 +639,12 @@ def test_aux_failures_render_the_sums_themselves(monkeypatch):
     cases += [(row, "odd", w, 3, 2) for row, w in odd]
     for row, case, want, N, j in cases:
 
-        def dropped(N, j, case, row=row):
-            m, rows = real(N, j, case)
+        def dropped(N, case, row=row):
+            m, rows = real(N, case)
             rows[row] = rows[row][:-1]
             return m, rows
 
-        monkeypatch.setattr(rootid, "_aux_rows", dropped)
+        patch_terms("_aux_rows", dropped)
         rep = verify_aux_properties(N, j, case)
         assert rep.status == "fail", (row, case)
         assert rep.witness == want(compute_auxiliaries(N, j, case)), (row, case)
