@@ -56,6 +56,10 @@ Task = tuple[str, dict]
 
 
 def _ns(config: RunConfig, lo: int) -> range:
+    """The sweep's n values; a bound above sys.maxsize raises OverflowError
+    before any task runs, since no check could hold a table of that size."""
+    if max(config.n or 0, config.n_max) > sys.maxsize:
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
     if config.n is not None:
         return range(max(lo, config.n), config.n + 1)
     return range(lo, config.n_max + 1)

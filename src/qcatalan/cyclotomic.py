@@ -2,7 +2,7 @@
 
 Phi_n is computed by recursive exact division, Phi_n = (q^n - 1) / prod of
 Phi_d over proper divisors d | n.  Every module-level memo here (Phi_n,
-the powers Phi_n^e, field inverses and binomial inverses) is a bounded
+the powers Phi_n^e and norm-product field inverses) is a bounded
 functools.lru_cache.  Each memoises a pure function, so two threads that
 miss on the same key store equal values.
 
@@ -14,9 +14,11 @@ which maps onto Q(zeta_m) = Q[x]/Phi_m: sums and products are plain
 vector operations, and a value is reduced mod Phi_m only when it is
 read or inverted with three or more terms.  _field_sum adds a list of
 terms c * q^e / (1 - t * q^s) at q = x^j into one such value in one pass
-over one common denominator; it is the only code that sums a term list,
-for the rootid suites, the reduction chain, the character sums and the
-values that compiled qdsl expressions build in cyclo mode.  With
+over one common denominator, writing each term by a closed form (the
+monomial, the sawtooth or the geometric series) with no stored inverse
+and no memo.  It is the only code that sums a term list, for the rootid
+suites, the reduction chain, the character sums and the values that
+compiled qdsl expressions build in cyclo mode.  With
 GroupAlgebraElem.conjugate, which maps a sum at zeta_m onto the sum at
 zeta_m^j, it is the only code that applies j: x -> x^j (gcd(j, m) = 1) is
 an automorphism of Q(zeta_m), so a value is zero at zeta_m^j exactly when
@@ -480,40 +482,6 @@ def _unit_binomial(m: int, s: int, t: int) -> tuple[int, int, int]:
     return s, t, d
 
 
-@lru_cache(maxsize=1024)
-def _binomial_inverse(m: int, s: int, c: Coeff) -> tuple[tuple[int, ...], int, int]:
-    """(vec, den, step) with (1/den) * sum vec[i] x^i = 1/(1 - c x^s) in
-    Q(zeta_m); the nonzero entries of vec lie on the multiples of step.
-
-    s is taken in [0, m) and c is a nonzero rational.  Let d = m / gcd(m, s)
-    be the order of z = x^s, so z^d = 1 already in Q[x]/(x^m - 1).  For
-    c^d != 1, (1 - c z) * sum_{u<d} (c z)^u = 1 - c^d, so
-
-        1/(1 - c z) = sum_{u<d} c^u z^u / (1 - c^d),
-
-    an inverse in the group algebra itself, whose entries lie at s*u mod m,
-    multiples of step = gcd(m, s) = m / d.  _field_sum reads it for every
-    rational t but +-1; the 1024 most recently used inverses are memoised,
-    keyed by (m, s, c).  For c = +-1, where c^d can be 1, the vector is
-    read from the one-term _field_sum, which writes those closed forms
-    itself, and step is gcd(m, s) for the s that _unit_binomial solves for;
-    a 1 - c x^s that is zero in Q(zeta_m) raises ZeroDivisionError.
-    """
-    if c == 1 or c == -1:
-        acc = _field_sum(m, [(1, 0, s, c)])
-        return tuple(acc.vec), acc.den, gcd(m, _unit_binomial(m, s, c)[0])
-    d = m // gcd(m, s)
-    vec = [0] * m
-    p, q = c.numerator, c.denominator
-    den = q**d - p**d
-    for u in range(d):
-        vec[s * u % m] = p**u * q ** (d - u)
-    g = gcd(den, *vec)
-    if den < 0:
-        g = -g
-    return tuple(v // g for v in vec), den // g, gcd(m, s)
-
-
 class GroupAlgebraElem:
     """A lazy element of Q(zeta_m): an integer vector v of length m over one
     positive denominator, standing for (1/den) * sum v[i] x^i in the group
@@ -656,7 +624,7 @@ class GroupAlgebraElem:
             # a x^p + b x^r = a x^p (1 - t x^(r - p)) with t = -b/a (t = 0 for r = p)
             p, r = support[0], support[-1]
             a = vec[p]
-            t = coeff_div(-vec[r], a) if r != p else 0  # an int key hashes fast
+            t = coeff_div(-vec[r], a) if r != p else 0
             return _field_sum(m, [(coeff_div(self.den, a), -p, r - p, t)])
         inverse = self.value().inv()
         out = list(inverse.num)
@@ -680,66 +648,61 @@ def _field_sum(m: int, terms: Iterable[_Term], j: int = 1) -> GroupAlgebraElem:
     c.denominator over the terms with c != 0, where vden is the denominator
     of 1/(1 - t x^(js)); a second adds (D / (vden * c.denominator)) *
     c.numerator * x^(je) / (1 - t x^(js)) into one integer vector.  With z
-    = x^(js) of order d (so z^d = 1 already in Q[x]/(x^m - 1)):
+    = x^(js) of order d (so z^d = 1 already in Q[x]/(x^m - 1)), each term
+    is written by one of three closed forms, O(d) per term:
 
-    * t = 1: the discrete sawtooth 1/(1 - z) = -(1/d) sum_{u<d} u z^u,
-      exact in Q(zeta_m) for d > 1, where z is a primitive d-th root of
-      unity and sum_{u<d} z^u = 0;
-    * t = -1, d odd: (1 + z) sum_{u<d} (-1)^u z^u = 1 + z^d = 2;
-    * t = -1, d even: m is even and x^(m/2) = -1 in Q(zeta_m), so 1 + z is
-      1 - x^(js + m/2), the case t = 1 with its own d;
     * t = 0: the monomial c x^(je);
-    * any other rational t: the vector of _binomial_inverse, read only at
-      the multiples of its step, where its nonzero entries lie.
+    * t^d = 1 (t = 1, or t = -1 with d even, which _unit_binomial shifts
+      by m/2 to t = 1 with its own d): the discrete sawtooth
+      1/(1 - z) = -(1/d) sum_{u<d} u z^u, exact in Q(zeta_m) for d > 1,
+      where z is a primitive d-th root of unity and sum_{u<d} z^u = 0;
+    * any other rational t = p/q in lowest terms: the geometric series
+      (1 - t z) sum_{u<d} (t z)^u = 1 - t^d, so
+      1/(1 - t z) = sum_{u<d} p^u q^(d-u) z^u / (q^d - p^d).  Its entries
+      share only the factor q, which is prime to q^d - p^d, so the form is
+      in lowest terms; t = -1 with d odd is sum_{u<d} (-1)^u z^u / 2.
 
-    The t = +-1 forms are written straight into the vector, O(d) per term,
-    with no vector built and no memo read.  A denominator 1 - t x^(js) that
-    is zero in Q(zeta_m) (t = 1 with d = 1) raises ZeroDivisionError, even
-    when c = 0.
+    A denominator 1 - t x^(js) that is zero in Q(zeta_m) (t = 1 with
+    d = 1) raises ZeroDivisionError, even when c = 0.
 
     >>> _field_sum(3, [(1, 0, 1, 1)]).value()  # 1/(1 - x)
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
+    >>> _field_sum(3, [(1, 0, 1, 2)]).value()  # 1/(1 - 2x)
+    CycloElem('3/7 + 2/7*x (mod Phi_3)')
     """
-    units, stored = [], []
+    writes = []
     den = 1
     for c, e, s, t in terms:
         s = s * j % m
-        unit = t == 1 or t == -1
-        if unit:
+        d = 1
+        if t == 1 or t == -1:
             s, t, d = _unit_binomial(m, s, t)
-            vden = d if t == 1 else 2
         elif t:
-            vec, vden, step = _binomial_inverse(m, s, t)
-        else:
-            vec, vden, step = (1,), 1, m
+            d = m // gcd(m, s)
+        vden = d if t == 1 else t.denominator**d - t.numerator**d  # 1 for t = 0
         if c:
             cden = vden * c.denominator
-            den = lcm(den, cden)
-            if unit:
-                units.append((t, s, d, cden, c.numerator, e * j))
-            else:
-                stored.append((vec, step, cden, c.numerator, e * j))
+            den = lcm(den, cden)  # positive; a negative cden signs the factor
+            writes.append((t, s, d, cden, c.numerator, e * j))
     acc = [0] * m
-    for vec, step, cden, num, e in stored:
-        factor = den // cden * num
-        for i in range(0, m, step):
-            v = vec[i]
-            if v:
-                acc[(i + e) % m] += factor * v
-    for t, s, d, cden, num, e in units:
+    for t, s, d, cden, num, e in writes:
         factor = den // cden * num
         pos = e % m
-        if t == 1:  # -factor * u at x^(e + su), u = 1 .. d - 1
+        if not t:
+            acc[pos] += factor
+        elif t == 1:  # -factor * u at x^(e + su), u = 1 .. d - 1
             weight = 0
             for _ in range(1, d):
                 pos = (pos + s) % m
                 weight += factor
                 acc[pos] -= weight
-        else:  # (-1)^u * factor at x^(e + su), u = 0 .. d - 1
+        else:  # factor * p^u q^(d-u) at x^(e + su), u = 0 .. d - 1
+            p, q = t.numerator, t.denominator
+            weight = factor * q**d
             for _ in range(d):
-                acc[pos] += factor
+                acc[pos] += weight
                 pos = (pos + s) % m
-                factor = -factor
+                weight = weight // q * p
     return GroupAlgebraElem(m, acc, den)
 
 

@@ -71,7 +71,7 @@ from operator import add, sub
 from typing import Callable, Iterator, Optional, Union
 
 from .congruence import VerificationReport, _residue_witness, run_check
-from .cyclotomic import CycloElem, GroupAlgebraElem, _binomial_inverse, _field_sum
+from .cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, _unit_binomial
 from .qcomb import gaussian_binomial, legendre3, q_catalan
 from .ring import Poly, coeff_div
 from .rootid import galois_orbit
@@ -524,7 +524,8 @@ def _divide(a, b, e: Expr, env):
             if len(support) == 2 and _monomials(a):
                 (p, c), (r, d) = support
                 t = coeff_div(-d, c)
-                _binomial_inverse(m, r - p, t)  # ZeroDivisionError if the divisor is 0
+                if t == 1 or t == -1:  # 1 - t zeta^s is nonzero for any other rational t
+                    _unit_binomial(m, r - p, t)  # ZeroDivisionError if it is 0
                 if c != 1:
                     a = [(coeff_div(k, c), x, 0, 0) for k, x, _, _ in a]
                 return [(k, x - p, r - p, t) for k, x, _, _ in a]

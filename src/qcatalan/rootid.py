@@ -6,13 +6,14 @@ the monomial c * q^e.  cyclotomic._field_sum, the one evaluator of such
 lists, adds a list at q = x^j into one GroupAlgebraElem (the group algebra
 Q[x]/(x^m - 1) over one common denominator), so no suite applies j to a
 term itself; cyclotomic._field_witness tests the sum for zero and reduces
-it mod Phi_m only to render a failure.  Inverses:
+it mod Phi_m only to render a failure.  Inverses, each a closed form that
+_field_sum writes straight into its vector, with no memo:
 
 * t = +-1 (main3n, explicit, main3n-new, even, odd, aux): the discrete
-  sawtooth -(1/d) sum_{u<d} u x^(su) and its alternating variant, which
-  _field_sum writes straight into its vector;
+  sawtooth -(1/d) sum_{u<d} u x^(su) where t^d = 1 (d the order of x^s),
+  else the alternating geometric series;
 * t = 1/z (extan), t = +-x at each rational point x (pfd): the geometric
-  series sum_{u<d} t^u x^(su) / (1 - t^d) of cyclotomic._binomial_inverse;
+  series sum_{u<d} t^u x^(su) / (1 - t^d);
 * sawtooth: the expansion R passes when (1 - q^s) R - 1 is zero, with no
   inverse; a failure renders 1/(1 - q^s) - R by the t = 1 closed form.
 

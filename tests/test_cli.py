@@ -74,18 +74,35 @@ def test_outsized_input_exits_2_without_a_traceback(capsys):
     # nesting too deep to parse, and sizes that no list can hold (10^20 does
     # not fit an index, so nothing is allocated)
     deep = "(" * 400 + "1" + ")" * 400
+    huge = "100000000000000000000"
     cases = [
         (["eval", deep, "--poly"], "error: maximum recursion depth exceeded"),
         (["eval", "q^(10^20)", "--poly"], "error: cannot fit 'int'"),
         (["eval", "qbin(10^20, 1)", "--root", "3", "1"], "error: cannot fit"),
-        (["qbin", "100000000000000000000", "1"], "error: cannot fit 'int'"),
-        (["catalan-sum", "100000000000000000000"], "error: cannot fit 'int'"),
-        (["verify", "main3n", "--n", "100000000000000000000"], "error: cannot fit 'int'"),
+        (["qbin", huge, "1"], "error: cannot fit 'int'"),
+        (["catalan-sum", huge], "error: cannot fit 'int'"),
+        (["verify", "main3n", "--n", huge], "error: cannot fit 'int'"),
     ]
+    # the sweep bound itself is checked before any task runs
+    for suite in (
+        "tauraso-phi", "liu-phi2", "main-phi2", "liu-petrov", "tauraso13", "lucas",
+        "maj-oracle",
+    ):
+        for flag in ("--n", "--n-max"):
+            cases.append((["verify", suite, flag, huge], "error: cannot fit 'int'"))
     for argv, message in cases:
         code, out, err = run_cli(argv, capsys)
-        assert code == 2 and out == "", argv[:2]
-        assert err.startswith(message) and "Traceback" not in err, argv[:2]
+        assert code == 2 and out == "", argv[:3]
+        assert err.startswith(message) and "Traceback" not in err, argv[:3]
+    # suites that would sweep toward 10^20 run in a subprocess, so a hang fails
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for suite in ("central-binom", "row-binom", "mid", "extan", "trig", "taoconj"):
+        done = subprocess.run(
+            [sys.executable, "-m", "qcatalan", "verify", suite, "--n", huge],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == "", suite
+        assert done.stderr.startswith("error: cannot fit 'int'"), suite
 
 
 def test_eval_binding_q_exits_2(capsys):

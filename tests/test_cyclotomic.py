@@ -10,7 +10,6 @@ from qcatalan.cyclotomic import (
     CycloElem,
     CycloField,
     GroupAlgebraElem,
-    _binomial_inverse,
     _field_sum,
     _field_witness,
     _phi_power,
@@ -362,12 +361,12 @@ def _conjugate(a, u):
 
 
 def test_binomial_inverse_matches_norm_product():
-    # 1/(1 - c x^s) in closed form against the norm product CycloElem.inv.
-    # With g = gcd(s, m) and u a unit with g*u = s mod m, 1 - c x^s is the
-    # conjugate sigma_u(1 - c x^g), so one norm product per divisor g of m
-    # covers every s.
+    # 1/(1 - c x^s) in closed form, a one-term _field_sum, against the norm
+    # product CycloElem.inv.  With g = gcd(s, m) and u a unit with
+    # g*u = s mod m, 1 - c x^s is the conjugate sigma_u(1 - c x^g), so one
+    # norm product per divisor g of m covers every s.
     for m in range(1, 61):
-        f, one = CycloField(m), CycloElem.one(m)
+        one = CycloElem.one(m)
         for c in (1, -1, 2, Fraction(-1, 2), Fraction(3, 5)):
             norm_inverse = {}
             for g in divisors(m):
@@ -384,73 +383,57 @@ def test_binomial_inverse_matches_norm_product():
                 assert (norm_inverse[g] is None) == zero, (m, s, c)
                 if zero:
                     with pytest.raises(ZeroDivisionError):
-                        _binomial_inverse(m, s, c)
+                        _field_sum(m, [(1, 0, s, c)])
                     continue
-                vec, den, step = _binomial_inverse(m, s, c)
-                assert len(vec) == m and den > 0 and m % step == 0
-                # _field_sum reads only the entries at multiples of step
-                assert all(v == 0 for i, v in enumerate(vec) if i % step), (m, s, c)
-                assert f.element(vec, den) == _conjugate(norm_inverse[g], u), (m, s, c)
+                acc = _field_sum(m, [(1, 0, s, c)])
+                assert len(acc.vec) == m and acc.den > 0
+                assert acc.value() == _conjugate(norm_inverse[g], u), (m, s, c)
 
 
-def _unit_inverse_vector(m, s, c):
-    """The t = +-1 vector builder _binomial_inverse had before _field_sum
-    wrote those closed forms itself: (vec, den, step) of 1/(1 - c x^s)."""
+def _inverse_vector(m, s, t):
+    """(vec, den) of 1/(1 - t x^s) in Q[x]/(x^m - 1), in lowest terms, built
+    as a stored vector: the sawtooth for t^d = 1 (d the order of x^s) and
+    the geometric series sum_{u<d} t^u x^(su) / (1 - t^d) otherwise."""
     s %= m
-    step = gcd(m, s)
-    d = m // step
-    if c == -1 and d % 2 == 0:  # x^(m/2) = -1: 1 + x^s = 1 - x^(s + m/2)
-        return _unit_inverse_vector(m, s + m // 2, 1)
+    d = m // gcd(m, s)
+    if t == -1 and d % 2 == 0:  # x^(m/2) = -1: 1 + x^s = 1 - x^(s + m/2)
+        return _inverse_vector(m, s + m // 2, 1)
     vec = [0] * m
-    if c == 1:
+    if t == 1:
         if d == 1:
             raise ZeroDivisionError(f"1 - x^{s} is zero in Q(zeta_{m})")
         for u in range(1, d):
             vec[s * u % m] = -u  # the sawtooth -(1/d) sum u x^(su)
-        return tuple(vec), d, step
+        return tuple(vec), d
+    p, q = Fraction(t).numerator, Fraction(t).denominator
+    den = q**d - p**d
     for u in range(d):
-        vec[s * u % m] = (-1) ** u  # d odd: sum (-1)^u x^(su) / 2
-    return tuple(vec), 2, step
+        vec[s * u % m] = p**u * q ** (d - u)
+    g = gcd(den, *vec)
+    if den < 0:
+        g = -g
+    return tuple(v // g for v in vec), den // g
 
 
-def test_unit_closed_forms_match_the_old_vector_builder():
-    # 1/(1 -+ x^s) as _field_sum writes it, entry for entry and in the
+def test_closed_forms_match_the_old_vector_builder():
+    # 1/(1 - t x^s) as _field_sum writes it, entry for entry and in the
     # denominator, against the stored vectors it replaced, for every m <= 40,
-    # s in [-m, 2m) and t = +-1; _binomial_inverse still answers for t = +-1
+    # s in [-m, 2m) and t = 1, -1, 2, -3, -1/2, 3/5
     for m in range(1, 41):
+        field = CycloField(m)
         for s in range(-m, 2 * m):
-            for t in (1, -1):
+            for t in (1, -1, 2, -3, Fraction(-1, 2), Fraction(3, 5)):
                 try:
-                    vec, den, step = _unit_inverse_vector(m, s, t)
+                    vec, den = _inverse_vector(m, s, t)
                 except ZeroDivisionError:
                     with pytest.raises(ZeroDivisionError):
                         _field_sum(m, [(1, 0, s, t)])
-                    with pytest.raises(ZeroDivisionError):
-                        _binomial_inverse(m, s % m, t)
                     continue
                 acc = _field_sum(m, [(1, 0, s, t)])
                 assert tuple(acc.vec) == vec and acc.den == den, (m, s, t)
-                assert _binomial_inverse(m, s % m, t) == (vec, den, step), (m, s, t)
-                field = CycloField(m)
-                inverse = field.inv_one_minus if t == 1 else field.inv_one_plus
-                assert inverse(s) == (vec, den), (m, s, t)
-
-
-def test_unit_terms_do_not_enter_the_inverse_memo():
-    # a sum of t = +-1 terms, and even one of every m and s, leaves the
-    # memo of the other rational t as it was: no lookup, no entry
-    rng = random.Random(2222)
-    before = _binomial_inverse.cache_info()
-    for m in range(3, 61):
-        terms = [
-            (Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-m, m), s, t)
-            for s in range(1, m)
-            for t in (1, -1)
-            if m % 2 or s != m // 2
-        ]
-        j = rng.choice([j for j in range(1, m) if gcd(j, m) == 1])
-        assert len(_field_sum(m, terms, j).vec) == m
-    assert _binomial_inverse.cache_info() == before
+                if t == 1 or t == -1:
+                    inverse = field.inv_one_minus if t == 1 else field.inv_one_plus
+                    assert inverse(s) == (vec, den), (m, s, t)
 
 
 def _random_algebra_value(rng, f):
@@ -548,7 +531,7 @@ def test_field_sum_matches_field_arithmetic():
                 if denom.is_zero():
                     continue
                 term = term * denom.inv()
-                vden = _binomial_inverse(m, j * s % m, t)[1]
+                vden = _inverse_vector(m, j * s, t)[1]
             terms.append((c, e, s, t))
             oracle = oracle + term
             if c:
@@ -618,7 +601,7 @@ def test_field_sum_edge_cases():
     assert empty.vec == [0] * 7 and empty.den == 1 and empty.is_zero()
     zero_terms = _field_sum(5, [(0, 3, 1, 1), (Fraction(0, 4), 2, 0, 0)])
     assert zero_terms.vec == [0] * 5 and zero_terms.den == 1
-    # the inverse is looked up before the coefficient is read
+    # the denominator is checked before the coefficient is read
     for m, s, t in ((6, 6, 1), (6, 0, 1), (6, 3, -1), (1, 0, 1), (4, -2, -1)):
         with pytest.raises(ZeroDivisionError):
             _field_sum(m, [(0, 1, s, t)])
