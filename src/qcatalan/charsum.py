@@ -13,8 +13,9 @@ even-modulus machinery would be dead weight.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Optional
 
@@ -45,7 +46,6 @@ class _GroupData:
     m: int
     prime_powers: tuple[int, ...]  # p^a per factor
     orders: tuple[int, ...]  # phi(p^a) per factor
-    exponent: int  # lcm of the orders
     dlogs: tuple[dict[int, int], ...]  # residue -> discrete log, per factor
 
 
@@ -53,6 +53,8 @@ class _GroupData:
 def _group_data(m: int) -> _GroupData:
     if m < 3 or m % 2 == 0:
         raise ValueError("modulus must be an odd integer >= 3")
+    if m > sys.maxsize:  # no exponent table of length m could be held
+        raise OverflowError("cannot fit 'int' into an index-sized integer")
     pps, orders, dlogs = [], [], []
     for p, a in factorize(m):
         pk = p**a
@@ -66,13 +68,7 @@ def _group_data(m: int) -> _GroupData:
         pps.append(pk)
         orders.append(order)
         dlogs.append(table)
-    return _GroupData(
-        m,
-        tuple(pps),
-        tuple(orders),
-        lcm(*orders) if orders else 1,
-        tuple(dlogs),
-    )
+    return _GroupData(m, tuple(pps), tuple(orders), tuple(dlogs))
 
 
 @dataclass(frozen=True)
@@ -86,7 +82,7 @@ class DirichletChar:
     modulus: int
     exponents: tuple[int, ...]
 
-    @property
+    @cached_property
     def order(self) -> int:
         data = _group_data(self.modulus)
         e = 1
@@ -97,23 +93,33 @@ class DirichletChar:
     def is_principal(self) -> bool:
         return all(t == 0 for t in self.exponents)
 
+    @cached_property
+    def exponent_table(self) -> tuple[Optional[int], ...]:
+        """Entry a is t with chi(a) = zeta_e^t (e = self.order), or None
+        when gcd(a, m) > 1.  Built on first use by one pass over range(m)
+        per CRT factor: factor i adds d_i(a) * t_i * e / s_i, where d_i is
+        the discrete log of a mod p_i^a_i (s_i / gcd(s_i, t_i) divides e,
+        so the weight is an integer)."""
+        m, e = self.modulus, self.order
+        data = _group_data(m)
+        table: list[Optional[int]] = [0] * m
+        for pk, s, t, dlogs in zip(
+            data.prime_powers, data.orders, self.exponents, data.dlogs
+        ):
+            weight = t * e // s
+            local: list[Optional[int]] = [None] * pk
+            for r, d in dlogs.items():
+                local[r] = d * weight % e
+            table = [
+                None if x is None or y is None else (x + y) % e
+                for x, y in zip(table, local * (m // pk))
+            ]
+        return tuple(table)
+
     def value_exponent(self, a: int) -> Optional[int]:
         """t with chi(a) = zeta_e^t (e = self.order), or None when
         gcd(a, m) > 1 so that chi(a) = 0."""
-        data = _group_data(self.modulus)
-        a %= self.modulus
-        if gcd(a, self.modulus) != 1:
-            return None
-        e = self.order
-        acc = 0
-        for pk, s, t, table in zip(
-            data.prime_powers, data.orders, self.exponents, data.dlogs
-        ):
-            d = table[a % pk]
-            # chi_i(a) = zeta_{s}^{d t}; rescale to order e
-            acc = (acc + d * t * (data.exponent // s)) % data.exponent
-        assert acc * e % data.exponent == 0
-        return acc * e // data.exponent % e
+        return self.exponent_table[a % self.modulus]
 
     def conductor(self) -> int:
         """The smallest period of the character (product of local conductors)."""
@@ -218,28 +224,23 @@ def compute_char_sums(N: int, chi: DirichletChar) -> CharSums:
     L = lcm(3, e)
     scale = L // e
     eps = L // 3  # eps = zeta_L^(L/3)
-
-    def chi_exp(a: int) -> Optional[int]:
-        t = chi.value_exponent(a)
-        return None if t is None else scale * t
+    # chi(a) = zeta_L^at[a % m], or 0 where at[a % m] is None
+    at = [None if t is None else scale * t for t in chi.exponent_table]
 
     # each sum as monomial terms (c, e, 0, 0) = c * zeta_L^e
-    s1_terms, s2_terms, t1_terms, t2_terms = [], [], [], []
-    for j in range(2 * N - 1):
-        t = chi_exp(6 * j + 1)
-        if t is not None:
-            s1_terms.append((j, t, 0, 0))
-        t = chi_exp(6 * j + 2)
-        if t is not None:
-            s2_terms.append((j, t, 0, 0))
-    for k in range(1, 2 * N - 1):
-        t = chi_exp(k)
-        if t is not None:
-            t1_terms.append((1, t + eps * ((2 * N - 1) * k), 0, 0))
-    for k in range(1 - N, N):
-        t = chi_exp(k)  # chi(0) = 0 drops the k = 0 term
-        if t is not None:
-            t2_terms.append((1, t + eps * (2 * (2 * N - 1) * k + 2), 0, 0))
+    js = range(2 * N - 1)
+    s1_terms = [(j, t, 0, 0) for j in js if (t := at[(6 * j + 1) % m]) is not None]
+    s2_terms = [(j, t, 0, 0) for j in js if (t := at[(6 * j + 2) % m]) is not None]
+    t1_terms = [
+        (1, t + eps * ((2 * N - 1) * k), 0, 0)
+        for k in range(1, 2 * N - 1)
+        if (t := at[k]) is not None
+    ]
+    t2_terms = [  # chi(0) = 0 drops the k = 0 term
+        (1, t + eps * (2 * (2 * N - 1) * k + 2), 0, 0)
+        for k in range(1 - N, N)
+        if (t := at[k % m]) is not None
+    ]
     return CharSums(
         *(_field_sum(L, terms) for terms in (s1_terms, s2_terms, t1_terms, t2_terms))
     )

@@ -4,7 +4,8 @@ JSON-lines reporting.
 
 Exit codes: 0 when every executed check passes, 1 when any check fails,
 2 on usage errors, 3 when the requested sweeps select no checks at all,
-4 when any check raised.  A check that raises does not stop the run: it
+4 when any check raised, 141 when the reader closed standard output (the
+run stops there).  A check that raises does not stop the run: it
 is reported with status "error" and the exception as its witness.
 Report streams are deterministic: tasks are generated in sorted parameter
 order and the writer preserves that order regardless of worker completion
@@ -14,6 +15,7 @@ order, so reruns are byte-identical apart from the elapsed_ms timing field.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import re
 import sys
@@ -362,7 +364,11 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
         if config.jobs > 1:
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 reports = pool.map(execute_task, tasks, chunksize=8)
-                counts = _write_reports(config, reports, stdout, out_file)
+                try:
+                    counts = _write_reports(config, reports, stdout, out_file)
+                except BrokenPipeError:  # start no further checks
+                    pool.shutdown(cancel_futures=True)
+                    raise
         else:
             reports = (execute_task(t) for t in tasks)
             counts = _write_reports(config, reports, stdout, out_file)
@@ -468,8 +474,7 @@ def _cmd_chars(modulus: int, stdout: TextIO) -> int:
     for idx, chi in enumerate(chars):
         e = chi.order
         values = []
-        for a in range(1, modulus):
-            t = chi.value_exponent(a)
+        for t in chi.exponent_table[1:]:
             if t is None:
                 values.append("0")
             elif t == 0:
@@ -515,6 +520,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse usage errors already print a message
         return exc.code if isinstance(exc.code, int) else 2
     stdout = sys.stdout
+    try:
+        code = _dispatch(parser, args, stdout)
+        stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the run ends here, and the flush at
+        # interpreter exit writes what is left to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a pipe writer
+
+
+def _dispatch(parser: argparse.ArgumentParser, args, stdout: TextIO) -> int:
     try:
         if args.command == "phi":
             stdout.write(cyclotomic_poly(args.n).render() + "\n")

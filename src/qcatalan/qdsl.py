@@ -552,13 +552,19 @@ def _power(base, ex: int, e: Expr, env):
     return base**ex
 
 
-def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
+def _compile(
+    e: Expr, mode: str, names: Optional[dict[int, set[str]]] = None
+) -> Callable[[dict], object]:
     """e as a closure env -> value, built once and run for every case.
     Every error is raised when the closure runs, as an EvalError on its
-    node."""
+    node.  names holds the name set of every node of the tree by id, as
+    `_names` fills it; it is built here when not given."""
+    if names is None:
+        names = {}
+        _names(e, names)
     if isinstance(e, Bin):
-        left, right = _compile(e.left, mode), _compile(e.right, mode)
-        if e.op != "/" and _names(e).isdisjoint(("q", "qbin", "qcat")):  # rationals
+        left, right = _compile(e.left, mode, names), _compile(e.right, mode, names)
+        if e.op != "/" and names[id(e)].isdisjoint(("q", "qbin", "qcat")):  # rationals
             if e.op == "*":
                 return lambda env: 0 if (a := left(env)) == 0 else a * right(env)
             op = add if e.op == "+" else sub
@@ -590,7 +596,7 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
         return variable
     if e == Var("q") or isinstance(e, Pow) and e.base == Var("q"):  # a monomial
         one = Num(Fraction(1))  # q is q^1
-        exponent = _integer(e.exponent if isinstance(e, Pow) else one, mode, e)
+        exponent = _integer(e.exponent if isinstance(e, Pow) else one, mode, e, names)
         if mode == "cyclo":
             return lambda env: [(1, exponent(env), 0, 0)]
 
@@ -602,7 +608,8 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
 
         return q_power
     if isinstance(e, Pow):
-        exponent, base = _integer(e.exponent, mode, e), _compile(e.base, mode)
+        exponent = _integer(e.exponent, mode, e, names)
+        base = _compile(e.base, mode, names)
 
         def power(env):
             ex = exponent(env)
@@ -610,11 +617,12 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
 
         return power
     if isinstance(e, Neg):
-        operand = _compile(e.operand, mode)
+        operand = _compile(e.operand, mode, names)
         return lambda env: _negate(operand(env))
     if isinstance(e, Sum):
-        lower, upper = _integer(e.lower, mode, e), _integer(e.upper, mode, e)
-        body = _compile(e.body, mode)
+        lower = _integer(e.lower, mode, e, names)
+        upper = _integer(e.upper, mode, e, names)
+        body = _compile(e.body, mode, names)
 
         def total(env):
             lo, hi = lower(env), upper(env)
@@ -633,7 +641,8 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
         return total
     if isinstance(e, Call):
         arity = {"legendre3": 1, "floor": 1, "qbin": 2, "qcat": 1}.get(e.name)
-        args = [_integer(a, mode, None if e.name == "floor" else e) for a in e.args]
+        node = None if e.name == "floor" else e
+        args = [_integer(a, mode, node, names) for a in e.args]
 
         def call(env):
             if arity is None:
@@ -657,23 +666,31 @@ def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _names(e: Expr) -> set[str]:
-    """The names of the variables and functions that occur in e."""
+def _names(e: Expr, into: dict[int, set[str]]) -> set[str]:
+    """The names of the variables and functions that occur in e.  The set
+    of e and of every node below it is stored in into under id(node), so
+    one call per node names the whole tree."""
     if isinstance(e, (Var, Call)):
         names, parts = {e.name}, getattr(e, "args", ())
     else:
         names, parts = set(), [getattr(e, f.name) for f in dataclasses.fields(e)]
     for part in parts:
         if not isinstance(part, (str, Fraction)):
-            names |= _names(part)
+            names |= _names(part, into)
+    into[id(e)] = names
     return names
 
 
-def _integer(sub: Expr, mode: str, node: Optional[Expr]):
+def _integer(
+    sub: Expr,
+    mode: str,
+    node: Optional[Expr],
+    names: Optional[dict[int, set[str]]] = None,
+):
     """The closure of an integer position sub of node: its value must be
     rational, since q may not occur there, and integral unless node is None
     (the argument of floor)."""
-    value = _compile(sub, mode)
+    value = _compile(sub, mode, names)
 
     def integer(env):
         v = value(env)
@@ -783,8 +800,11 @@ def _cases(entry: CorpusEntry) -> Iterator[dict[str, int]]:
         if kind == "all":
             bounds.append((name, None))
             continue
-        exprs = payload if kind == "range" else (payload, payload, None)
-        closures = [e if e is None else _integer(e, "poly", e) for e in exprs]
+        if kind == "range":
+            closures = [e if e is None else _integer(e, "poly", e) for e in payload]
+        else:  # name=expr: the range expr..expr
+            value = _integer(payload, "poly", payload)
+            closures = [value, value, None]
         bounds.append((name, closures))
     return _sweep(entry.line_no, bounds, 0, {})
 
@@ -820,7 +840,9 @@ def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
     def witness() -> Optional[str]:
         nonlocal cases
         expr = Bin("-", entry.lhs, entry.rhs)
-        diff, reads_j, sums = _compile(expr, entry.mode), "j" in _names(expr), {}
+        names: dict[int, set[str]] = {}
+        reads_j = "j" in _names(expr, names)
+        diff, sums = _compile(expr, entry.mode, names), {}
         index = entry.mod_index
         if index is not None:
             index = _integer(index, "poly", index)

@@ -1,5 +1,6 @@
 """Dirichlet character groups and the character-sum identity."""
 
+import dataclasses
 import random
 from math import gcd, lcm
 
@@ -15,6 +16,72 @@ from qcatalan.charsum import (
     verify_taoconj,
 )
 from qcatalan.cyclotomic import CycloElem, euler_phi
+
+
+def _crt_value_exponent(chi, a, data):
+    """The per-value CRT, the oracle for DirichletChar.exponent_table: t
+    with chi(a) = zeta_e^t (e = chi.order), or None when gcd(a, m) > 1.
+    Each CRT factor adds d t E / s mod E, where d is the discrete log of a
+    mod its prime power and E the lcm of the factor orders s."""
+    a %= chi.modulus
+    if gcd(a, chi.modulus) != 1:
+        return None
+    e, E = chi.order, lcm(*data.orders)
+    acc = 0
+    factors = zip(data.prime_powers, data.orders, chi.exponents, data.dlogs)
+    for pk, s, t, table in factors:
+        acc = (acc + table[a % pk] * t * (E // s)) % E
+    assert acc * e % E == 0
+    return acc * e // E % e
+
+
+def _table_mismatches(m, data):
+    """(index, a) for every character mod m and a in range(m) where the
+    exponent table disagrees with the CRT oracle run on data."""
+    return [
+        (chi.index, a)
+        for chi in character_group(m)
+        for a, t in enumerate(chi.exponent_table)
+        if t != _crt_value_exponent(chi, a, data)
+    ]
+
+
+def test_exponent_table_matches_the_crt_oracle():
+    characters = values = 0
+    for m in range(3, 100, 2):
+        assert _table_mismatches(m, charsum._group_data(m)) == [], m
+        for chi in character_group(m):
+            assert len(chi.exponent_table) == m
+            assert chi.value_exponent(-1) == chi.exponent_table[m - 1]
+            assert chi.value_exponent(m + 2) == chi.exponent_table[2]
+            characters += 1
+            values += m
+    assert (characters, values) == (2006, 133246)
+
+
+def test_table_without_one_crt_factor_fails_the_oracle(monkeypatch):
+    # a table that drops factor i's weight (every discrete log mod p_i^a_i
+    # read as 0) must disagree with the oracle
+    for m in (15, 35):
+        real = charsum._group_data(m)
+        for i in range(len(real.dlogs)):
+            dlogs = list(real.dlogs)
+            dlogs[i] = dict.fromkeys(dlogs[i], 0)
+            mutant = dataclasses.replace(real, dlogs=tuple(dlogs))
+            monkeypatch.setattr(charsum, "_group_data", lambda _m, d=mutant: d)
+            assert _table_mismatches(m, real), (m, i)
+            monkeypatch.undo()
+
+
+def test_exponent_table_is_cached_and_leaves_eq_and_hash_alone():
+    chi = character_group(35)[7]
+    twin = DirichletChar(35, chi.exponents)
+    table = chi.exponent_table
+    assert chi.exponent_table is table and "exponent_table" not in vars(twin)
+    assert chi == twin and hash(chi) == hash(twin)
+    assert twin.exponent_table == table and chi.order == twin.order
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        chi.modulus = 5
 
 
 def test_primitive_roots():

@@ -105,6 +105,64 @@ def test_outsized_input_exits_2_without_a_traceback(capsys):
         assert done.stderr.startswith("error: cannot fit 'int'"), suite
 
 
+def test_outsized_chars_modulus_exits_2():
+    # an odd modulus above sys.maxsize is refused before it is factorised
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    huge = "100000000000000000001"
+    done = subprocess.run(
+        [sys.executable, "-m", "qcatalan", "chars", "--modulus", huge],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == "error: cannot fit 'int' into an index-sized integer\n"
+
+
+def _exit_on_closed_stdout(argv, env, read_first_line):
+    """(return code, stderr) of the CLI writing to a pipe whose reader
+    takes one line and closes it, or whose reader is gone before it starts."""
+    cmd = [sys.executable, "-m", "qcatalan", *argv]
+    if read_first_line:
+        proc = subprocess.Popen(
+            cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = subprocess.Popen(
+            cmd, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True
+        )
+        os.close(write_end)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    return proc.returncode, err
+
+
+def test_closed_stdout_ends_the_run_with_141(tmp_path):
+    # the run stops at the closed pipe, prints nothing to stderr (no
+    # traceback, and no failed flush at exit) and exits 128 + SIGPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = tmp_path / "reports.jsonl"
+    verify = ["verify", "all", "--json", "--n-max", "6"]
+    for unbuffered in ("", "1"):
+        env["PYTHONUNBUFFERED"] = unbuffered
+        for argv, read_first_line in (
+            (verify + ["--jobs", "1", "--out", str(out)], True),
+            (verify + ["--jobs", "2"], True),
+            (["chars", "--modulus", "331"], True),  # 1.2 MB, more than a pipe holds
+            (["chars", "--modulus", "25"], False),  # 4 kB, written at the end
+        ):
+            code, err = _exit_on_closed_stdout(argv, env, read_first_line)
+            assert code == 141 and err == "", (argv, unbuffered, err)
+        # the serial run wrote no report after the pipe closed (986 in all)
+        assert 0 < len(out.read_text().splitlines()) < 986
+
+
 def test_eval_binding_q_exits_2(capsys):
     code, out, err = run_cli(["eval", "q+1", "--poly", "--bind", "q=3"], capsys)
     assert code == 2 and out == ""
@@ -126,6 +184,18 @@ def test_chars(capsys):
     assert len(lines) == 4
     assert lines[0].startswith("chi[0]")
     assert "order=1" in lines[0]
+
+
+def test_chars_output_is_pinned(capsys):
+    # the tables mod 15 and 25 as the per-value CRT printed them
+    pinned = {
+        "15": "9a89fc90a4707eeb9eb7d232afcef860a77dc2a42f52233e17b9f05fabd131df",
+        "25": "633d00dcc17955b0d0ebe2a5a1154f2ef5b9a944eaf085f3128bf78f80b1f557",
+    }
+    for modulus, digest in pinned.items():
+        code, out, _ = run_cli(["chars", "--modulus", modulus], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, modulus
 
 
 def test_unknown_suite_exits_2(capsys):
@@ -226,7 +296,8 @@ def test_verify_deterministic_reports(capsys):
 
 
 def test_verify_parallel_matches_serial(capsys):
-    argv = ["verify", "sawtooth", "explicit", "--json", "--n-max", "5"]
+    # taoconj tasks carry character indices to the workers
+    argv = ["verify", "sawtooth", "explicit", "taoconj", "--json", "--n-max", "5"]
     code1, serial, _ = run_cli(argv, capsys)
     code2, parallel, _ = run_cli(argv + ["--jobs", "3"], capsys)
     assert code1 == code2 == 0

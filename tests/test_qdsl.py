@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from qcatalan import qdsl
 from qcatalan.cyclotomic import CycloElem, GroupAlgebraElem, reduce_mod_phi_power
 from qcatalan.qdsl import (
     Bin,
@@ -517,6 +518,33 @@ def test_corpus_line_that_reads_j_is_summed_per_case():
     assert rep.witness == "{'m': 5, 'j': 2}: 1 (mod Phi_5)"
     rep = run_corpus_entry(parse_corpus_line(1, "q^j*j == j*q^j @ cyclo(m=5, j=all)"))
     assert rep.passed and rep.params["cases"] == 4
+
+
+def _node_count(part) -> int:
+    if part is None or isinstance(part, (str, Fraction)):
+        return 0
+    if isinstance(part, tuple):
+        return sum(_node_count(p) for p in part)
+    return 1 + sum(_node_count(getattr(part, f.name)) for f in dataclasses.fields(part))
+
+
+def test_compile_names_each_node_once(monkeypatch):
+    # line 68 is the largest shipped identity: 100 nodes in lhs - rhs, and
+    # a range, an m=expr and a j=all binding
+    entry = next(e for e in shipped_corpus() if e.line_no == 68)
+    nodes = _node_count(Bin("-", entry.lhs, entry.rhs))
+    nodes += _node_count(tuple(payload for _, _, payload in entry.bindings))
+    nodes += _node_count(entry.mod_index)
+    calls = []
+    real = qdsl._names
+
+    def counting(e, into):
+        calls.append(e)
+        return real(e, into)
+
+    monkeypatch.setattr(qdsl, "_names", counting)
+    assert run_corpus_entry(entry).passed
+    assert 100 <= len(calls) <= nodes
 
 
 def test_failure_witnesses_pinned():
