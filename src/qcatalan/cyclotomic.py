@@ -1,10 +1,10 @@
 """Cyclotomic polynomials and exact arithmetic in Q(zeta_m) = Q[x]/Phi_m(x).
 
-Phi_n is computed by recursive exact division, Phi_n = (q^n - 1) / prod of
-Phi_d over proper divisors d | n.  Every module-level memo here (Phi_n,
-the powers Phi_n^e and norm-product field inverses) is a bounded
-functools.lru_cache.  Each memoises a pure function, so two threads that
-miss on the same key store equal values.
+Phi_n is computed by the Moebius product of the integer factors
+(1 - q^d)^mu(n/d) over d | n, with ring's exact 1 - q^d kernels.  Every
+module-level memo here (Phi_n, the powers Phi_n^e and norm-product field
+inverses) is a bounded functools.lru_cache.  Each memoises a pure
+function, so two threads that miss on the same key store equal values.
 
 Q(zeta_m) has two representations.  A CycloElem is a residue mod Phi_m:
 an integer coefficient vector of length phi(m) over a single positive
@@ -34,12 +34,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import combinations, compress
 from math import comb, gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .ring import Coeff, Poly, as_coeff, coeff_div, power
+from .ring import (
+    Coeff,
+    Poly,
+    _div_one_minus,
+    _mul_one_minus,
+    as_coeff,
+    coeff_div,
+    power,
+)
 
 # ---------------------------------------------------------------------------
 # elementary number theory helpers
@@ -93,6 +101,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def cyclotomic_poly(n: int) -> Poly:
     """The n-th cyclotomic polynomial, monic of degree phi(n).
 
+    Built by the Moebius product Phi_n = +-prod_{d | n} (1 - q^d)^mu(n/d):
+    the factors with mu = +1 multiplied in, then the ones with mu = -1
+    divided out exactly.  mu(n/d) is nonzero only for n/d a product of
+    distinct primes of n, and the sign is -1 only for n = 1.
+
     >>> cyclotomic_poly(3)
     Poly('1 + q + q^2')
     >>> cyclotomic_poly(6)
@@ -100,11 +113,18 @@ def cyclotomic_poly(n: int) -> Poly:
     """
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    p = Poly((-1,) + (0,) * (n - 1) + (1,))  # q^n - 1
-    for d in divisors(n):
-        if d < n:
-            p = p.exact_div(cyclotomic_poly(d))
-    return p
+    primes = [p for p, _ in factorize(n)]
+    out, below = [1], []
+    for r in range(len(primes) + 1):
+        for ps in combinations(primes, r):
+            d = n // prod(ps)  # mu(n/d) = (-1)^r
+            if r % 2:
+                below.append(d)
+            else:
+                out = _mul_one_minus(out, d)
+    for d in below:
+        out = _div_one_minus(out, d)
+    return Poly._trusted(out if n > 1 else [-c for c in out])
 
 
 @lru_cache(maxsize=256)

@@ -5,6 +5,12 @@ walked one k at a time; the suites keep only their residues.
 
 All coefficient arithmetic is exact; the Gaussian binomials are integer
 polynomials and stay on the integer fast path throughout.
+
+gaussian_binomial is a bounded memo (functools.lru_cache, 256 entries), as
+is q_catalan: a sweep asks for the same [N, K] many times, within one check
+and across checks and suites, so each is built once while it stays among
+the 256 most recent.  The Poly results are immutable and shared by every
+caller.
 """
 
 from __future__ import annotations
@@ -13,41 +19,14 @@ import sys
 import threading
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate
 from operator import add, sub
 from typing import Iterator, Sequence
 
 from .cyclotomic import fold_mod_cyclic
-from .ring import Poly
+from .ring import Poly, _div_one_minus, _mul_one_minus
 
 # ---------------------------------------------------------------------------
-# raw coefficient-list kernels (integer polynomials, ascending coefficients)
-
-
-def _mul_one_minus(coeffs: list[int], t: int) -> list[int]:
-    """Multiply by (1 - q^t) in place-ish; returns a new list."""
-    out = coeffs + [0] * t
-    out[t:] = map(sub, out[t:], coeffs)
-    return out
-
-
-def _div_one_minus(coeffs: list[int], t: int) -> list[int]:
-    """Exact division by (1 - q^t); raises if the division is inexact.
-
-    Solving p = u * (1 - q^t) coefficientwise gives u_i = p_i + u_{i-t},
-    a prefix sum along each residue class mod t.
-    """
-    n = len(coeffs)
-    if n == 0:
-        return []
-    out = [0] * n
-    for r in range(min(t, n)):
-        out[r::t] = accumulate(coeffs[r::t])
-    for i in range(max(0, n - t), n):
-        if out[i]:
-            raise ValueError("inexact division by 1 - q^t")
-    del out[max(0, n - t):]
-    return out
+# q-shifted factorials and Gaussian binomials
 
 
 def q_pochhammer(s: int, n: int) -> Poly:
@@ -64,6 +43,7 @@ def q_pochhammer(s: int, n: int) -> Poly:
     return Poly(out)
 
 
+@lru_cache(maxsize=256)
 def gaussian_binomial(n: int, k: int) -> Poly:
     """The Gaussian binomial [n, k], zero outside 0 <= k <= n.
 
@@ -84,7 +64,7 @@ def gaussian_binomial(n: int, k: int) -> Poly:
     for j in range(1, k + 1):
         out = _mul_one_minus(out, n - k + j)
         out = _div_one_minus(out, j)
-    return Poly(out)
+    return Poly._trusted(out)
 
 
 def legendre3(a: int) -> int:

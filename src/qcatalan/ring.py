@@ -19,6 +19,7 @@ input stays normalised: the tail of a sum, negation, ``shift`` and a
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, Union
 
@@ -70,6 +71,32 @@ def power(one, base, e: int):
         if e:
             base = base * base
     return result
+
+
+def _mul_one_minus(coeffs: list[int], t: int) -> list[int]:
+    """Multiply an integer coefficient list by (1 - q^t); returns a new list."""
+    out = coeffs + [0] * t
+    out[t:] = map(sub, out[t:], coeffs)
+    return out
+
+
+def _div_one_minus(coeffs: list[int], t: int) -> list[int]:
+    """Exact division by (1 - q^t); raises if the division is inexact.
+
+    Solving p = u * (1 - q^t) coefficientwise gives u_i = p_i + u_{i-t},
+    a prefix sum along each residue class mod t.
+    """
+    n = len(coeffs)
+    if n == 0:
+        return []
+    out = [0] * n
+    for r in range(min(t, n)):
+        out[r::t] = accumulate(coeffs[r::t])
+    for i in range(max(0, n - t), n):
+        if out[i]:
+            raise ValueError("inexact division by 1 - q^t")
+    del out[max(0, n - t):]
+    return out
 
 
 class Poly:

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qcatalan.cli import SUITES, main
 
 
@@ -161,6 +163,42 @@ def test_closed_stdout_ends_the_run_with_141(tmp_path):
             assert code == 141 and err == "", (argv, unbuffered, err)
         # the serial run wrote no report after the pipe closed (986 in all)
         assert 0 < len(out.read_text().splitlines()) < 986
+
+
+def test_closed_stdout_under_jobs_starts_no_further_checks(monkeypatch):
+    # a thread pool stands in for the process pool, so the checks that
+    # ran can be counted; the first report line meets a closed pipe
+    from concurrent.futures import ThreadPoolExecutor
+
+    from qcatalan import cli
+
+    ran = []
+    execute_task = cli.execute_task
+
+    def counted(task):
+        ran.append(task)
+        return execute_task(task)
+
+    class ClosedStdout:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr(cli, "execute_task", counted)
+    config = cli.RunConfig(suites=["lucas"], jobs=2, as_json=True)
+    generated = len(list(cli.generate_tasks(config, "lucas")))
+    assert generated == 500
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # the writer is not starved of the lock
+    try:
+        with pytest.raises(BrokenPipeError):
+            cli.run_verify(config, ClosedStdout())
+    finally:
+        sys.setswitchinterval(interval)
+    assert 0 < len(ran) < generated
 
 
 def test_eval_binding_q_exits_2(capsys):

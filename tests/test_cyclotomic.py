@@ -51,6 +51,26 @@ def test_phi_6_against_independent_division():
     assert cyclotomic_poly(6) == quotient == Poly([1, -1, 1])
 
 
+def _phis_by_division(n_max):
+    """Phi_n for n <= n_max by recursive exact division, Phi_n = (q^n - 1)
+    / prod of Phi_d over the proper divisors d | n: the algorithm that the
+    Moebius product replaced."""
+    phis = {}
+    for n in range(1, n_max + 1):
+        p = q_power_minus_one(n)
+        for d in divisors(n)[:-1]:
+            p = p.exact_div(phis[d])
+        phis[n] = p
+    return phis
+
+
+def test_phi_matches_the_division_oracle_to_300():
+    for n, want in _phis_by_division(300).items():
+        got = cyclotomic_poly(n)
+        assert got == want, n
+        assert all(type(c) is int for c in got.coeffs), n
+
+
 def test_phi_rejects_nonpositive():
     with pytest.raises(ValueError):
         cyclotomic_poly(0)

@@ -97,6 +97,43 @@ def test_gaussian_pascal_and_symmetry():
             assert gaussian_binomial(n, k) == oracle(n, k), (n, k)
 
 
+def test_binomial_memo_is_bounded_and_exact():
+    assert gaussian_binomial.cache_parameters()["maxsize"] == 256
+    gaussian_binomial.cache_clear()
+    pairs = [(n, k) for n in range(31) for k in range(-1, n + 2)]
+    for n, k in pairs[:300]:
+        gaussian_binomial(n, k)
+    assert gaussian_binomial.cache_info().currsize == 256
+    for n, k in pairs:
+        got = gaussian_binomial(n, k)
+        assert gaussian_binomial(n, k) is got, (n, k)
+        assert got == gaussian_binomial.__wrapped__(n, k), (n, k)
+        assert all(type(c) is int for c in got.coeffs), (n, k)
+    assert gaussian_binomial.cache_info().currsize == 256
+
+
+def test_binomial_memo_keyed_on_n_alone_is_rejected(monkeypatch):
+    # a memo that forgets k hands [n, k'] to a later [n, k]: some shipped
+    # poly-mode corpus line and some lucas check of the --n-max 6 sweep fail
+    from qcatalan import cli, congruence, qdsl
+
+    built = {}
+
+    def keyed_on_n(n, k):
+        if n not in built:
+            built[n] = gaussian_binomial.__wrapped__(n, k)
+        return built[n]
+
+    for module in (qdsl, congruence):
+        monkeypatch.setattr(module, "gaussian_binomial", keyed_on_n)
+    lines = [e for e in qdsl.shipped_corpus() if e.mode == "poly"]
+    statuses = {qdsl.run_corpus_entry(e).status for e in lines}
+    assert "fail" in statuses
+    config = cli.RunConfig(suites=["lucas"], n_max=6)
+    tasks = [(*t, "exact", 1e-9) for t in cli.generate_tasks(config, "lucas")]
+    assert "fail" in {cli.execute_task(t).status for t in tasks}
+
+
 def test_gaussian_division_always_exact():
     # the implementation asserts exactness internally; the q-Pochhammer
     # quotient definition must agree too
@@ -182,8 +219,8 @@ def test_partial_sums_match_direct():
         shifted = Poly.zero()
         for k in range(n):
             cat = cat + q_catalan(k).shift(k)
-            cen = cen + gaussian_binomial(2 * k, k).shift(k)
-            shifted = shifted + gaussian_binomial(2 * k, k + 1).shift(k + 1)
+            cen = cen + gaussian_binomial.__wrapped__(2 * k, k).shift(k)
+            shifted = shifted + gaussian_binomial.__wrapped__(2 * k, k + 1).shift(k + 1)
         assert catalan_sum(n) == cat
         assert central_sum(n) == cen
         assert shifted_central_sum(n) == shifted
@@ -202,8 +239,8 @@ def _chain_oracle(n_max):
     want = {}
     cat = cen = shifted = Poly.zero()
     for k in range(n_max + 1):
-        central = gaussian_binomial(2 * k, k)
-        above = gaussian_binomial(2 * k, k + 1).shift(1)
+        central = gaussian_binomial.__wrapped__(2 * k, k)
+        above = gaussian_binomial.__wrapped__(2 * k, k + 1).shift(1)
         want["q_catalan", k] = ck = central - above
         cat = cat + ck.shift(k)
         cen = cen + central.shift(k)

@@ -158,7 +158,7 @@ def _evaluate(e: Expr, ctx: EvalContext):
             return floor(_scalar(e.args[0], ctx))
         if e.name == "qbin":
             _arity(e, 2)
-            p = gaussian_binomial(
+            p = gaussian_binomial.__wrapped__(
                 _int(_scalar(e.args[0], ctx), e), _int(_scalar(e.args[1], ctx), e)
             )
         elif e.name == "qcat":
