@@ -7,6 +7,20 @@ for every non-principal character of period m = 2N-1 coprime to 3, with
 eps a primitive cube root of unity.  All four sums live in Q(zeta_L),
 L = lcm(3, order of chi), and the identity is a single-field zero test.
 
+Exact mode sums the identity once per Galois orbit of characters.  With
+e = order of chi, the orbit of chi is {chi^a : gcd(a, e) = 1, and
+a = 1 mod 3 when 3 | e}; its representative is the member with the
+smallest exponent tuple.  If chi = rep^a', take b = a' mod e and
+b = 1 mod 3 (by the CRT mod L when 3 does not divide e).  Then
+sigma_b: x -> x^b is an automorphism of Q[x]/(x^L - 1) that maps each
+value of rep to the matching value of chi and fixes eps = zeta_L^(L/3);
+the weights j are integers.  So sigma_b maps S1 T1 + S2 T2 for rep onto
+the same value for chi, entry for entry, denominator and all, and a check
+is one conjugate(b) and one zero test.  Without b = 1 mod 3, sigma_b would
+send eps to eps^2 and test a different identity.  Float mode stays per
+character: sigma_b does not commute with the embedding
+zeta_L -> exp(2 pi i / L).
+
 Only odd moduli are supported; the identity needs m = 2N-1 and the
 even-modulus machinery would be dead weight.
 """
@@ -17,7 +31,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
-from typing import Optional
+from typing import Callable, Optional
 
 from .congruence import VerificationReport, run_check
 from .cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, euler_phi, factorize
@@ -210,16 +224,22 @@ class CharSums:
     t2: GroupAlgebraElem
 
 
+def _check_period(N: int, chi: DirichletChar) -> None:
+    """Raise ValueError unless N >= 2, 3 does not divide 2N-1 and chi is a
+    character mod 2N-1."""
+    if N < 2:
+        raise ValueError("need N >= 2")
+    if (2 * N - 1) % 3 == 0:
+        raise ValueError("2N-1 must not be divisible by 3")
+    if chi.modulus != 2 * N - 1:
+        raise ValueError("character modulus must equal 2N-1")
+
+
 def compute_char_sums(N: int, chi: DirichletChar) -> CharSums:
     """The weighted sums S1, S2 (j-weighted over chi(6j+1), chi(6j+2)) and
     the eps-twisted sums T1, T2, all in Q(zeta_L) with L = lcm(3, order)."""
+    _check_period(N, chi)
     m = 2 * N - 1
-    if N < 2:
-        raise ValueError("need N >= 2")
-    if m % 3 == 0:
-        raise ValueError("2N-1 must not be divisible by 3")
-    if chi.modulus != m:
-        raise ValueError("character modulus must equal 2N-1")
     e = chi.order
     L = lcm(3, e)
     scale = L // e
@@ -246,27 +266,64 @@ def compute_char_sums(N: int, chi: DirichletChar) -> CharSums:
     )
 
 
+def _orbit_rep(chi: DirichletChar) -> tuple[DirichletChar, int]:
+    """(rep, b): the representative of chi's Galois orbit and the b, with
+    gcd(b, L) = 1 and b = 1 mod 3, for which sigma_b maps rep's values onto
+    chi's (L = lcm(3, order)).  Each power chi^a is read as its exponent
+    tuple, with no DirichletChar built for it."""
+    e = chi.order
+    orders = _group_data(chi.modulus).orders
+    powers = (
+        (tuple(a * t % s for t, s in zip(chi.exponents, orders)), a)
+        for a in range(1, e)
+        if gcd(a, e) == 1 and (e % 3 or a % 3 == 1)
+    )
+    exps, a = min(powers)
+    rep = chi if exps == chi.exponents else DirichletChar(chi.modulus, exps)
+    b = pow(a, -1, e)  # chi = rep^b; when 3 | e, a = 1 mod 3 gives b = 1 mod 3
+    if e % 3:  # lift b mod e to b = 1 mod 3, mod L = 3e
+        b += e * ((1 - b) * e % 3)  # e * e = 1 mod 3
+    return rep, b
+
+
+@lru_cache(maxsize=64)
+def _orbit_combo(
+    sums_of: Callable[[int, DirichletChar], CharSums], N: int, rep: DirichletChar
+) -> GroupAlgebraElem:
+    """S1 * T1 + S2 * T2 for the orbit representative rep, from the sums
+    sums_of(N, rep); the 64 most recently used orbits are memoised."""
+    sums = sums_of(N, rep)
+    return sums.s1 * sums.t1 + sums.s2 * sums.t2
+
+
 def verify_taoconj(
     N: int, chi: DirichletChar, mode: str = "exact", tol: float = 1e-9
 ) -> VerificationReport:
     """S1 * T1 + S2 * T2 = 0 in Q(zeta_L) for non-principal chi mod 2N-1.
 
-    Exact mode passes on the annihilator zero test of the group-algebra
-    value (GroupAlgebraElem.is_zero) and reduces it mod Phi_L only to
-    render a failure; float mode embeds via zeta_L -> exp(2 pi i / L) and
-    compares against `tol`.
+    Exact mode reads the value for the representative of chi's Galois
+    orbit (_orbit_combo, summed by the first check of the orbit inside its
+    timed witness), maps it by sigma_b: x -> x^b with b = 1 mod 3, which
+    fixes eps and carries the representative's values onto chi's, and
+    passes on the annihilator zero test of the image
+    (GroupAlgebraElem.is_zero); the image equals chi's own value entry for
+    entry, so a failure renders the same reduction mod Phi_L.  Float mode
+    sums chi's own values and embeds via zeta_L -> exp(2 pi i / L), which
+    sigma_b does not commute with, and compares against `tol`.
     """
     if chi.is_principal():
         raise ValueError("the identity excludes the principal character")
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
+    _check_period(N, chi)
     params = {"N": N, "m": 2 * N - 1, "chi": chi.index}
 
     def witness() -> Optional[str]:
-        sums = compute_char_sums(N, chi)
-        combo = sums.s1 * sums.t1 + sums.s2 * sums.t2
         if mode == "exact":
+            rep, b = _orbit_rep(chi)
+            combo = _orbit_combo(compute_char_sums, N, rep).conjugate(b)
             return None if combo.is_zero() else combo.value().render()
+        combo = _orbit_combo.__wrapped__(compute_char_sums, N, chi)  # unmemoised
         mag = abs(combo.value().to_complex())
         return None if mag < tol else f"|S1*T1 + S2*T2| = {mag:.3e} >= {tol:.1e}"
 

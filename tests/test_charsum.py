@@ -288,3 +288,114 @@ def test_taoconj_includes_imprimitive_characters():
             seen_imprimitive = True
         assert verify_taoconj(N, chi).passed
     assert seen_imprimitive
+
+
+def _sweep_characters(bound):
+    """(N, chi) for every non-principal character of every modulus
+    5 <= m < bound that 3 does not divide, in sweep order."""
+    return [
+        ((m + 1) // 2, chi)
+        for m in range(5, bound, 2)
+        if m % 3
+        for chi in character_group(m)[1:]
+    ]
+
+
+def _galois_orbit(chi):
+    """The characters chi^a for gcd(a, e) = 1 (and a = 1 mod 3 when 3 | e),
+    built by repeated DirichletChar multiplication."""
+    e = chi.order
+    out, power = set(), chi
+    for a in range(1, e + 1):
+        if gcd(a, e) == 1 and (e % 3 or a % 3 == 1):
+            out.add(power)
+        power = power * chi
+    return frozenset(out)
+
+
+def _orbit_mismatches(bound):
+    """(m, index) of each character whose mapped orbit value
+    sigma_b(S1 T1 + S2 T2 for rep) differs from its own S1 T1 + S2 T2 in
+    vector or denominator; rep and b come from charsum._orbit_rep."""
+    bad = []
+    for N, chi in _sweep_characters(bound):
+        rep, b = charsum._orbit_rep(chi)
+        assert rep in _galois_orbit(chi)
+        got = charsum._orbit_combo(compute_char_sums, N, rep).conjugate(b)
+        sums = compute_char_sums(N, chi)
+        want = sums.s1 * sums.t1 + sums.s2 * sums.t2
+        if (got.vec, got.den) != (want.vec, want.den):
+            bad.append((chi.modulus, chi.index))
+    return bad
+
+
+def test_orbit_value_maps_onto_every_character_below_40():
+    assert _orbit_mismatches(40) == []
+
+
+def test_orbit_map_without_b_one_mod_three_fails_the_oracle(monkeypatch):
+    # sigma_b with b = 2 mod 3 sends eps to eps^2: the mapped value is no
+    # longer chi's S1 T1 + S2 T2
+    real = charsum._orbit_rep
+
+    def mutant(chi):
+        rep, b = real(chi)
+        e = chi.order
+        if e % 3:
+            b = next(c for c in range(3 * e) if c % e == b % e and c % 3 == 2)
+        return rep, b
+
+    monkeypatch.setattr(charsum, "_orbit_rep", mutant)
+    bad = _orbit_mismatches(40)
+    assert bad and bad[0][0] == 5
+
+
+def test_orbit_memo_sums_once_per_orbit(monkeypatch):
+    assert charsum._orbit_combo.cache_info().maxsize == 64
+    calls = []
+    real = charsum.compute_char_sums
+
+    def counted(N, chi):
+        calls.append(chi)
+        return real(N, chi)
+
+    monkeypatch.setattr(charsum, "compute_char_sums", counted)
+    sweep = _sweep_characters(40)
+    assert len(sweep) == 214
+    assert len({_galois_orbit(chi) for _, chi in sweep}) == 86
+    # each modulus holds at most 36 orbits, so a repeat of its characters
+    # right after them finds every orbit in the memo
+    for m in range(5, 40, 2):
+        if m % 3:
+            chars = [(N, chi) for N, chi in sweep if chi.modulus == m]
+            before = len(calls)
+            for N, chi in chars:
+                assert verify_taoconj(N, chi).passed
+            first = len(calls) - before
+            assert first == len({_galois_orbit(chi) for _, chi in chars}), m
+            for N, chi in chars:
+                assert verify_taoconj(N, chi).passed
+            assert len(calls) == before + first, m
+    assert len(calls) == 86
+    assert charsum._orbit_combo.cache_info().currsize <= 64
+    # float mode sums every character on its own
+    for N, chi in sweep[:20]:
+        assert verify_taoconj(N, chi, "float").passed
+    assert len(calls) == 86 + 20
+
+
+def test_taoconj_validates_before_the_orbit_memo(monkeypatch):
+    def unreachable(chi):
+        raise AssertionError("representative sought for rejected input")
+
+    monkeypatch.setattr(charsum, "_orbit_rep", unreachable)
+    chi5, chi9 = character_group(5)[1], character_group(9)[1]
+    size = charsum._orbit_combo.cache_info().currsize
+    for mode in ("exact", "float"):
+        with pytest.raises(ValueError, match="need N >= 2"):
+            verify_taoconj(1, chi5, mode)
+        with pytest.raises(ValueError, match="2N-1 must not be divisible by 3"):
+            verify_taoconj(5, chi9, mode)
+        with pytest.raises(ValueError, match="character modulus must equal 2N-1"):
+            verify_taoconj(4, chi5, mode)
+    assert charsum._orbit_combo.cache_info().currsize == size
