@@ -32,6 +32,9 @@ FAIL = "fail"
 SKIPPED = "skipped"
 ERROR = "error"
 
+# one encoder for every report line; json.dumps with sort_keys builds one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
@@ -71,7 +74,7 @@ class VerificationReport:
         return obj
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        return _ENCODER.encode(self.to_json_obj())
 
     def summary(self) -> str:
         ps = " ".join(f"{k}={v}" for k, v in self.params.items())

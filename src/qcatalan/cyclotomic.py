@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
-from math import comb, gcd, lcm, prod
+from itertools import accumulate, combinations, compress
+from math import gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -183,8 +183,8 @@ def phi_power_divides(coeffs: Sequence[Coeff], n: int, e: int = 1) -> bool:
 
 
 def fold_mod_cyclic(coeffs: Sequence[Coeff], n: int, e: int) -> list[Coeff]:
-    """The remainder of sum_i c_i q^i (c = coeffs) modulo (q^n - 1)^e, as
-    n*e coefficients.  With an exponent written a*n + r, 0 <= r < n,
+    """The remainder of sum_i c_i q^i (c = coeffs) modulo (q^n - 1)^e, e >= 1,
+    as n*e coefficients.  With an exponent written a*n + r, 0 <= r < n,
 
         q^(a*n + r) = q^r (1 + (q^n - 1))^a = q^r sum_j C(a, j) (q^n - 1)^j,
 
@@ -193,19 +193,28 @@ def fold_mod_cyclic(coeffs: Sequence[Coeff], n: int, e: int) -> list[Coeff]:
     M_j[r] = sum_a C(a, j) c_(a*n + r).  Expanded, that has degree below
     n*e, the degree of (q^n - 1)^e, so it is the remainder.  For e = 1 the
     fold sums the coefficients in each residue class of exponents mod n.
+
+    The moments are running sums, with no binomial weights and no products:
+    take a column c_(a*n + r) from the top a down; after j + 1 suffix sums
+    its entry at a is sum_b C(b - a + j, j) c_(b*n + r), which is M_j[r] at
+    a = j, and the entries below a = j are not read again.  For e = 2 that
+    is one accumulate and one sum per column.  The expansion is Horner's
+    rule in q^n - 1, one subtraction of vectors per moment.  Any exact
+    coefficients work: negative ints and Fractions alike.
     """
-    height = -(-len(coeffs) // n)  # number of a values
-    columns = [coeffs[r::n] for r in range(n)]
-    moments = [[sum(col) for col in columns]]  # C(a, 0) = 1
-    for j in range(1, e):
-        weights = [comb(a, j) for a in range(height)]
-        moments.append([sum(map(mul, weights, col)) for col in columns])
-    folded = []
-    for i in range(e):
-        # the coefficient of q^(i*n) in (q^n - 1)^j is (-1)^(j-i) C(j, i)
-        signs = [(-1) ** (j - i) * comb(j, i) for j in range(i, e)]
-        folded += [sum(map(mul, signs, m)) for m in zip(*moments[i:])]
-    return folded
+    moments: list[list[Coeff]] = [[] for _ in range(e)]
+    last = len(coeffs) - 1
+    for r in range(n):
+        col = coeffs[last - (last - r) % n :: -n] if r <= last else []  # top a first
+        for m in moments[:-1]:
+            col = list(accumulate(col))
+            m.append(col.pop() if col else 0)
+        moments[-1].append(sum(col))
+    # expand by Horner's rule in q^n - 1: out <- (q^n - 1) out + M_j
+    out = moments.pop()
+    for m in reversed(moments):
+        out = list(map(sub, m + out, out + [0] * n))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """q-combinatorial objects: q-shifted factorials, Gaussian binomials,
 MacMahon q-Catalan polynomials, the ballot/major-index oracle, the
 mod-3 Legendre symbol, and the partial sums used by the congruence suites,
-walked one k at a time; the suites keep only their residues.
+walked one k at a time; the suites keep only their residues.  The walk
+holds the palindrome [2k, k] by its low half only, steps on low halves,
+and certifies each step's exact division in O(k) coefficients.
 
 All coefficient arithmetic is exact; the Gaussian binomials are integer
 polynomials and stay on the integer fast path throughout.
@@ -19,6 +21,7 @@ import sys
 import threading
 from collections import namedtuple
 from functools import lru_cache
+from itertools import accumulate
 from operator import add, sub
 from typing import Iterator, Sequence
 
@@ -81,6 +84,17 @@ def legendre3(a: int) -> int:
 # checked exact division, then [2k+1, k+1] = [2k, k] + q^{k+1} [2k, k+1]
 # (q-Pascal) and [2k+2, k+1] = (1 + q^{k+1}) [2k+1, k+1] (q-Pascal and the
 # symmetry [2k+1, k] = [2k+1, k+1]).
+# The three binomials are palindromes, of degrees k^2, k^2 - 1 and k^2 + k,
+# and each of those operations fills a coefficient from lower ones only.
+# So the walk keeps [2k, k] only up to its middle, runs every step on such
+# low halves (a few entries past the middle where the next product reads
+# them), and mirrors a binomial to full length only to add it into a
+# running sum, which is no palindrome.
+# The division is certified whole, in O(k): with p = [2k, k] (1 - q^k) and
+# u the palindrome on the quotient's low half, r = u (1 - q^{k+1}) - p is
+# antipalindromic of degree k^2 + k and zero on the low half by
+# construction, so it is zero if it is zero up to its middle; there the
+# quotient's recursion must continue as u's mirror image.
 # The suites need a sum at n only mod Phi_n^e, e <= 2, which divides
 # (q^n - 1)^2.  So one shared walk, under a lock, stores for each n only
 # the two sums folded mod (q^n - 1)^2; the fold is linear, so the Catalan
@@ -89,31 +103,68 @@ def legendre3(a: int) -> int:
 
 def _add_shifted(a: list[int], b: list[int], k: int, op=add) -> list[int]:
     """a + q^k * b on raw coefficient lists; a - q^k * b when op is sub."""
-    bb = [0] * k + b
+    bb = [0] * k + b if k else b
     out = list(map(op, a, bb))
     out += a[len(bb):]  # at most one of the two tails is nonempty
     out += [op(0, c) for c in bb[len(a):]]
     return out
 
 
+def _window(low: list[int], deg: int, lo: int, hi: int) -> list[int]:
+    """Coefficients lo <= i < hi of the palindrome of degree deg whose
+    coefficients below len(low) are low, zero outside 0..deg; with lo = -s
+    they are those of q^s times it.  low holds at least the coefficients up
+    to deg // 2 and at most deg + 1 of them."""
+    out = [0] * -lo
+    out += low[max(lo, 0):hi]
+    a, b = max(lo, len(low)), min(hi, deg + 1)
+    if a < b:  # c_i = c_(deg - i), read down from low[deg - a]
+        stop = deg - b
+        out += low[deg - a : stop if stop >= 0 else None : -1]
+    out += [0] * (hi - max(lo, deg + 1))
+    return out
+
+
 class _Walk:
-    """The chain after k steps: [2k, k], the running sums over j < k of
-    q^j [2j, j] and q^{j+1} [2j, j+1], and residues[n - 1], the folds of the
-    central and the Catalan sum at each n <= k the shared walk stored."""
+    """The chain after k steps: low, the coefficients of [2k, k] up to
+    q^(k^2 // 2), its middle; the running sums over j < k of q^j [2j, j]
+    and q^{j+1} [2j, j+1]; and residues[n - 1], the folds of the central
+    and the Catalan sum at each n <= k the shared walk stored.
+
+    step() works on low halves and certifies its division by 1 - q^{k+1}:
+    if low is not the low half of a [2k, k] that the division leaves exact,
+    it raises ValueError and leaves the walk as it was."""
 
     def __init__(self):
-        self.k, self.central, self.cen, self.shifted = 0, [1], [], []
+        self.k, self.low, self.cen, self.shifted = 0, [1], [], []
         self.residues: list[tuple[Poly, Poly]] = []
 
     def step(self) -> None:
-        k, central = self.k, self.central
-        # [2k, k+1]; its factor 1 - q^0 makes it zero at k = 0
-        above = _div_one_minus(_mul_one_minus(central, k), k + 1)
-        self.cen = _add_shifted(self.cen, central, k)
-        self.shifted = _add_shifted(self.shifted, above, k + 1)
-        odd = _add_shifted(central, above, k + 1)  # [2k+1, k+1]
-        self.central = _add_shifted(odd, odd, k + 1)
-        self.k = k + 1
+        k, low, t = self.k, self.low, self.k + 1
+        deg, top = k * k, k * k + k  # degrees of [2k, k] and [2k+1, k+1]
+        half, mid = (deg + 1) // 2, top // 2 + 1  # low lengths of [2k, k+1], [2k+1, k+1]
+        central = _window(low, deg, 0, mid)
+        # p = [2k, k] (1 - q^k) and the recursion u_i = p_i + u_(i-t) of the
+        # quotient by 1 - q^t, both through q^(top // 2), the middle of r
+        p = central[:k]
+        p += map(sub, central[k:], central)
+        for r in range(min(t, mid)):
+            p[r::t] = accumulate(p[r::t])
+        # [2k, k+1] is p[:half]; its factor 1 - q^0 makes it zero at k = 0.
+        # r is zero up to its middle iff the recursion goes on past half as
+        # the mirror image of p[:half]
+        above, past = p, p[half:]
+        del above[half:]
+        if past != _window(above, deg - 1, half, mid):
+            raise ValueError("inexact division by 1 - q^t")
+        self.cen = _add_shifted(self.cen, _window(low, deg, -k, deg + 1), 0)
+        self.shifted = _add_shifted(self.shifted, _window(above, deg - 1, -t, deg), 0)
+        odd = central[:t]  # [2k+1, k+1], through its middle and on to the next one
+        odd += map(add, central[t:], above)
+        odd += _window(odd, top, mid, (top + k + 1) // 2 + 1)
+        low = odd[:t]  # [2k+2, k+1]
+        low += map(add, odd[t:], odd)
+        self.low, self.k = low, k + 1
 
 
 _chain_lock = threading.Lock()

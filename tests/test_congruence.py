@@ -65,6 +65,17 @@ def test_report_shape():
     assert obj["witness"]  # fail => witness present and nonzero
 
 
+def test_report_lines_match_json_dumps():
+    # the shared encoder writes what json.dumps(..., sort_keys=True) writes
+    reports = [check_congruence(Q, Q, 3, 1), check_congruence(Q, Q + 1, 3, 1)]
+    witness = "1 + q mod Φ_7"  # non-ASCII, as json.dumps escapes it
+    reports.append(congruence.VerificationReport("x", {"n": 7, "a": 1}, "fail", witness, 0.0012))
+    assert [r.status for r in reports] == ["pass", "fail", "fail"]
+    for rep in reports:
+        assert rep.to_json() == json.dumps(rep.to_json_obj(), sort_keys=True)
+    assert reports[1].to_json_obj()["witness"]
+
+
 def test_tauraso_phi_hand_example():
     # n = 2: sum is 1 + q, right side -1 - q, difference 2 + 2q = 2 Phi_2
     assert catalan_sum(2) == Poly([1, 1])

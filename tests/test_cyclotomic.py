@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -16,6 +17,7 @@ from qcatalan.cyclotomic import (
     cyclotomic_poly,
     divisors,
     euler_phi,
+    fold_mod_cyclic,
     phi_power_divides,
     poly_xgcd,
     reduce_mod_phi_power,
@@ -121,6 +123,43 @@ def _fold_by_long_division(p, n, e):
             for off, fac in lower:
                 coeffs[i - top + off] -= c * fac
     return Poly(coeffs)
+
+
+def _fold_by_binomial_weights(coeffs, n, e):
+    # the fold with comb-weighted moments M_j[r] = sum_a C(a, j) c_(a*n + r),
+    # expanded by the signs of (q^n - 1)^j: the kernel that running sums and
+    # Horner's rule replaced, kept as an oracle
+    height = -(-len(coeffs) // n)
+    columns = [coeffs[r::n] for r in range(n)]
+    moments = [[sum(col) for col in columns]]
+    for j in range(1, e):
+        weights = [comb(a, j) for a in range(height)]
+        moments.append([sum(map(mul, weights, col)) for col in columns])
+    folded = []
+    for i in range(e):
+        signs = [(-1) ** (j - i) * comb(j, i) for j in range(i, e)]
+        folded += [sum(map(mul, signs, m)) for m in zip(*moments[i:])]
+    return folded
+
+
+def test_fold_matches_binomial_weight_oracle():
+    rng = random.Random(2701)
+    kinds = {
+        "int": lambda: rng.randint(0, 10**30),
+        "negative": lambda: rng.randint(-(10**30), 10**30),
+        "fraction": lambda: Fraction(rng.randint(-50, 50), rng.randint(1, 7)),
+    }
+    for n in (1, 2, 3, 7, 12):
+        for e in (1, 2, 3):
+            # empty, shorter than n, around n*e, and many periods long
+            for length in sorted({0, n - 1, n, n * e - 1, n * e, n * e + 1, 9 * n + 4}):
+                for name, draw in kinds.items():
+                    coeffs = [draw() for _ in range(length)]
+                    want = _fold_by_binomial_weights(coeffs, n, e)
+                    assert len(want) == n * e
+                    for c in (coeffs, tuple(coeffs)):
+                        got = fold_mod_cyclic(c, n, e)
+                        assert got == want, (n, e, length, name)
 
 
 def test_reduce_fold_matches_schoolbook_large():

@@ -24,7 +24,7 @@ from qcatalan.qcomb import (
     shifted_central_sum,
 )
 from qcatalan.cyclotomic import reduce_mod_phi_power
-from qcatalan.ring import Poly
+from qcatalan.ring import Poly, _div_one_minus, _mul_one_minus
 
 from test_cyclotomic import _fold_by_long_division
 
@@ -279,6 +279,60 @@ def test_stored_residues_match_binomial_oracle(monkeypatch):
             for e in (1, 2):
                 want_rem = reduce_mod_phi_power(row, n, e)
                 assert reduce_mod_phi_power(got, n, e) == want_rem, (n, e)
+
+
+class _FullWalk:
+    """The walk on full coefficient lists, as before it kept only the low
+    half of [2k, k]: the oracle for _Walk.step."""
+
+    def __init__(self):
+        self.k, self.central, self.cen, self.shifted = 0, [1], [], []
+
+    def step(self):
+        k, central = self.k, self.central
+        above = _div_one_minus(_mul_one_minus(central, k), k + 1)
+        self.cen = qcomb._add_shifted(self.cen, central, k)
+        self.shifted = qcomb._add_shifted(self.shifted, above, k + 1)
+        odd = qcomb._add_shifted(central, above, k + 1)
+        self.central = qcomb._add_shifted(odd, odd, k + 1)
+        self.k = k + 1
+
+
+def _palindrome(low, deg):
+    # the full coefficient list of the palindrome of degree deg whose low
+    # coefficients are low
+    return low + low[: deg + 1 - len(low)][::-1]
+
+
+def test_half_walk_matches_the_full_list_walk():
+    walk, full = qcomb._Walk(), _FullWalk()
+    for k in range(61):
+        assert walk.k == full.k == k
+        assert len(walk.low) == k * k // 2 + 1, k
+        assert _palindrome(walk.low, k * k) == full.central, k
+        assert walk.cen == full.cen, k
+        assert walk.shifted == full.shifted, k
+        walk.step()
+        full.step()
+
+
+def test_walk_step_rejects_a_perturbed_binomial():
+    """One wrong coefficient of [2k, k] makes [2k, k] (1 - q^k) indivisible by
+    1 - q^(k+1) for k >= 2, so the step's exactness certificate must raise.
+    (At k <= 1 a perturbed [2k, k] can be a multiple of the true one.)"""
+    rng = random.Random(2727)
+    for _ in range(60):
+        k = rng.randint(2, 60)
+        walk = qcomb._Walk()
+        for _ in range(k):
+            walk.step()
+        i = rng.randrange(len(walk.low))
+        walk.low[i] += rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        before = (list(walk.low), walk.cen, walk.shifted)
+        with pytest.raises(ValueError, match="inexact division"):
+            walk.step()
+        assert walk.k == k  # a refused step leaves the walk as it was
+        assert (walk.low, walk.cen, walk.shifted) == before
 
 
 def test_chain_info_counts_walk_steps_and_stored_residues(monkeypatch):
