@@ -16,11 +16,9 @@ from .qcomb import (
     legendre3,
     q_catalan,
     q_catalan_maj_oracle,
-    q_pochhammer,
 )
 from .congruence import (
     VerificationReport,
-    check_congruence,
     verify_central_qbinom_congruence,
     verify_liu_mod_phi2,
     verify_liu_petrov,
@@ -46,7 +44,6 @@ from .rootid import (
 )
 from .charsum import (
     DirichletChar,
-    char_value,
     character_group,
     compute_char_sums,
     verify_taoconj,
@@ -60,7 +57,6 @@ __all__ = [
     "cyclotomic_poly",
     "euler_phi",
     "reduce_mod_phi_power",
-    "q_pochhammer",
     "gaussian_binomial",
     "q_catalan",
     "q_catalan_maj_oracle",
@@ -68,7 +64,6 @@ __all__ = [
     "central_sum",
     "legendre3",
     "VerificationReport",
-    "check_congruence",
     "verify_tauraso_mod_phi",
     "verify_liu_mod_phi2",
     "verify_main_theorem",
@@ -91,7 +86,6 @@ __all__ = [
     "verify_sawtooth",
     "DirichletChar",
     "character_group",
-    "char_value",
     "compute_char_sums",
     "verify_taoconj",
     "EvalContext",

@@ -34,7 +34,7 @@ from math import gcd, lcm, prod
 from typing import Callable, Optional
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, euler_phi, factorize
+from .cyclotomic import GroupAlgebraElem, _field_sum, euler_phi, factorize
 
 # ---------------------------------------------------------------------------
 # multiplicative structure of (Z/m)* for odd m, via CRT over prime powers
@@ -130,11 +130,6 @@ class DirichletChar:
             ]
         return tuple(table)
 
-    def value_exponent(self, a: int) -> Optional[int]:
-        """t with chi(a) = zeta_e^t (e = self.order), or None when
-        gcd(a, m) > 1 so that chi(a) = 0."""
-        return self.exponent_table[a % self.modulus]
-
     def conductor(self) -> int:
         """The smallest period of the character (product of local conductors)."""
         data = _group_data(self.modulus)
@@ -196,17 +191,6 @@ def character_group(m: int) -> list[DirichletChar]:
     ]
     assert len(chars) == euler_phi(m)
     return chars
-
-
-def char_value(chi: DirichletChar, a: int, L: int) -> CycloElem:
-    """chi(a) as an element of Q(zeta_L); requires order(chi) | L."""
-    e = chi.order
-    if L % e != 0:
-        raise ValueError(f"character order {e} does not divide {L}")
-    t = chi.value_exponent(a)
-    if t is None:
-        return CycloElem.zero(L)
-    return CycloElem.root_power(L, (L // e) * t)
 
 
 # ---------------------------------------------------------------------------

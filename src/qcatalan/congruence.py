@@ -127,21 +127,6 @@ def _residue_witness(
 
 
 # ---------------------------------------------------------------------------
-# generic engine
-
-
-def check_congruence(lhs: Poly, rhs: Poly, n: int, e: int) -> VerificationReport:
-    """Pass iff lhs = rhs (mod Phi_n(q)^e)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if e not in (1, 2):
-        raise ValueError("exponent restricted to 1 or 2")
-    return run_check(
-        "congruence", {"n": n, "e": e}, lambda: _residue_witness(lhs - rhs, n, e)
-    )
-
-
-# ---------------------------------------------------------------------------
 # the q-Catalan partial-sum congruences
 #
 # The four suites read the left side as the qcomb walk stores it, folded

@@ -1,10 +1,11 @@
 """Cyclotomic polynomials and exact arithmetic in Q(zeta_m) = Q[x]/Phi_m(x).
 
 Phi_n is computed by the Moebius product of the integer factors
-(1 - q^d)^mu(n/d) over d | n, with ring's exact 1 - q^d kernels.  Every
-module-level memo here (Phi_n, the powers Phi_n^e and norm-product field
-inverses) is a bounded functools.lru_cache.  Each memoises a pure
-function, so two threads that miss on the same key store equal values.
+(1 - q^d)^mu(n/d) over d | n, with ring's exact 1 - q^d kernels.  The two
+memos here, Phi_n and norm-product field inverses, are bounded
+functools.lru_caches; the powers Phi_n^e are not memoised, since only a
+failure witness reduces mod Phi_n^e.  Each memo holds a pure function, so
+two threads that miss on the same key store equal values.
 
 Q(zeta_m) has two representations.  A CycloElem is a residue mod Phi_m:
 an integer coefficient vector of length phi(m) over a single positive
@@ -12,11 +13,12 @@ denominator in lowest terms, so equality is structural.  A
 GroupAlgebraElem is a lazy value in the group algebra Q[x]/(x^m - 1),
 which maps onto Q(zeta_m) = Q[x]/Phi_m: sums and products are plain
 vector operations, and a value is reduced mod Phi_m only when it is
-read or inverted with three or more terms.  _field_sum adds a list of
-terms c * q^e / (1 - t * q^s) at q = x^j into one such value in one pass
-over one common denominator, writing each term by a closed form (the
-monomial, the sawtooth or the geometric series) with no stored inverse
-and no memo.  It is the only code that sums a term list, for the rootid
+read or inverted with three or more terms.  GroupAlgebraElem.value is the
+one way from a group-algebra value into a CycloElem.  _field_sum adds a
+list of terms c * q^e / (1 - t * q^s) at q = x^j into one such value in
+one pass over one common denominator, writing each term by a closed form
+(the monomial, the sawtooth or the geometric series) with no stored
+inverse and no memo.  It is the only code that sums a term list, for the rootid
 suites, the reduction chain, the character sums and the values that
 compiled qdsl expressions build in cyclo mode.  With
 GroupAlgebraElem.conjugate, which maps a sum at zeta_m onto the sum at
@@ -26,8 +28,8 @@ it is at zeta_m.
 Zero tests reduce nothing (phi_power_divides), and _field_witness is the
 one field verdict.  reduce_mod_phi_power is the one reduction mod Phi: it
 renders both kinds of failure witness, a remainder mod Phi_n^e and a
-reduced CycloElem (CycloField.element, root powers, products and the
-norm-product CycloElem.inv all call it).
+reduced CycloElem (GroupAlgebraElem.value, products and the norm-product
+CycloElem.inv all call it).
 """
 
 from __future__ import annotations
@@ -62,18 +64,6 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
     return prod(p ** (a - 1) * (p - 1) for p, a in factorize(n))
-
-
-def divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -127,12 +117,6 @@ def cyclotomic_poly(n: int) -> Poly:
     return Poly._trusted(out if n > 1 else [-c for c in out])
 
 
-@lru_cache(maxsize=256)
-def _phi_power(n: int, e: int) -> Poly:
-    """Phi_n^e; for e = 1 the memoised Phi_n itself, not a copy."""
-    return cyclotomic_poly(n) if e == 1 else cyclotomic_poly(n) ** e
-
-
 def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
     """Remainder of p modulo Phi_n(q)^e.
 
@@ -151,7 +135,8 @@ def reduce_mod_phi_power(p: Poly, n: int, e: int = 1) -> Poly:
         raise ValueError("exponent must be a positive integer")
     if len(p.coeffs) > n * e:
         p = Poly(fold_mod_cyclic(p.coeffs, n, e))
-    return p.divmod(_phi_power(n, e))[1]
+    phi = cyclotomic_poly(n)
+    return p.divmod(phi if e == 1 else phi**e)[1]
 
 
 def phi_power_divides(coeffs: Sequence[Coeff], n: int, e: int = 1) -> bool:
@@ -248,6 +233,12 @@ def poly_xgcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
 # field elements
 
 
+def _check_modulus(a, b) -> None:
+    """Raise ValueError unless the two field values share their modulus m."""
+    if a.m != b.m:
+        raise ValueError(f"modulus mismatch: {a.m} vs {b.m}")
+
+
 class CycloElem:
     """An element of Q(zeta_m), stored as its residue mod Phi_m.
 
@@ -299,7 +290,7 @@ class CycloElem:
         """The class of x^(t mod m), i.e. zeta_m^t."""
         if m < 1:
             raise ValueError("root order must be a positive integer")
-        return cls(m, reduce_mod_phi_power(Poly.monomial(1, t % m), m).coeffs)
+        return GroupAlgebraElem.monomial(m, 1, t).value()
 
     # -- views ---------------------------------------------------------------
 
@@ -323,13 +314,9 @@ class CycloElem:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check(self, other: "CycloElem") -> None:
-        if self.m != other.m:
-            raise ValueError(f"modulus mismatch: {self.m} vs {other.m}")
-
     def _coerce(self, other):
         if isinstance(other, CycloElem):
-            self._check(other)
+            _check_modulus(self, other)
             return other
         if isinstance(other, (int, Fraction)):
             return CycloElem.from_rational(self.m, other)
@@ -373,7 +360,7 @@ class CycloElem:
             )
         if not isinstance(other, CycloElem):
             return NotImplemented
-        self._check(other)
+        _check_modulus(self, other)
         if not self.num or not other.num:
             return CycloElem.zero(self.m)
         out = reduce_mod_phi_power(Poly(self.num) * Poly(other.num), self.m)
@@ -420,9 +407,6 @@ class CycloElem:
             return NotImplemented
         return self * o.inv()
 
-    def __rtruediv__(self, other) -> "CycloElem":
-        return self.inv() * other
-
     def __pow__(self, e: int) -> "CycloElem":
         if e < 0:
             return self.inv() ** (-e)
@@ -462,16 +446,12 @@ class CycloElem:
 
 
 class CycloField:
-    """One Q(zeta_m): m, and element(), which reduces a group-algebra vector
-    into a CycloElem by reduce_mod_phi_power.  Passing checks build none:
-    lazy values carry only m, and a CycloField is made to read one.
-
-    inv_one_minus / inv_one_plus give group-algebra representatives
-    (vector, denominator) of 1/(1 - x^s) and 1/(1 + x^s), i.e. integer
-    vectors v of length m with (1/d) * sum v[i] x^i equal to the inverse
-    mod Phi_m, read from a one-term _field_sum.  No library code calls
-    them: _field_sum writes such closed forms for many terms into one
-    vector, which is reduced mod Phi_m only when its value is read.
+    """One Q(zeta_m).  No library code builds one, since lazy values carry
+    only m: it is kept for the public API and for the benchmark tracer,
+    which wraps its methods by name.  element() reads a group-algebra
+    vector as a CycloElem by GroupAlgebraElem.value; inv_one_minus /
+    inv_one_plus give group-algebra representatives (vector, denominator)
+    of 1/(1 - x^s) and 1/(1 + x^s), each a one-term _field_sum.
     """
 
     def __init__(self, m: int):
@@ -481,7 +461,7 @@ class CycloField:
 
     def element(self, vec: Sequence[int], den: int = 1) -> CycloElem:
         """Reduce a group-algebra vector mod Phi_m into a field element."""
-        return CycloElem(self.m, reduce_mod_phi_power(Poly(vec), self.m).coeffs, den)
+        return GroupAlgebraElem(self.m, list(vec), den).value()
 
     # -- inverses of 1 -+ x^s --------------------------------------------------
 
@@ -514,8 +494,8 @@ def _unit_binomial(m: int, s: int, t: int) -> tuple[int, int, int]:
 class GroupAlgebraElem:
     """A lazy element of Q(zeta_m): an integer vector v of length m over one
     positive denominator, standing for (1/den) * sum v[i] x^i in the group
-    algebra Q[x]/(x^m - 1).  It carries its modulus m; value(), by
-    CycloField(m).element, is its one crossing into reduced CycloElems.
+    algebra Q[x]/(x^m - 1).  It carries its modulus m; value() is the one
+    crossing from a vector into a reduced CycloElem.
 
     The field is the quotient by Phi_m, so equal field elements have many
     representatives, and nothing is reduced until value() is read:
@@ -525,7 +505,8 @@ class GroupAlgebraElem:
     * ``*`` is a rotation when one factor has a single nonzero entry, and a
       cyclic convolution otherwise;
     * an int or Fraction operand of ``+`` / ``-`` changes entry 0 only, and
-      one of ``*`` scales the vector;
+      one of ``*`` scales the vector; two values of different m raise
+      ValueError, as CycloElems do;
     * inv() inverts a monomial or a two-term value a x^p + b x^r as the term
       x^-p / (a (1 - t x^(r - p))), t = -b/a, summed by _field_sum; anything
       else is reduced mod Phi_m and inverted with the memoised CycloElem.inv.
@@ -561,7 +542,8 @@ class GroupAlgebraElem:
 
     def value(self) -> CycloElem:
         """The field element: the vector reduced mod Phi_m."""
-        return CycloField(self.m).element(self.vec, self.den)
+        m = self.m
+        return CycloElem(m, reduce_mod_phi_power(Poly(self.vec), m).coeffs, self.den)
 
     def _support(self) -> list[int]:
         """Indices of the nonzero entries."""
@@ -589,6 +571,7 @@ class GroupAlgebraElem:
             out = self.vec[:] if fa == 1 else [a * fa for a in self.vec]
             out[0] = op(out[0], other.numerator * (self.den // g))
             return GroupAlgebraElem(self.m, out, self.den * fa)
+        _check_modulus(self, other)
         da, db = self.den, other.den
         if da == db:
             return GroupAlgebraElem(self.m, list(map(op, self.vec, other.vec)), da)
@@ -622,6 +605,7 @@ class GroupAlgebraElem:
         if not isinstance(other, GroupAlgebraElem):  # a scalar scales the vector
             out = self._rotated(0, other.numerator)
             return GroupAlgebraElem(self.m, out, self.den * other.denominator)
+        _check_modulus(self, other)
         den = self.den * other.den
         sb = other._support()
         if len(sb) == 1:

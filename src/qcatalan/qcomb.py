@@ -1,9 +1,9 @@
-"""q-combinatorial objects: q-shifted factorials, Gaussian binomials,
-MacMahon q-Catalan polynomials, the ballot/major-index oracle, the
-mod-3 Legendre symbol, and the partial sums used by the congruence suites,
-walked one k at a time; the suites keep only their residues.  The walk
-holds the palindrome [2k, k] by its low half only, steps on low halves,
-and certifies each step's exact division in O(k) coefficients.
+"""q-combinatorial objects: Gaussian binomials, MacMahon q-Catalan
+polynomials, the ballot/major-index oracle, the mod-3 Legendre symbol, and
+the partial sums used by the congruence suites, walked one k at a time;
+the suites keep only their residues.  The walk holds the palindrome
+[2k, k] by its low half only, steps on low halves, and certifies each
+step's exact division in O(k) coefficients.
 
 All coefficient arithmetic is exact; the Gaussian binomials are integer
 polynomials and stay on the integer fast path throughout.
@@ -29,21 +29,7 @@ from .cyclotomic import fold_mod_cyclic
 from .ring import Poly, _div_one_minus, _mul_one_minus
 
 # ---------------------------------------------------------------------------
-# q-shifted factorials and Gaussian binomials
-
-
-def q_pochhammer(s: int, n: int) -> Poly:
-    """The q-shifted factorial (q^s; q)_n = prod_{i=0}^{n-1} (1 - q^{s+i}).
-
-    >>> q_pochhammer(1, 2)
-    Poly('1 - q - q^2 + q^3')
-    """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    out = [1]
-    for i in range(n):
-        out = _mul_one_minus(out, s + i)
-    return Poly(out)
+# Gaussian binomials
 
 
 @lru_cache(maxsize=256)

@@ -152,20 +152,28 @@ def verify_main3n_new(n: int, j: int) -> VerificationReport:
     m = 6 * n
 
     def witness() -> Optional[str]:
-        half_sign = Fraction((-1) ** (n - 1), 2)
-        terms: list[_Term] = []
-        for k in range(1, n):
-            e, s = k * (3 * n + 2), 3 * k
-            terms += [(half_sign, e, s, -1), (Fraction((-1) ** k, 2), e, s, 1)]
-        terms += [(-1, 0, 2 * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)]
-        terms += [
-            (Fraction(n - 1, 3) - Fraction(2 * n - 1 + (-1) ** n, 4), 0, 0, 0),
+        terms = _rearranged_terms(n) + [
+            (Fraction(n - 1, 3), 0, 0, 0),
             (Fraction(-n, 3), 2 * n, 0, 0),
             (Fraction(-(3 * n + 1), 6), 4 * n, 0, 0),
         ]
         return _field_witness(m, terms, j)
 
     return run_check("main3n-new", {"n": n, "j": j}, witness)
+
+
+def _rearranged_terms(n: int) -> list[_Term]:
+    """The terms that main3n-new and the mid right side share, written in
+    the square root r of q (q^(t/2) is r^t): the two k < n families with
+    s = 3k, -1/(1 - q^(3k-2)) for k <= (n+1)/2, and the constant
+    -(2n - 1 + (-1)^n)/4."""
+    sign = Fraction((-1) ** (n - 1), 2)
+    terms: list[_Term] = []
+    for k in range(1, n):
+        e = k * (3 * n + 2)
+        terms += [(sign, e, 3 * k, -1), (Fraction((-1) ** k, 2), e, 3 * k, 1)]
+    terms += [(-1, 0, 2 * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)]
+    return terms + [(-Fraction(2 * n - 1 + (-1) ** n, 4), 0, 0, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,17 +474,9 @@ def _mid_lhs_terms(n: int) -> list[_Term]:
 
 
 def _mid_rhs_terms(n: int) -> list[_Term]:
-    sign = Fraction((-1) ** (n - 1), 2)
-    terms = []
-    for k in range(1, n):
-        e = k * (3 * n + 2)
-        terms.append((sign, e, 3 * k, -1))
-        terms.append((Fraction((-1) ** k, 2), e, 3 * k, 1))
-    terms += [(Fraction(1), 0, 2 * (3 * k - 1), 1) for k in range(1, n + 1)]
-    terms += [
-        (Fraction(-1), 0, 2 * (3 * k - 2), 1) for k in range(1, (n + 1) // 2 + 1)
-    ]
-    return terms + [(-Fraction(2 * n - 1 + (-1) ** n, 4), 0, 0, 0)]
+    """The rearranged right side at q = w^2: the shared terms, and the sum of
+    1/(1 - q^(3k-1)) over k <= n, which main3n-new writes as (n/3)(1 - q^n)."""
+    return _rearranged_terms(n) + [(1, 0, 2 * (3 * k - 1), 1) for k in range(1, n + 1)]
 
 
 def mid_degree_bound(n: int) -> int:

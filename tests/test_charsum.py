@@ -9,7 +9,6 @@ import pytest
 from qcatalan import charsum
 from qcatalan.charsum import (
     DirichletChar,
-    char_value,
     character_group,
     compute_char_sums,
     primitive_root,
@@ -35,6 +34,22 @@ def _crt_value_exponent(chi, a, data):
     return acc * e // E % e
 
 
+def value_exponent(chi, a):
+    """t with chi(a) = zeta_e^t (e = chi.order), or None when chi(a) = 0."""
+    return chi.exponent_table[a % chi.modulus]
+
+
+def char_value(chi, a, L):
+    """chi(a) as an element of Q(zeta_L); requires order(chi) | L."""
+    e = chi.order
+    if L % e != 0:
+        raise ValueError(f"character order {e} does not divide {L}")
+    t = value_exponent(chi, a)
+    if t is None:
+        return CycloElem.zero(L)
+    return CycloElem.root_power(L, (L // e) * t)
+
+
 def _table_mismatches(m, data):
     """(index, a) for every character mod m and a in range(m) where the
     exponent table disagrees with the CRT oracle run on data."""
@@ -52,8 +67,8 @@ def test_exponent_table_matches_the_crt_oracle():
         assert _table_mismatches(m, charsum._group_data(m)) == [], m
         for chi in character_group(m):
             assert len(chi.exponent_table) == m
-            assert chi.value_exponent(-1) == chi.exponent_table[m - 1]
-            assert chi.value_exponent(m + 2) == chi.exponent_table[2]
+            assert value_exponent(chi, -1) == chi.exponent_table[m - 1]
+            assert value_exponent(chi, m + 2) == chi.exponent_table[2]
             characters += 1
             values += m
     assert (characters, values) == (2006, 133246)

@@ -11,7 +11,6 @@ from qcatalan.congruence import (
     _chain_sums,
     _residue_witness,
     boundary_term,
-    check_congruence,
     verify_central_qbinom_congruence,
     verify_liu_mod_phi2,
     verify_liu_petrov,
@@ -25,7 +24,6 @@ from qcatalan.congruence import (
 )
 from qcatalan.cyclotomic import (
     _field_sum,
-    _phi_power,
     cyclotomic_poly,
     poly_xgcd,
     reduce_mod_phi_power,
@@ -39,35 +37,25 @@ from qcatalan.qcomb import (
 )
 from qcatalan.ring import Poly, Q, as_coeff
 
-from test_ring import schoolbook_divmod
 
-
-def test_check_congruence_examples():
-    assert check_congruence(Poly.monomial(1, 5), Poly([1]), 5, 1).passed
-    rep = check_congruence(Poly.monomial(1, 5), Poly([1]), 5, 2)
-    assert rep.status == "fail"
-    # witness is the residue of q^5 - 1 mod Phi_5^2, cross-checked by hand division
-    _, oracle = schoolbook_divmod(
-        Poly([-1, 0, 0, 0, 0, 1]), Poly([1, 1, 1, 1, 1]) ** 2
-    )
-    assert rep.witness == oracle.render()
-    p = Poly([3, 1, 4])
-    assert check_congruence(p, p, 7, 2).passed
+def _report(residue):
+    """The report of a check whose verdict is residue = 0 mod Phi_3."""
+    return congruence.run_check("x", {"n": 3}, lambda: _residue_witness(residue, 3, 1))
 
 
 def test_report_shape():
-    rep = check_congruence(Q, Q, 3, 1)
+    rep = _report(Poly.zero())
     obj = json.loads(rep.to_json())
     assert set(obj) == {"suite", "params", "status", "elapsed_ms"}
     assert obj["status"] == "pass"
-    bad = check_congruence(Q, Q + 1, 3, 1)
+    bad = _report(Poly([1]))
     obj = json.loads(bad.to_json())
     assert obj["witness"]  # fail => witness present and nonzero
 
 
 def test_report_lines_match_json_dumps():
     # the shared encoder writes what json.dumps(..., sort_keys=True) writes
-    reports = [check_congruence(Q, Q, 3, 1), check_congruence(Q, Q + 1, 3, 1)]
+    reports = [_report(Poly.zero()), _report(Poly([1]))]
     witness = "1 + q mod Φ_7"  # non-ASCII, as json.dumps escapes it
     reports.append(congruence.VerificationReport("x", {"n": 7, "a": 1}, "fail", witness, 0.0012))
     assert [r.status for r in reports] == ["pass", "fail", "fail"]
@@ -162,7 +150,7 @@ def test_residue_witness_matches_the_unfolded_remainder():
             unfolded = unfolded + Poly.monomial(c, t)
         residue = Poly([coeff(rng.choice((1, 4))) for _ in range(rng.randint(0, 3 * n))])
         if rng.random() < 0.5:
-            residue = unfolded + residue * _phi_power(n, e)
+            residue = unfolded + residue * cyclotomic_poly(n) ** e
         rem = reduce_mod_phi_power(residue - unfolded, n, e)
         want = None if rem.is_zero() else rem.render()
         assert _residue_witness(residue, n, e, rhs) == want, (n, e, residue, rhs)

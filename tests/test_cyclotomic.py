@@ -13,9 +13,7 @@ from qcatalan.cyclotomic import (
     GroupAlgebraElem,
     _field_sum,
     _field_witness,
-    _phi_power,
     cyclotomic_poly,
-    divisors,
     euler_phi,
     fold_mod_cyclic,
     phi_power_divides,
@@ -38,11 +36,9 @@ def test_phi_small():
     assert cyclotomic_poly(4) == Poly([1, 0, 1])
 
 
-def test_phi_power_one_is_the_memoised_phi():
-    # Phi_n^1 is Phi_n itself, not a second copy of it
-    for n in (1, 7, 12):
-        assert _phi_power(n, 1) is cyclotomic_poly(n)
-    assert _phi_power(7, 2) == cyclotomic_poly(7) ** 2
+def divisors(n):
+    """The divisors of n, ascending."""
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def test_phi_6_against_independent_division():
@@ -217,8 +213,8 @@ def test_field_examples():
 
 
 def test_field_reductions_go_through_reduce_mod_phi_power(monkeypatch):
-    # element(), root powers, products and norm-product inverses all reduce
-    # mod Phi_m by the one reduction, reduce_mod_phi_power
+    # value(), element(), root powers, products and norm-product inverses
+    # all reduce mod Phi_m by the one reduction, reduce_mod_phi_power
     from qcatalan import cyclotomic
 
     moduli = []
@@ -230,6 +226,7 @@ def test_field_reductions_go_through_reduce_mod_phi_power(monkeypatch):
     monkeypatch.setattr(cyclotomic, "reduce_mod_phi_power", counting)
     a = CycloElem(7, [3, -1, 4, 1, -5, 9], 2)
     uses = {
+        "value": lambda: GroupAlgebraElem(7, [1, 2, 3, 4, 5, 6, 7], 3).value(),
         "element": lambda: CycloField(7).element([1, 2, 3, 4, 5, 6, 7], 3),
         "root_power": lambda: CycloElem.root_power(7, 6),
         "mul": lambda: a * a,
@@ -322,6 +319,19 @@ def test_division_errors():
         a / CycloElem.zero(3)
     with pytest.raises(ValueError):
         a + CycloElem.one(5)
+
+
+def test_group_algebra_rejects_mixed_moduli():
+    # operands of different m raise as CycloElems do; a monomial factor
+    # takes the rotation path of *, a dense one the convolution
+    a = GroupAlgebraElem(3, [1, 2, 0])
+    for b in (GroupAlgebraElem(5, [1, 0, 0, 0, 1]), GroupAlgebraElem.monomial(5, 2, 1),
+              GroupAlgebraElem(5, [1, 0, 0, 0, 1], 2)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(ValueError, match="modulus mismatch: 3 vs 5"):
+                op(a, b)
+            with pytest.raises(ValueError, match="modulus mismatch: 5 vs 3"):
+                op(b, a)
 
 
 def test_field_ops_against_complex_embedding():

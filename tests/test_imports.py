@@ -1,7 +1,9 @@
 """Every name that a library module imports is used in that module, so a
 deletion cannot leave an import behind.  __init__ re-exports its imports
 and is not checked.  Every private module-level name that a library module
-defines is used by library code, so no helper lives on for tests alone."""
+defines is used by library code, so no helper lives on for tests alone;
+a public function or class that no library code uses must be listed with
+the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -47,8 +49,8 @@ def test_every_import_is_used(path):
     assert _unused_imports(path.read_text("utf-8")) == [], path.name
 
 
-def _unused_private_names(sources: dict[str, str]) -> list[str]:
-    """'<module>.<name>' for each private module-level function, class or
+def _unreferenced(sources: dict[str, str]) -> list[tuple[str, str, ast.stmt]]:
+    """(module, name, statement) for each module-level function, class or
     assignment that no other top-level statement of any source references
     as a Name, an Attribute or an imported name; a self-reference (a
     recursive call) does not count."""
@@ -75,12 +77,28 @@ def _unused_private_names(sources: dict[str, str]) -> list[str]:
         else:
             continue
         for name in names:
-            if not name.startswith("_") or name.startswith("__"):
-                continue
             users = [refs for _, other, refs in statements if other is not stmt]
             if not any(name in refs for refs in users):
-                unused.append(f"{module}.{name}")
-    return sorted(unused)
+                unused.append((module, name, stmt))
+    return unused
+
+
+def _unused_private_names(sources: dict[str, str]) -> list[str]:
+    """'<module>.<name>' for each unreferenced private name."""
+    return sorted(
+        f"{module}.{name}"
+        for module, name, _ in _unreferenced(sources)
+        if name.startswith("_") and not name.startswith("__")
+    )
+
+
+def _unused_public_names(sources: dict[str, str]) -> list[str]:
+    """'<module>.<name>' for each unreferenced public function or class."""
+    return sorted(
+        f"{module}.{name}"
+        for module, name, stmt in _unreferenced(sources)
+        if not name.startswith("_") and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+    )
 
 
 def test_the_check_sees_an_unused_private_name():
@@ -94,3 +112,28 @@ def test_the_check_sees_an_unused_private_name():
 def test_every_private_name_is_used_by_library_code():
     sources = {path.stem: path.read_text("utf-8") for path in LIBRARY}
     assert _unused_private_names(sources) == []
+
+
+# Public functions and classes that no library code uses, and why each stays.
+# __init__ is left out of the sources: re-exporting a name is not using it.
+UNUSED_PUBLIC = {
+    "congruence.verify_reduction_chain": "becomes a suite in the benchmark refresh (ROADMAP item 3)",
+    "cyclotomic.CycloField": "bench/tracer.py OPERATORS wraps its methods; part of __all__",
+    "cyclotomic.poly_xgcd": "wrapped by bench/tracer.py SPANS; the oracle for CycloElem.inv",
+    "qcomb.central_sum": "wrapped by bench/tracer.py SPANS",
+    "qcomb.chain_info": "the walk's counters, for the library counters of ROADMAP item 7",
+    "rootid.compute_auxiliaries": "wrapped by bench/tracer.py SPANS",
+}
+
+
+def test_the_check_sees_an_unused_public_name():
+    a = "def used(): pass\ndef loop(n): return loop(n - 1)\nclass Orphan: pass\nLIMIT = 3\n"
+    b = "from .a import used\ndef f(): return used() + _g()\ndef _g(): pass\n"
+    # f is used by nothing either; LIMIT is an assignment, and _g is private
+    assert _unused_public_names({"a": a, "b": b}) == ["a.Orphan", "a.loop", "b.f"]
+    assert _unused_public_names({"a": a + "Orphan(loop(LIMIT))\n"}) == ["a.used"]
+
+
+def test_every_public_name_is_used_by_library_code_or_listed():
+    sources = {path.stem: path.read_text("utf-8") for path in MODULES}
+    assert _unused_public_names(sources) == sorted(UNUSED_PUBLIC)

@@ -20,7 +20,6 @@ from qcatalan.qcomb import (
     major_index,
     q_catalan,
     q_catalan_maj_oracle,
-    q_pochhammer,
     shifted_central_sum,
 )
 from qcatalan.cyclotomic import reduce_mod_phi_power
@@ -45,6 +44,15 @@ class PascalOracle:
         if key not in self.memo:
             self.memo[key] = self(n - 1, k - 1) + self(n - 1, k).shift(k)
         return self.memo[key]
+
+
+def q_pochhammer(s, n):
+    """The q-shifted factorial (q^s; q)_n = prod_{i<n} (1 - q^(s+i)), by Poly
+    products: the oracle for the Gaussian binomials' defining quotient."""
+    out = Poly([1])
+    for i in range(n):
+        out = out * (1 - Poly.monomial(1, s + i))
+    return out
 
 
 def test_pochhammer_examples():
