@@ -17,9 +17,10 @@ value of rep to the matching value of chi and fixes eps = zeta_L^(L/3);
 the weights j are integers.  So sigma_b maps S1 T1 + S2 T2 for rep onto
 the same value for chi, entry for entry, denominator and all, and a check
 is one conjugate(b) and one zero test.  Without b = 1 mod 3, sigma_b would
-send eps to eps^2 and test a different identity.  Float mode stays per
-character: sigma_b does not commute with the embedding
-zeta_L -> exp(2 pi i / L).
+send eps to eps^2 and test a different identity.  Float mode reads the same
+mapped value and embeds it by zeta_L -> exp(2 pi i / L): sigma_b acts on
+the vector before the embedding, so the image is chi's own vector, and only
+the verdict, a magnitude against a tolerance, differs.
 
 Only odd moduli are supported; the identity needs m = 2N-1 and the
 even-modulus machinery would be dead weight.
@@ -292,8 +293,8 @@ def verify_taoconj(
     passes on the annihilator zero test of the image
     (GroupAlgebraElem.is_zero); the image equals chi's own value entry for
     entry, so a failure renders the same reduction mod Phi_L.  Float mode
-    sums chi's own values and embeds via zeta_L -> exp(2 pi i / L), which
-    sigma_b does not commute with, and compares against `tol`.
+    embeds that same image via zeta_L -> exp(2 pi i / L) and compares its
+    magnitude against `tol`.
     """
     if chi.is_principal():
         raise ValueError("the identity excludes the principal character")
@@ -303,11 +304,10 @@ def verify_taoconj(
     params = {"N": N, "m": 2 * N - 1, "chi": chi.index}
 
     def witness() -> Optional[str]:
+        rep, b = _orbit_rep(chi)
+        combo = _orbit_combo(compute_char_sums, N, rep).conjugate(b)
         if mode == "exact":
-            rep, b = _orbit_rep(chi)
-            combo = _orbit_combo(compute_char_sums, N, rep).conjugate(b)
             return None if combo.is_zero() else combo.value().render()
-        combo = _orbit_combo.__wrapped__(compute_char_sums, N, chi)  # unmemoised
         mag = abs(combo.value().to_complex())
         return None if mag < tol else f"|S1*T1 + S2*T2| = {mag:.3e} >= {tol:.1e}"
 

@@ -521,7 +521,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     stdout = sys.stdout
     try:
-        code = _dispatch(parser, args, stdout)
+        code = _dispatch(args, stdout)
         stdout.flush()
         return code
     except BrokenPipeError:
@@ -533,7 +533,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 141  # 128 + SIGPIPE, as a shell reports a pipe writer
 
 
-def _dispatch(parser: argparse.ArgumentParser, args, stdout: TextIO) -> int:
+def _dispatch(args, stdout: TextIO) -> int:
     try:
         if args.command == "phi":
             stdout.write(cyclotomic_poly(args.n).render() + "\n")
@@ -551,35 +551,33 @@ def _dispatch(parser: argparse.ArgumentParser, args, stdout: TextIO) -> int:
             return _cmd_chars(args.modulus, stdout)
         if args.command == "eval":
             return _cmd_eval(args, stdout)
-        if args.command == "verify":
-            suites = list(args.suites)
-            if "all" in suites:
-                suites = list(SUITES)
-            unknown = [s for s in suites if s not in SUITES]
-            if unknown:
-                print(
-                    f"unknown suite(s): {', '.join(unknown)}; "
-                    f"choose from {', '.join(SUITES)} or all",
-                    file=sys.stderr,
-                )
-                return 2
-            config = RunConfig(
-                suites=suites,
-                n=args.n,
-                n_max=args.n_max,
-                j=args.j,
-                mode=args.mode,
-                tol=args.tol,
-                jobs=args.jobs,
-                out=args.out,
-                as_json=args.json,
+        # verify, the last subcommand: the parser requires one
+        suites = list(args.suites)
+        if "all" in suites:
+            suites = list(SUITES)
+        unknown = [s for s in suites if s not in SUITES]
+        if unknown:
+            print(
+                f"unknown suite(s): {', '.join(unknown)}; "
+                f"choose from {', '.join(SUITES)} or all",
+                file=sys.stderr,
             )
-            return run_verify(config, stdout)
+            return 2
+        config = RunConfig(
+            suites=suites,
+            n=args.n,
+            n_max=args.n_max,
+            j=args.j,
+            mode=args.mode,
+            tol=args.tol,
+            jobs=args.jobs,
+            out=args.out,
+            as_json=args.json,
+        )
+        return run_verify(config, stdout)
     except (ValueError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error("no command")
-    return 2
 
 
 if __name__ == "__main__":

@@ -502,8 +502,8 @@ class GroupAlgebraElem:
 
     * ``+`` / ``-`` / negation are vector operations over the lcm of the
       denominators, with no gcd taken;
-    * ``*`` is a rotation when one factor has a single nonzero entry, and a
-      cyclic convolution otherwise;
+    * ``*`` is one cyclic convolution over the nonzero entries of both
+      factors;
     * an int or Fraction operand of ``+`` / ``-`` changes entry 0 only, and
       one of ``*`` scales the vector; two values of different m raise
       ValueError, as CycloElems do;
@@ -594,36 +594,23 @@ class GroupAlgebraElem:
     def __neg__(self) -> "GroupAlgebraElem":
         return GroupAlgebraElem(self.m, [-c for c in self.vec], self.den)
 
-    def _rotated(self, t: int, factor: int) -> list[int]:
-        """The vector of factor * x^t * self."""
-        vec = self.vec
-        cut = len(vec) - t
-        out = vec[cut:] + vec[:cut]
-        return out if factor == 1 else [c * factor for c in out]
-
     def __mul__(self, other) -> "GroupAlgebraElem":
         if not isinstance(other, GroupAlgebraElem):  # a scalar scales the vector
-            out = self._rotated(0, other.numerator)
-            return GroupAlgebraElem(self.m, out, self.den * other.denominator)
+            c = other.numerator
+            return GroupAlgebraElem(
+                self.m, [a * c for a in self.vec], self.den * other.denominator
+            )
         _check_modulus(self, other)
-        den = self.den * other.den
-        sb = other._support()
-        if len(sb) == 1:
-            t = sb[0]
-            return GroupAlgebraElem(self.m, self._rotated(t, other.vec[t]), den)
-        sa = self._support()
-        if len(sa) == 1:
-            t = sa[0]
-            return GroupAlgebraElem(self.m, other._rotated(t, self.vec[t]), den)
         m = self.m
         a, b = self.vec, other.vec
         out = [0] * m
-        for i in sa:
+        sb = other._support()
+        for i in self._support():
             ai = a[i]
             for j in sb:
                 k = i + j
                 out[k - m if k >= m else k] += ai * b[j]
-        return GroupAlgebraElem(self.m, out, den)
+        return GroupAlgebraElem(m, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -723,9 +710,3 @@ def _field_witness(m: int, terms: Iterable[_Term], j: int = 1) -> Optional[str]:
     """None if the terms sum to zero at q = zeta_m^j, else the rendered sum."""
     acc = _field_sum(m, terms, j)
     return None if acc.is_zero() else acc.value().render()
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

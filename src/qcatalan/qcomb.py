@@ -275,7 +275,7 @@ def major_index(word: Sequence[int]) -> int:
     return sum(i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1])
 
 
-def q_catalan_maj_oracle(k: int, bound: int = MAJ_ORACLE_BOUND) -> Poly:
+def q_catalan_maj_oracle(k: int) -> Poly:
     """Brute-force maj generating polynomial over all ballot words of length 2k.
 
     >>> q_catalan_maj_oracle(2)
@@ -283,15 +283,9 @@ def q_catalan_maj_oracle(k: int, bound: int = MAJ_ORACLE_BOUND) -> Poly:
     """
     if k < 0:
         raise ValueError("index must be nonnegative")
-    if k > bound:
-        raise ValueError(f"enumeration bound exceeded: {k} > {bound}")
+    if k > MAJ_ORACLE_BOUND:
+        raise ValueError(f"enumeration bound exceeded: {k} > {MAJ_ORACLE_BOUND}")
     coeffs = [0] * (k * k + 1)
     for word in ballot_words(k):
         coeffs[major_index(word)] += 1
     return Poly(coeffs)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

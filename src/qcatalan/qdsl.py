@@ -67,7 +67,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
-from operator import add, sub
 from typing import Callable, Iterator, Optional, Union
 
 from .congruence import VerificationReport, _residue_witness, run_check
@@ -552,23 +551,12 @@ def _power(base, ex: int, e: Expr, env):
     return base**ex
 
 
-def _compile(
-    e: Expr, mode: str, names: Optional[dict[int, set[str]]] = None
-) -> Callable[[dict], object]:
+def _compile(e: Expr, mode: str) -> Callable[[dict], object]:
     """e as a closure env -> value, built once and run for every case.
     Every error is raised when the closure runs, as an EvalError on its
-    node.  names holds the name set of every node of the tree by id, as
-    `_names` fills it; it is built here when not given."""
-    if names is None:
-        names = {}
-        _names(e, names)
+    node."""
     if isinstance(e, Bin):
-        left, right = _compile(e.left, mode, names), _compile(e.right, mode, names)
-        if e.op != "/" and names[id(e)].isdisjoint(("q", "qbin", "qcat")):  # rationals
-            if e.op == "*":
-                return lambda env: 0 if (a := left(env)) == 0 else a * right(env)
-            op = add if e.op == "+" else sub
-            return lambda env: op(left(env), right(env))
+        left, right = _compile(e.left, mode), _compile(e.right, mode)
         if e.op == "+":
             return lambda env: _plus(left(env), right(env))
         if e.op == "-":
@@ -596,7 +584,7 @@ def _compile(
         return variable
     if e == Var("q") or isinstance(e, Pow) and e.base == Var("q"):  # a monomial
         one = Num(Fraction(1))  # q is q^1
-        exponent = _integer(e.exponent if isinstance(e, Pow) else one, mode, e, names)
+        exponent = _integer(e.exponent if isinstance(e, Pow) else one, mode, e)
         if mode == "cyclo":
             return lambda env: [(1, exponent(env), 0, 0)]
 
@@ -608,8 +596,8 @@ def _compile(
 
         return q_power
     if isinstance(e, Pow):
-        exponent = _integer(e.exponent, mode, e, names)
-        base = _compile(e.base, mode, names)
+        exponent = _integer(e.exponent, mode, e)
+        base = _compile(e.base, mode)
 
         def power(env):
             ex = exponent(env)
@@ -617,12 +605,12 @@ def _compile(
 
         return power
     if isinstance(e, Neg):
-        operand = _compile(e.operand, mode, names)
+        operand = _compile(e.operand, mode)
         return lambda env: _negate(operand(env))
     if isinstance(e, Sum):
-        lower = _integer(e.lower, mode, e, names)
-        upper = _integer(e.upper, mode, e, names)
-        body = _compile(e.body, mode, names)
+        lower = _integer(e.lower, mode, e)
+        upper = _integer(e.upper, mode, e)
+        body = _compile(e.body, mode)
 
         def total(env):
             lo, hi = lower(env), upper(env)
@@ -642,7 +630,7 @@ def _compile(
     if isinstance(e, Call):
         arity = {"legendre3": 1, "floor": 1, "qbin": 2, "qcat": 1}.get(e.name)
         node = None if e.name == "floor" else e
-        args = [_integer(a, mode, node, names) for a in e.args]
+        args = [_integer(a, mode, node) for a in e.args]
 
         def call(env):
             if arity is None:
@@ -666,31 +654,23 @@ def _compile(
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _names(e: Expr, into: dict[int, set[str]]) -> set[str]:
-    """The names of the variables and functions that occur in e.  The set
-    of e and of every node below it is stored in into under id(node), so
-    one call per node names the whole tree."""
+def _names(e: Expr) -> set[str]:
+    """The names of the variables and functions that occur in e."""
     if isinstance(e, (Var, Call)):
         names, parts = {e.name}, getattr(e, "args", ())
     else:
         names, parts = set(), [getattr(e, f.name) for f in dataclasses.fields(e)]
     for part in parts:
         if not isinstance(part, (str, Fraction)):
-            names |= _names(part, into)
-    into[id(e)] = names
+            names |= _names(part)
     return names
 
 
-def _integer(
-    sub: Expr,
-    mode: str,
-    node: Optional[Expr],
-    names: Optional[dict[int, set[str]]] = None,
-):
+def _integer(sub: Expr, mode: str, node: Optional[Expr]):
     """The closure of an integer position sub of node: its value must be
     rational, since q may not occur there, and integral unless node is None
     (the argument of floor)."""
-    value = _compile(sub, mode, names)
+    value = _compile(sub, mode)
 
     def integer(env):
         v = value(env)
@@ -840,9 +820,8 @@ def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
     def witness() -> Optional[str]:
         nonlocal cases
         expr = Bin("-", entry.lhs, entry.rhs)
-        names: dict[int, set[str]] = {}
-        reads_j = "j" in _names(expr, names)
-        diff, sums = _compile(expr, entry.mode, names), {}
+        reads_j = "j" in _names(expr)
+        diff, sums = _compile(expr, entry.mode), {}
         index = entry.mod_index
         if index is not None:
             index = _integer(index, "poly", index)
@@ -873,9 +852,3 @@ def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
     if report.passed:
         report = dataclasses.replace(report, params={**report.params, "cases": cases})
     return report
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -396,6 +396,7 @@ def _aux_lists(N: int, case: str) -> tuple[int, _Named]:
 # partial fraction decompositions over Q(zeta_6)
 
 _PFD_SEEDS = (Fraction(2), Fraction(1, 3), Fraction(5, 7))
+_PFD_POINTS = 20
 
 
 def _pfd_points(points: int) -> Iterator[Fraction]:
@@ -428,9 +429,9 @@ def _pfd_terms(kind: str, x: Fraction) -> list[_Term]:
     return [(lhs, 0, 0, 0)] + [(-c, e, s, t) for c, e, s, t in rhs]
 
 
-def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
+def verify_pfd(kind: str) -> VerificationReport:
     """Exact partial-fraction identities over Q(zeta_6), with w = zeta_6,
-    checked at `points` rational arguments away from all poles:
+    checked at _PFD_POINTS rational arguments away from all poles:
 
         pfd6:  6x/(1-x^6) = 1/(1-x) - w/(1-w^2 x) + w^2/(1+w x)
                             - 1/(1+x) + w/(1+w^2 x) - w^2/(1-w x)
@@ -445,18 +446,16 @@ def verify_pfd(kind: str, points: int = 20) -> VerificationReport:
     """
     if kind not in ("pfd3", "pfd6", "cube"):
         raise ValueError("kind must be one of pfd3, pfd6, cube")
-    if points < 1:
-        raise ValueError("need points >= 1")
 
     def witness() -> Optional[str]:
-        for x in _pfd_points(points):
+        for x in _pfd_points(_PFD_POINTS):
             residue = _field_witness(6, _pfd_terms(kind, x))
             if residue is not None:
                 return f"disagreement at x = {x}: {residue}"
         return None
 
     kind_code = {"pfd3": 3, "pfd6": 6, "cube": 0}[kind]
-    return run_check("pfd", {"kind": kind_code, "points": points}, witness)
+    return run_check("pfd", {"kind": kind_code, "points": _PFD_POINTS}, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -322,8 +322,8 @@ def test_division_errors():
 
 
 def test_group_algebra_rejects_mixed_moduli():
-    # operands of different m raise as CycloElems do; a monomial factor
-    # takes the rotation path of *, a dense one the convolution
+    # operands of different m raise as CycloElems do, whether the factor
+    # of * is a monomial or dense
     a = GroupAlgebraElem(3, [1, 2, 0])
     for b in (GroupAlgebraElem(5, [1, 0, 0, 0, 1]), GroupAlgebraElem.monomial(5, 2, 1),
               GroupAlgebraElem(5, [1, 0, 0, 0, 1], 2)):

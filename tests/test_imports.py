@@ -3,7 +3,8 @@ deletion cannot leave an import behind.  __init__ re-exports its imports
 and is not checked.  Every private module-level name that a library module
 defines is used by library code, so no helper lives on for tests alone;
 a public function or class that no library code uses must be listed with
-the reason it stays."""
+the reason it stays.  Only the entry points run as scripts: the doctests
+have one runner, tests/test_doctests.py."""
 
 import ast
 from pathlib import Path
@@ -137,3 +138,29 @@ def test_the_check_sees_an_unused_public_name():
 def test_every_public_name_is_used_by_library_code_or_listed():
     sources = {path.stem: path.read_text("utf-8") for path in MODULES}
     assert _unused_public_names(sources) == sorted(UNUSED_PUBLIC)
+
+
+# The modules that `python -m` runs; any other module is imported only.
+ENTRY_POINTS = {"__main__.py", "cli.py"}
+
+
+def _has_main_block(source: str) -> bool:
+    """Whether a top-level statement is `if __name__ == "__main__":`."""
+    return any(
+        isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "__name__ == '__main__'"
+        for stmt in ast.parse(source).body
+    )
+
+
+def test_the_check_sees_a_main_block():
+    assert _has_main_block('if __name__ == "__main__":\n    main()\n')
+    assert not _has_main_block('def f():\n    if __name__ == "__main__": pass\n')
+
+
+@pytest.mark.parametrize(
+    "path",
+    [path for path in LIBRARY if path.name not in ENTRY_POINTS],
+    ids=lambda path: path.name,
+)
+def test_only_entry_points_run_as_scripts(path):
+    assert not _has_main_block(path.read_text("utf-8")), path.name

@@ -538,9 +538,9 @@ def test_compile_names_each_node_once(monkeypatch):
     calls = []
     real = qdsl._names
 
-    def counting(e, into):
+    def counting(e):
         calls.append(e)
-        return real(e, into)
+        return real(e)
 
     monkeypatch.setattr(qdsl, "_names", counting)
     assert run_corpus_entry(entry).passed

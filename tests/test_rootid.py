@@ -196,16 +196,11 @@ def test_pfd_point_count():
         points = list(rootid._pfd_points(count))
         assert len(points) == count and len(set(points)) == count, count
         assert not set(points) & {0, 1, -1}, count
-    # the default 20 points, as the report stream has always used them
-    assert [str(x) for x in rootid._pfd_points(20)] == [
+    # the 20 points of every pfd check, as the report stream has always used them
+    assert [str(x) for x in rootid._pfd_points(rootid._PFD_POINTS)] == [
         "2", "1/3", "5/7", "1/2", "-2", "3", "-3", "3/2", "2/3", "-3/2",
         "4", "1/4", "-4", "4/3", "3/4", "-4/3", "5", "1/5", "-5", "5/2",
     ]
-    rep = verify_pfd("cube", 1)
-    assert rep.passed and rep.params["points"] == 1
-    for points in (0, -3):
-        with pytest.raises(ValueError, match="need points >= 1"):
-            verify_pfd("pfd3", points)
 
 
 def test_parameters_below_one_are_rejected_up_front():
