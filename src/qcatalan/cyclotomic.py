@@ -7,18 +7,19 @@ functools.lru_caches; the powers Phi_n^e are not memoised, since only a
 failure witness reduces mod Phi_n^e.  Each memo holds a pure function, so
 two threads that miss on the same key store equal values.
 
-Q(zeta_m) has two representations.  A CycloElem is a residue mod Phi_m:
-an integer coefficient vector of length phi(m) over a single positive
-denominator in lowest terms, so equality is structural.  A
-GroupAlgebraElem is a lazy value in the group algebra Q[x]/(x^m - 1),
-which maps onto Q(zeta_m) = Q[x]/Phi_m: sums and products are plain
-vector operations, and a value is reduced mod Phi_m only when it is
-read or inverted with three or more terms.  GroupAlgebraElem.value is the
-one way from a group-algebra value into a CycloElem.  _field_sum adds a
-list of terms c * q^e / (1 - t * q^s) at q = x^j into one such value in
-one pass over one common denominator, writing each term by a closed form
-(the monomial, the sawtooth or the geometric series) with no stored
-inverse and no memo.  It is the only code that sums a term list, for the rootid
+Q(zeta_m) has one arithmetic class and one accumulator.  A CycloElem is
+a residue mod Phi_m: an integer coefficient vector of length phi(m) over
+a single positive denominator in lowest terms, so equality is structural;
+every product, inverse and power of field values is CycloElem arithmetic,
+and CycloElem.inv is the one inverse.  A GroupAlgebraElem is a lazy value
+in the group algebra Q[x]/(x^m - 1), which maps onto Q(zeta_m) =
+Q[x]/Phi_m: it adds, subtracts and convolves vectors, and is reduced mod
+Phi_m only when it is read.  GroupAlgebraElem.value is the one way from a
+group-algebra value into a CycloElem.  _field_sum adds a list of terms
+c * q^e / (1 - t * q^s) at q = x^j into one such value in one pass over
+one common denominator, writing each term by a closed form (the
+monomial, the sawtooth or the geometric series) with no stored inverse
+and no memo.  It is the only code that sums a term list, for the rootid
 suites, the reduction chain, the character sums and the values that
 compiled qdsl expressions build in cyclo mode.  With
 GroupAlgebraElem.conjugate, which maps a sum at zeta_m onto the sum at
@@ -47,7 +48,6 @@ from .ring import (
     _div_one_minus,
     _mul_one_minus,
     as_coeff,
-    coeff_div,
     power,
 )
 
@@ -304,14 +304,6 @@ class CycloElem:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_rational(self) -> bool:
-        return len(self.num) <= 1
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0] if self.num else 0, self.den)
-
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, other):
@@ -497,20 +489,17 @@ class GroupAlgebraElem:
     algebra Q[x]/(x^m - 1).  It carries its modulus m; value() is the one
     crossing from a vector into a reduced CycloElem.
 
-    The field is the quotient by Phi_m, so equal field elements have many
-    representatives, and nothing is reduced until value() is read:
+    It is the accumulator that _field_sum returns, not a second field: it
+    has only what the callers of _field_sum need, and nothing is reduced
+    mod Phi_m until value() is read.  Products, inverses and powers of
+    field values are CycloElem arithmetic.
 
-    * ``+`` / ``-`` / negation are vector operations over the lcm of the
-      denominators, with no gcd taken;
-    * ``*`` is one cyclic convolution over the nonzero entries of both
-      factors;
-    * an int or Fraction operand of ``+`` / ``-`` changes entry 0 only, and
-      one of ``*`` scales the vector; two values of different m raise
-      ValueError, as CycloElems do;
-    * inv() inverts a monomial or a two-term value a x^p + b x^r as the term
-      x^-p / (a (1 - t x^(r - p))), t = -b/a, summed by _field_sum; anything
-      else is reduced mod Phi_m and inverted with the memoised CycloElem.inv.
-      A value that is zero in Q(zeta_m) raises ZeroDivisionError there;
+    * ``+`` / ``-`` are vector operations over the lcm of the denominators,
+      with no gcd taken; an int or Fraction on the right changes entry 0
+      only, as in rootid's ``acc - target``;
+    * ``*`` of two values is one cyclic convolution over the nonzero
+      entries of both factors, for charsum's S1 * T1 + S2 * T2;
+    * two values of different m raise ValueError, as CycloElems do;
     * is_zero() reads a single term directly and tests anything else with
       phi_power_divides, with no reduction: (1 + x + x^2) is zero at m = 3;
     * conjugate(j) is sigma_j: x -> x^j for gcd(j, m) = 1, the one
@@ -518,11 +507,8 @@ class GroupAlgebraElem:
       of Q[x]/(x^m - 1) and of Q(zeta_m), and it maps _field_sum(m, T, 1)
       onto _field_sum(m, T, j) entry for entry, denominator and all.
 
-    Every operation builds a new value; a sum of many terms
-    c * x^e / (1 - t * x^s) is built in one pass by _field_sum.
-
     >>> one = GroupAlgebraElem.monomial(3, 1)
-    >>> (one - GroupAlgebraElem.monomial(3, 1, 1)).inv().value()
+    >>> (one - GroupAlgebraElem.monomial(3, 1, 1)).value().inv()
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
     """
 
@@ -583,23 +569,12 @@ class GroupAlgebraElem:
     def __add__(self, other) -> "GroupAlgebraElem":
         return self._combine(other, add)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "GroupAlgebraElem":
         return self._combine(other, sub)
 
-    def __rsub__(self, other) -> "GroupAlgebraElem":
-        return -(self - other)
-
-    def __neg__(self) -> "GroupAlgebraElem":
-        return GroupAlgebraElem(self.m, [-c for c in self.vec], self.den)
-
-    def __mul__(self, other) -> "GroupAlgebraElem":
-        if not isinstance(other, GroupAlgebraElem):  # a scalar scales the vector
-            c = other.numerator
-            return GroupAlgebraElem(
-                self.m, [a * c for a in self.vec], self.den * other.denominator
-            )
+    def __mul__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+        if not isinstance(other, GroupAlgebraElem):
+            return NotImplemented
         _check_modulus(self, other)
         m = self.m
         a, b = self.vec, other.vec
@@ -611,29 +586,6 @@ class GroupAlgebraElem:
                 k = i + j
                 out[k - m if k >= m else k] += ai * b[j]
         return GroupAlgebraElem(m, out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inv(self) -> "GroupAlgebraElem":
-        """Multiplicative inverse in Q(zeta_m); ZeroDivisionError for zero."""
-        m, vec = self.m, self.vec
-        support = self._support()
-        if not support:
-            raise ZeroDivisionError("inverse of zero in Q(zeta_m)")
-        if len(support) <= 2:
-            # a x^p + b x^r = a x^p (1 - t x^(r - p)) with t = -b/a (t = 0 for r = p)
-            p, r = support[0], support[-1]
-            a = vec[p]
-            t = coeff_div(-vec[r], a) if r != p else 0
-            return _field_sum(m, [(coeff_div(self.den, a), -p, r - p, t)])
-        inverse = self.value().inv()
-        out = list(inverse.num)
-        return GroupAlgebraElem(m, out + [0] * (m - len(out)), inverse.den)
-
-    def __pow__(self, e: int) -> "GroupAlgebraElem":
-        if e < 0:
-            return self.inv() ** (-e)
-        return power(GroupAlgebraElem.monomial(self.m, 1), self, e)
 
 
 # A term (c, e, s, t) is c * x^e / (1 - t * x^s), with c and t int or Fraction;

@@ -22,11 +22,12 @@ and sum concatenate lists, qbin / qcat are their monomials folded mod m,
 a factor of monomials multiplies term by term, a divisor that collects to
 one monomial shifts and scales, and one that collects to two turns a
 numerator of monomials into quotient terms, its denominator checked then.
-Any other product, quotient or power is computed once in the group
-algebra and read back as monomials.  These fallbacks, the divisor checks
-and the zero test of a left factor run at q = zeta_m, exact since
-x -> x^j is an automorphism of Q(zeta_m): a value is zero at zeta_m^j
-exactly when it is zero at zeta_m.
+Any other product, quotient or power reduces its operands once into
+Q(zeta_m), is computed there by CycloElem arithmetic (a quotient by the
+memoised norm-product CycloElem.inv) and is read back as monomials.
+These fallbacks, the divisor checks and the zero test of a left factor
+run at q = zeta_m, exact since x -> x^j is an automorphism of Q(zeta_m):
+a value is zero at zeta_m^j exactly when it is zero at zeta_m.
 Exponents, summation bounds and the arguments of qbin/qcat/legendre3 are
 integer positions: their value must be rational and integral; the
 argument of floor must be rational.  q is reserved: it cannot be bound,
@@ -35,9 +36,8 @@ not even as a sum variable.
 Zero tests reduce nothing: a cyclo case is zero when the _field_sum of
 lhs - rhs passes cyclotomic.phi_power_divides, and lhs - rhs mod Phi(n)^e
 in poly mode is judged by congruence._residue_witness, the one Phi_n^e
-verdict.  A value is reduced mod Phi_m only to invert a value with three
-or more terms, to render a failing case, and for the CycloElem that
-eval_cyclo returns.
+verdict.  A value is reduced mod Phi_m only for those fallbacks, to
+render a failing case, and for the CycloElem that eval_cyclo returns.
 
 One deliberate semantic: a product whose left factor has already
 evaluated to exactly zero short-circuits without evaluating the right
@@ -448,9 +448,9 @@ def _monomials(terms) -> bool:
     return True
 
 
-def _terms(value: GroupAlgebraElem) -> list:
-    """A group-algebra value read back as its monomial terms (c, i, 0, 0)."""
-    return [(coeff_div(c, value.den), i, 0, 0) for i, c in enumerate(value.vec) if c]
+def _terms(value: CycloElem) -> list:
+    """A field value read back as its monomial terms (c, i, 0, 0)."""
+    return [(coeff_div(c, value.den), i, 0, 0) for i, c in enumerate(value.num) if c]
 
 
 def _negate(value):
@@ -468,7 +468,7 @@ def _plus(a, b):
 
 def _times(a, b, env):
     """a * b; two term lists multiply term by term if one holds only
-    monomials, and in the group algebra otherwise."""
+    monomials, and in Q(zeta_m) otherwise."""
     if type(a) is list or type(b) is list:
         a, b = _promote(a, b)
         if len(a) > len(b):
@@ -476,7 +476,8 @@ def _times(a, b, env):
         if not _monomials(a):
             a, b = b, a
             if not _monomials(a):
-                return _terms(_field_sum(env["q"], a) * _field_sum(env["q"], b))
+                m = env["q"]
+                return _terms(_field_sum(m, a).value() * _field_sum(m, b).value())
         return [(c * d, x + y, s, t) for c, x, _, _ in a for d, y, s, t in b]
     return a * b
 
@@ -493,8 +494,8 @@ def _divide(a, b, e: Expr, env):
     """a / b.  In cyclo mode a divisor that collects to one monomial scales
     and shifts the numerator's terms, and one that collects to two,
     c q^p + d q^r = c q^p (1 - t q^(r - p)) with t = -d/c, turns a numerator
-    of monomials into quotient terms; any other quotient is computed in the
-    group algebra."""
+    of monomials into quotient terms; any other quotient is computed in
+    Q(zeta_m) with the memoised CycloElem.inv."""
     if type(b) in _RATIONAL:
         if b == 0:
             raise EvalError("division by zero", e)
@@ -528,10 +529,10 @@ def _divide(a, b, e: Expr, env):
                 if c != 1:
                     a = [(coeff_div(k, c), x, 0, 0) for k, x, _, _ in a]
                 return [(k, x - p, r - p, t) for k, x, _, _ in a]
-        inverse = _field_sum(m, b).inv()
+        inverse = _field_sum(m, b).value().inv()
     except ZeroDivisionError:
         raise EvalError("division by a zero field element", e) from None
-    return _terms(_field_sum(m, a) * inverse)
+    return _terms(_field_sum(m, a).value() * inverse)
 
 
 def _power(base, ex: int, e: Expr, env):
@@ -539,7 +540,7 @@ def _power(base, ex: int, e: Expr, env):
         raise EvalError("negative power of a non-constant polynomial", e)
     try:
         if type(base) is list:
-            return _terms(_field_sum(env["q"], base) ** ex)
+            return _terms(_field_sum(env["q"], base).value() ** ex)
         if ex < 0:
             ex = -ex
             if isinstance(base, Poly):
@@ -659,7 +660,7 @@ def _names(e: Expr) -> set[str]:
     if isinstance(e, (Var, Call)):
         names, parts = {e.name}, getattr(e, "args", ())
     else:
-        names, parts = set(), [getattr(e, f.name) for f in dataclasses.fields(e)]
+        names, parts = set(), vars(e).values()
     for part in parts:
         if not isinstance(part, (str, Fraction)):
             names |= _names(part)

@@ -2,11 +2,12 @@
 deletion cannot leave an import behind.  __init__ re-exports its imports
 and is not checked.  Every private module-level name that a library module
 defines is used by library code, so no helper lives on for tests alone;
-a public function or class that no library code uses must be listed with
-the reason it stays.  Only the entry points run as scripts: the doctests
+a public function, class or method that no library code uses must be
+listed with the reason it stays.  Only the entry points run as scripts: the doctests
 have one runner, tests/test_doctests.py."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,33 @@ def _unused_public_names(sources: dict[str, str]) -> list[str]:
     )
 
 
+def _unused_public_methods(sources: dict[str, str]) -> list[str]:
+    """'<module>.<class>.<name>' for each public non-dunder method of a
+    module-level class that no library code references, as a Name or an
+    Attribute, outside the method's own body.  Methods are matched by name
+    alone, so a name read anywhere counts as used in every class."""
+
+    def refs(node: ast.AST) -> Counter:
+        return Counter(
+            sub.id if isinstance(sub, ast.Name) else sub.attr
+            for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))
+        )
+
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = sum(map(refs, trees.values()), Counter())
+    return sorted(
+        f"{module}.{cls.name}.{fn.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and used[fn.name] == refs(fn)[fn.name]
+    )
+
+
 def test_the_check_sees_an_unused_private_name():
     a = "def _used(): pass\ndef _loop(n): return _loop(n - 1)\n_LIMIT = 3\n"
     b = "from .a import _used\n_used()\ndef f(): return _Helper\nclass _Helper: pass\n"
@@ -115,11 +143,15 @@ def test_every_private_name_is_used_by_library_code():
     assert _unused_private_names(sources) == []
 
 
-# Public functions and classes that no library code uses, and why each stays.
+# Public functions, classes and methods that no library code uses, and why
+# each stays.
 # __init__ is left out of the sources: re-exporting a name is not using it.
 UNUSED_PUBLIC = {
     "congruence.verify_reduction_chain": "becomes a suite in the benchmark refresh (ROADMAP item 3)",
     "cyclotomic.CycloField": "bench/tracer.py OPERATORS wraps its methods; part of __all__",
+    "cyclotomic.CycloField.element": "bench/tracer.py OPERATORS wraps it",
+    "cyclotomic.CycloField.inv_one_minus": "bench/tracer.py OPERATORS wraps it",
+    "cyclotomic.CycloField.inv_one_plus": "bench/tracer.py OPERATORS wraps it",
     "cyclotomic.poly_xgcd": "wrapped by bench/tracer.py SPANS; the oracle for CycloElem.inv",
     "qcomb.central_sum": "wrapped by bench/tracer.py SPANS",
     "qcomb.chain_info": "the walk's counters, for the library counters of ROADMAP item 7",
@@ -135,9 +167,22 @@ def test_the_check_sees_an_unused_public_name():
     assert _unused_public_names({"a": a + "Orphan(loop(LIMIT))\n"}) == ["a.used"]
 
 
+def test_the_check_sees_an_unused_public_method():
+    a = (
+        "class A:\n    def used(self): return self._p()\n"
+        "    def loop(self): return self.loop()\n    def orphan(self): pass\n"
+        "    def _p(self): pass\n    def __len__(self): return 0\n"
+    )
+    b = "from .a import A\ndef f(): return A().used()\n"
+    # loop calls only itself; _p and __len__ are not public
+    assert _unused_public_methods({"a": a, "b": b}) == ["a.A.loop", "a.A.orphan"]
+    assert _unused_public_methods({"a": a + "A().loop()\nA.orphan\n"}) == ["a.A.used"]
+
+
 def test_every_public_name_is_used_by_library_code_or_listed():
     sources = {path.stem: path.read_text("utf-8") for path in MODULES}
-    assert _unused_public_names(sources) == sorted(UNUSED_PUBLIC)
+    unused = _unused_public_names(sources) + _unused_public_methods(sources)
+    assert sorted(unused) == sorted(UNUSED_PUBLIC)
 
 
 # The modules that `python -m` runs; any other module is imported only.

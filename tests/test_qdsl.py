@@ -155,6 +155,39 @@ def test_cyclo_edge_cases_pinned():
     assert str(exc.value) == (
         "inexact polynomial division (remainder 1) (in: 1 / (1 + q + q^2))"
     )
+    # the fallbacks that compute in Q(zeta_m): a divisor of three terms, a
+    # negative power of a list, products of quotient lists, and a power of
+    # a three-term divisor, at (m, j) = (7, 1) and (12, 5)
+    for text, at_7, at_12 in (
+        (
+            "1/(1+q+q^3)",
+            "-1/2*x - 1/2*x^2 - 1/2*x^3 - 1/2*x^5",
+            "4/13 - 2/13*x - 3/13*x^2 - 5/13*x^3",
+        ),
+        (
+            "(1-q)^(-2)",
+            "3/7 + 5/7*x + 6/7*x^2 + 6/7*x^3 + 5/7*x^4 + 3/7*x^5",
+            "-1 + 2*x - x^2",
+        ),
+        (
+            "q/(1-q)*1/(1-q^2)",
+            "3/7*x + 2/7*x^2 + 4/7*x^3 + 2/7*x^4 + 3/7*x^5",
+            "-1 + x",
+        ),
+        (
+            "(1/(1-q))*(1/(1+q^2))",
+            "3/7 + 6/7*x + 2/7*x^2 - 2/7*x^3 + 1/7*x^4 + 4/7*x^5",
+            "2/3 - 1/3*x - 1/3*x^2 + 2/3*x^3",
+        ),
+        (
+            "1/(1+q^2+q^5)^2",
+            "1 - x^2 - x^3 - x^4 - x^5",
+            "-29/169 + 44/169*x + 38/169*x^2 - 46/169*x^3",
+        ),
+    ):
+        e = parse(text)
+        assert eval_cyclo(e, 7, 1).render() == f"{at_7} (mod Phi_7)", text
+        assert eval_cyclo(e, 12, 5).render() == f"{at_12} (mod Phi_12)", text
 
 
 def test_integer_positions_stay_exact():

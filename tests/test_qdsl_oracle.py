@@ -4,9 +4,11 @@ evaluator.
 _evaluate walks an expression tree once per case.  It was the library's
 evaluator before qdsl compiled each expression into closures, and it
 computes every value with the ring operators alone: a Poly in poly mode,
-a GroupAlgebraElem in cyclo mode, never a term list.  The tests below
-check that the compiled evaluator agrees with it on every case of every
-shipped corpus line, and that both reject perturbed right sides.
+a CycloElem in cyclo mode, never a term list, so it shares no arithmetic
+with the group-algebra accumulator that the compiled closures sum into.
+The tests below check that the compiled evaluator agrees with it on every
+case of every shipped corpus line, and that both reject perturbed right
+sides.
 """
 
 import dataclasses
@@ -16,7 +18,12 @@ from math import floor, gcd
 from typing import Union
 
 from qcatalan.congruence import _residue_witness
-from qcatalan.cyclotomic import GroupAlgebraElem, _field_sum
+from qcatalan.cyclotomic import (
+    CycloElem,
+    GroupAlgebraElem,
+    _field_sum,
+    reduce_mod_phi_power,
+)
 from qcatalan.qcomb import gaussian_binomial, legendre3, q_catalan
 from qcatalan.qdsl import (
     Bin,
@@ -68,9 +75,9 @@ def _evaluate(e: Expr, ctx: EvalContext):
     A subexpression without q evaluates to an int, or to a Fraction only
     for a non-integral quotient or a negative power, in exactly that
     arithmetic.  A subexpression with q, qbin or qcat evaluates to a Poly in
-    poly mode and to a GroupAlgebraElem in cyclo mode.  A rational meets a
-    ring value only in the ring's own + - * (which lift it), as the
-    numerator of an exact Poly division (ctx.lift), and at the exits.
+    poly mode and to a CycloElem in cyclo mode.  A rational meets a ring
+    value only in the ring's own + - * (which lift it), as the numerator of
+    an exact Poly division (ctx.lift), and at the exits (_lift).
     """
     if isinstance(e, Bin):
         a = _evaluate(e.left, ctx)
@@ -93,7 +100,7 @@ def _evaluate(e: Expr, ctx: EvalContext):
             if type(a) is int and type(b) is int and a % b == 0:
                 return a // b
             return a * (Fraction(1) / b)
-        if isinstance(b, GroupAlgebraElem):
+        if isinstance(b, CycloElem):
             try:
                 return a * b.inv()
             except ZeroDivisionError:
@@ -123,7 +130,7 @@ def _evaluate(e: Expr, ctx: EvalContext):
                 raise EvalError("negative power of a non-constant polynomial", e)
             ex = -ex
             try:
-                if isinstance(base, GroupAlgebraElem):
+                if isinstance(base, CycloElem):
                     base = base.inv()
                 elif isinstance(base, Poly):
                     base = Poly.constant(Fraction(1) / base[0])
@@ -174,23 +181,35 @@ def _evaluate(e: Expr, ctx: EvalContext):
 
 
 def _q_power(ctx: EvalContext, ex: int, e: Expr):
-    """q^ex as one monomial: q^ex in poly mode, the unit vector of
-    zeta_m^(j*ex) in cyclo mode."""
+    """q^ex as one monomial: q^ex in poly mode, zeta_m^(j*ex) in cyclo mode."""
     if ctx.mode == "cyclo":
-        return GroupAlgebraElem.monomial(ctx.field[0], 1, ctx.field[1] * ex)
+        return CycloElem.root_power(ctx.field[0], ctx.field[1] * ex)
     if ex < 0:
         raise EvalError("negative power of a non-constant polynomial", e)
     return Poly.monomial(1, ex)
 
 
-def _poly_at_root(ctx: EvalContext, p: Poly) -> GroupAlgebraElem:
+def _poly_at_root(ctx: EvalContext, p: Poly) -> CycloElem:
     """Evaluate an integer polynomial at q = zeta_m^j by folding q^i onto
-    x^(ij); the folded vector is not reduced mod Phi_m."""
+    x^(ij) and reducing the folded vector mod Phi_m."""
     m, j = ctx.field
     folded = [0] * m
     for i, c in enumerate(p.coeffs):
         folded[(i * j) % m] += c
-    return GroupAlgebraElem(m, folded)
+    return CycloElem(m, reduce_mod_phi_power(Poly(folded), m).coeffs)
+
+
+def _lift(ctx: EvalContext, value):
+    """An _evaluate value in the mode's ring: a Poly, or a CycloElem."""
+    if ctx.mode == "cyclo" and type(value) in _RATIONAL:
+        return CycloElem.from_rational(ctx.field[0], value)
+    return ctx.lift(value)
+
+
+def _compiled(ctx: EvalContext, compiled):
+    """A compiled value in the mode's ring: a Poly, or a CycloElem."""
+    value = ctx.evaluate(compiled)
+    return value.value() if ctx.mode == "cyclo" else value
 
 
 def _verdict(entry, diff, binding):
@@ -199,9 +218,7 @@ def _verdict(entry, diff, binding):
         ctx = EvalContext("poly", dict(binding))
         n = _int(_scalar(entry.mod_index, ctx), entry.mod_index)
         return _residue_witness(diff, n, entry.mod_power)
-    if diff.is_zero():
-        return None
-    return (diff if entry.mode == "poly" else diff.value()).render()
+    return None if diff.is_zero() else diff.render()
 
 
 def _field(entry, binding):
@@ -219,16 +236,14 @@ def test_compiled_evaluator_matches_the_tree_walker_on_the_corpus():
         for binding in _cases(entry):
             ctx = EvalContext(entry.mode, dict(binding), _field(entry, binding))
             a, b = _evaluate(entry.lhs, ctx), _evaluate(entry.rhs, ctx)
-            want = _verdict(entry, ctx.lift(a - b), binding)
-            got = _verdict(entry, ctx.evaluate(diff), binding)
+            want = _verdict(entry, _lift(ctx, a - b), binding)
+            got = _verdict(entry, _compiled(ctx, diff), binding)
             assert got == want, (entry.raw, binding)
             if all(v <= 30 for name, v in binding.items() if name != "j"):
                 valued += 1
                 for compiled, value in ((lhs, a), (rhs, b)):
-                    got, value = ctx.evaluate(compiled), ctx.lift(value)
-                    if entry.mode == "cyclo":
-                        got, value = got.value(), value.value()
-                    assert got == value, (entry.raw, binding)
+                    got = _compiled(ctx, compiled)
+                    assert got == _lift(ctx, value), (entry.raw, binding)
     assert valued > 1500, valued
 
 
@@ -260,7 +275,7 @@ def test_cyclo_lines_reject_a_rational_offset():
         assert report.status == "fail", entry.raw
         binding = next(_cases(entry))
         ctx = EvalContext("cyclo", dict(binding), _field(entry, binding))
-        diff = ctx.lift(_evaluate(entry.lhs, ctx) - _evaluate(rhs, ctx))
+        diff = _lift(ctx, _evaluate(entry.lhs, ctx) - _evaluate(rhs, ctx))
         assert report.witness == f"{binding}: {_verdict(entry, diff, binding)}"
 
 
@@ -276,7 +291,7 @@ def test_phi_square_lines_reject_a_multiple_of_phi_n_alone():
         assert report.status == "fail", entry.raw
         binding = next(_cases(entry))
         ctx = EvalContext("poly", dict(binding))
-        diff = ctx.lift(_evaluate(entry.lhs, ctx) - _evaluate(perturbed.rhs, ctx))
+        diff = _lift(ctx, _evaluate(entry.lhs, ctx) - _evaluate(perturbed.rhs, ctx))
         assert report.witness == f"{binding}: residue {_verdict(entry, diff, binding)}"
         assert run_corpus_entry(dataclasses.replace(perturbed, mod_power=1)).passed
 
@@ -341,29 +356,27 @@ def test_compiled_evaluator_matches_the_tree_walker_on_random_trees():
                 unlifted.append(compiled(env))
                 return unlifted[-1]
 
-            want = _outcome(lambda: ctx.lift(_evaluate(e, ctx)))
-            got = _outcome(lambda: ctx.evaluate(kept))
+            want = _outcome(lambda: _lift(ctx, _evaluate(e, ctx)))
+            got = _outcome(lambda: _compiled(ctx, kept))
             if mode == "cyclo":
                 assert all(type(v) in (int, Fraction, list) for v in unlifted)
-            if mode == "cyclo" and not isinstance(want, str):
-                want = want.value()
-                got = got if isinstance(got, str) else got.value()
             assert got == want, (render(e), mode, n, field)
 
 
 def test_shipped_cyclo_lines_stay_term_lists(monkeypatch):
     # every divisor in the cyclo lines collects to one or two monomials, and
-    # qbin / qcat are monomials at a root, so no line computes in the group
-    # algebra
+    # qbin / qcat are monomials at a root, so no line takes a fallback that
+    # multiplies, inverts or raises to a power in Q(zeta_m)
     calls = []
-    for name in ("inv", "__mul__", "__pow__"):
-        original = getattr(GroupAlgebraElem, name)
+    for owner, name in ((CycloElem, "inv"), (CycloElem, "__mul__"),
+                        (CycloElem, "__pow__"), (GroupAlgebraElem, "__mul__")):
+        original = getattr(owner, name)
 
-        def counting(*args, _original=original, _name=name):
+        def counting(*args, _original=original, _name=f"{owner.__name__}.{name}"):
             calls.append(_name)
             return _original(*args)
 
-        monkeypatch.setattr(GroupAlgebraElem, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     for entry in shipped_corpus():
         if entry.mode == "cyclo":
             assert run_corpus_entry(entry).passed, entry.raw
