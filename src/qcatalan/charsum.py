@@ -58,7 +58,6 @@ def primitive_root(p: int, a: int) -> int:
 class _GroupData:
     """CRT decomposition of (Z/m)* into cyclic factors with fixed generators."""
 
-    m: int
     prime_powers: tuple[int, ...]  # p^a per factor
     orders: tuple[int, ...]  # phi(p^a) per factor
     dlogs: tuple[dict[int, int], ...]  # residue -> discrete log, per factor
@@ -83,7 +82,7 @@ def _group_data(m: int) -> _GroupData:
         pps.append(pk)
         orders.append(order)
         dlogs.append(table)
-    return _GroupData(m, tuple(pps), tuple(orders), tuple(dlogs))
+    return _GroupData(tuple(pps), tuple(orders), tuple(dlogs))
 
 
 @dataclass(frozen=True)

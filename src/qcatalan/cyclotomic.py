@@ -13,8 +13,8 @@ a single positive denominator in lowest terms, so equality is structural;
 every product, inverse and power of field values is CycloElem arithmetic,
 and CycloElem.inv is the one inverse.  A GroupAlgebraElem is a lazy value
 in the group algebra Q[x]/(x^m - 1), which maps onto Q(zeta_m) =
-Q[x]/Phi_m: it adds, subtracts and convolves vectors, and is reduced mod
-Phi_m only when it is read.  GroupAlgebraElem.value is the one way from a
+Q[x]/Phi_m: it adds and convolves vectors, and is reduced mod Phi_m only
+when it is read.  GroupAlgebraElem.value is the one way from a
 group-algebra value into a CycloElem.  _field_sum adds a list of terms
 c * q^e / (1 - t * q^s) at q = x^j into one such value in one pass over
 one common denominator, writing each term by a closed form (the
@@ -29,8 +29,8 @@ it is at zeta_m.
 Zero tests reduce nothing (phi_power_divides), and _field_witness is the
 one field verdict.  reduce_mod_phi_power is the one reduction mod Phi: it
 renders both kinds of failure witness, a remainder mod Phi_n^e and a
-reduced CycloElem (GroupAlgebraElem.value, products and the norm-product
-CycloElem.inv all call it).
+reduced CycloElem (GroupAlgebraElem.value, root powers, products and the
+norm-product CycloElem.inv all call it).
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ class CycloElem:
         """The class of x^(t mod m), i.e. zeta_m^t."""
         if m < 1:
             raise ValueError("root order must be a positive integer")
-        return GroupAlgebraElem.monomial(m, 1, t).value()
+        return CycloElem(m, reduce_mod_phi_power(Poly.monomial(1, t % m), m).coeffs)
 
     # -- views ---------------------------------------------------------------
 
@@ -491,15 +491,16 @@ class GroupAlgebraElem:
 
     It is the accumulator that _field_sum returns, not a second field: it
     has only what the callers of _field_sum need, and nothing is reduced
-    mod Phi_m until value() is read.  Products, inverses and powers of
-    field values are CycloElem arithmetic.
+    mod Phi_m until value() is read.  Differences, scalar operands,
+    inverses and powers are CycloElem arithmetic, or terms of a _field_sum.
 
-    * ``+`` / ``-`` are vector operations over the lcm of the denominators,
-      with no gcd taken; an int or Fraction on the right changes entry 0
-      only, as in rootid's ``acc - target``;
+    * ``+`` of two values is a vector sum over the lcm of the
+      denominators, with no gcd taken, for charsum's S1 * T1 + S2 * T2 and
+      rootid's failure render, which adds the target back;
     * ``*`` of two values is one cyclic convolution over the nonzero
-      entries of both factors, for charsum's S1 * T1 + S2 * T2;
-    * two values of different m raise ValueError, as CycloElems do;
+      entries of both factors, for charsum's products;
+    * an int or Fraction operand, or a difference, raises TypeError; two
+      values of different m raise ValueError, as CycloElems do;
     * is_zero() reads a single term directly and tests anything else with
       phi_power_divides, with no reduction: (1 + x + x^2) is zero at m = 3;
     * conjugate(j) is sigma_j: x -> x^j for gcd(j, m) = 1, the one
@@ -508,7 +509,7 @@ class GroupAlgebraElem:
       onto _field_sum(m, T, j) entry for entry, denominator and all.
 
     >>> one = GroupAlgebraElem.monomial(3, 1)
-    >>> (one - GroupAlgebraElem.monomial(3, 1, 1)).value().inv()
+    >>> (one + GroupAlgebraElem.monomial(3, -1, 1)).value().inv()
     CycloElem('2/3 + 1/3*x (mod Phi_3)')
     """
 
@@ -550,27 +551,17 @@ class GroupAlgebraElem:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _combine(self, other, op) -> "GroupAlgebraElem":
-        if not isinstance(other, GroupAlgebraElem):  # a scalar: entry 0 only
-            g = gcd(self.den, other.denominator)
-            fa = other.denominator // g
-            out = self.vec[:] if fa == 1 else [a * fa for a in self.vec]
-            out[0] = op(out[0], other.numerator * (self.den // g))
-            return GroupAlgebraElem(self.m, out, self.den * fa)
+    def __add__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
+        if not isinstance(other, GroupAlgebraElem):
+            return NotImplemented
         _check_modulus(self, other)
         da, db = self.den, other.den
         if da == db:
-            return GroupAlgebraElem(self.m, list(map(op, self.vec, other.vec)), da)
+            return GroupAlgebraElem(self.m, list(map(add, self.vec, other.vec)), da)
         g = gcd(da, db)
         fa, fb = db // g, da // g
-        out = [op(a * fa, b * fb) for a, b in zip(self.vec, other.vec)]
+        out = [a * fa + b * fb for a, b in zip(self.vec, other.vec)]
         return GroupAlgebraElem(self.m, out, da * fa)
-
-    def __add__(self, other) -> "GroupAlgebraElem":
-        return self._combine(other, add)
-
-    def __sub__(self, other) -> "GroupAlgebraElem":
-        return self._combine(other, sub)
 
     def __mul__(self, other: "GroupAlgebraElem") -> "GroupAlgebraElem":
         if not isinstance(other, GroupAlgebraElem):

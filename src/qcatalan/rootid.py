@@ -18,10 +18,11 @@ _field_sum writes straight into its vector, with no memo:
   inverse; a failure renders 1/(1 - q^s) - R by the t = 1 closed form.
 
 main3n, explicit, even, odd and aux sweep whole Galois orbits.  Their term
-lists do not depend on j, so each is summed once per orbit, at zeta_m
-(_orbit_sums), and the check at j maps that sum by sigma_j: x -> x^j and
-zero-tests the image: a j sweep re-tests sigma_j and the zero test, it
-does not re-derive the identity at a new root.
+lists do not depend on j, so each, less its rational target, is summed
+once per orbit, at zeta_m (_orbit_sums), and the check at j maps that
+difference by sigma_j: x -> x^j and zero-tests the image: a j sweep
+re-tests sigma_j and the zero test, it does not re-derive the identity at
+a new root.
 
 The rearrangement lemma (mid) is the one identity in a free variable w: its
 terms have the same shape, and it is certified by the integer Taylor series
@@ -63,11 +64,15 @@ def _require_root(name: str, n: int, j: int, m: int) -> None:
 
 @lru_cache(maxsize=64)
 def _orbit_sums(builder: _Builder, *key: object) -> list[tuple[str, GroupAlgebraElem, Coeff]]:
-    """Each list of builder(*key) summed at q = zeta_m, with its label and
-    target.  The builder is the suite and key its n (or N and the parity
-    case); the 64 most recently used orbits are memoised."""
+    """Each list of builder(*key) minus its target, summed at q = zeta_m,
+    with its label and target: the value that each check zero-tests.  The
+    builder is the suite and key its n (or N and the parity case); the 64
+    most recently used orbits are memoised."""
     m, named = builder(*key)
-    return [(label, _field_sum(m, terms), target) for label, terms, target in named]
+    return [
+        (label, _field_sum(m, terms + [(-target, 0, 0, 0)]), target)
+        for label, terms, target in named
+    ]
 
 
 def _orbit_failures(builder: _Builder, key: tuple, j: int) -> Iterator[str]:
@@ -77,15 +82,15 @@ def _orbit_failures(builder: _Builder, key: tuple, j: int) -> Iterator[str]:
     For gcd(j, m) = 1, sigma_j: x -> x^j is an automorphism of
     Q[x]/(x^m - 1), and it maps _field_sum(m, T, 1) onto _field_sum(m, T, j)
     entry for entry (Lang, Algebra, ch. VI section 3).  So the check at j is
-    sigma_j of the memoised sum at zeta_m and one zero test; sigma_j fixes
-    the rational target, and the rendered sum leaves it out.  The memo is
-    read here, inside the timed check, so the first check of an orbit pays
-    for the sums.
+    sigma_j of the memoised difference at zeta_m and one zero test; sigma_j
+    fixes the rational target, which a failure adds back to render the sum.
+    The memo is read here, inside the timed check, so the first check of an
+    orbit pays for the sums.
     """
-    for label, acc, target in _orbit_sums(builder, *key):
-        acc = acc.conjugate(j)
-        if not (acc - target if target else acc).is_zero():
-            rendered = acc.value().render()
+    for label, diff, target in _orbit_sums(builder, *key):
+        diff = diff.conjugate(j)
+        if not diff.is_zero():
+            rendered = (diff + GroupAlgebraElem.monomial(diff.m, target)).value().render()
             yield f"{label}: {rendered}" if label else rendered
 
 

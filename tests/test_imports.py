@@ -4,7 +4,8 @@ and is not checked.  Every private module-level name that a library module
 defines is used by library code, so no helper lives on for tests alone;
 a public function, class or method that no library code uses must be
 listed with the reason it stays.  Only the entry points run as scripts: the doctests
-have one runner, tests/test_doctests.py."""
+have one runner, tests/test_doctests.py.  No library module imports sympy,
+which only the tests' oracle uses."""
 
 import ast
 from collections import Counter
@@ -183,6 +184,29 @@ def test_every_public_name_is_used_by_library_code_or_listed():
     sources = {path.stem: path.read_text("utf-8") for path in MODULES}
     unused = _unused_public_names(sources) + _unused_public_methods(sources)
     assert sorted(unused) == sorted(UNUSED_PUBLIC)
+
+
+def _imported_packages(source: str) -> set[str]:
+    """The top-level package of every absolute import in source."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+def test_the_check_sees_a_sympy_import():
+    source = "import sympy.polys as p\nfrom .ring import Poly\ndef f():\n    from sympy import QQ\n"
+    assert _imported_packages(source) == {"sympy"}
+
+
+def test_no_library_module_imports_sympy():
+    # sympy is only the tests' independent oracle: the library computes
+    # every residue itself, with no dependency
+    for path in LIBRARY:
+        assert "sympy" not in _imported_packages(path.read_text("utf-8")), path.name
 
 
 # The modules that `python -m` runs; any other module is imported only.

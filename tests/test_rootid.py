@@ -355,18 +355,25 @@ def _orbit_keys(top):
 
 def test_orbit_sums_map_onto_the_sum_at_each_root(patch_terms):
     # for each memoised suite, every n (or N) <= 10 and every j in its
-    # orbit, the memoised sum at zeta_m mapped by conjugate(j) is the direct
-    # sum at q = zeta_m^j, entry for entry and in the denominator
+    # orbit, the memoised value at zeta_m mapped by conjugate(j) is the
+    # direct sum at q = zeta_m^j minus the target, entry for entry and in
+    # the denominator; with the target added back it is the sum itself
+    targets = set()
     for builder, key in _orbit_keys(10):
         m, named = builder(*key)
         sums = rootid._orbit_sums(builder, *key)
         assert [label for label, _, _ in sums] == [label for label, _, _ in named]
         for j in galois_orbit(m):
             for (label, terms, target), (_, acc, memo_target) in zip(named, sums):
-                assert acc.m == m
-                got, want = acc.conjugate(j), _field_sum(m, terms, j)
+                assert acc.m == m and memo_target == target
+                got = acc.conjugate(j)
+                want = _field_sum(m, terms + [(-target, 0, 0, 0)], j)
                 assert got.vec == want.vec and got.den == want.den, (key, j, label)
-                assert memo_target == target
+                if target:
+                    back = got + GroupAlgebraElem.monomial(m, target)
+                    assert back.value() == _field_sum(m, terms, j).value(), (key, j)
+                    targets.add(target)
+    assert len(targets) > 10  # N/2, N and N - 1 for each even N
 
 
 def test_orbit_memo_is_bounded(patch_terms):
