@@ -146,23 +146,39 @@ def phi_power_divides(coeffs: Sequence[Coeff], n: int, e: int = 1) -> bool:
     Q(zeta_n), where it is a unit: Phi_n | f iff g_n (f mod x^n - 1) = 0.
     Phi_n is separable, so Phi_n^e | f iff Phi_n divides f, ..., f^(e-1).
 
+    Each test is a few whole-list passes.  f mod x^n - 1 of a degree below
+    2n (every stored chain residue, and every difference _residue_witness
+    forms) is the low row c_0..c_(n-1) plus the high row c_n..c_(2n-1),
+    one vector add; a longer f sums each column c_r, c_(r+n), ... .  Every
+    factor 1 - x^s of g_n but the last is a vector subtraction of the
+    rotation by s, and the last is a comparison: v (1 - x^s) = 0 iff v
+    equals its rotation by s.  For n = 1, g_1 = 1 and the test is v = 0.
+
     >>> f = (Poly.monomial(1, 9) - 1).coeffs  # (q^3 - 1) Phi_9
     >>> phi_power_divides(f, 3), phi_power_divides(f, 3, 2)
+    (True, False)
+    >>> g = [1] * 8  # (1 + q^4) Phi_4 Phi_2, of degree below 2 * 4
+    >>> phi_power_divides(g, 4), phi_power_divides(g, 4, 2)
     (True, False)
     """
     if n < 1:
         raise ValueError("modulus index must be a positive integer")
     if e < 1:
         raise ValueError("exponent must be a positive integer")
-    shifts = [n // p for p, _ in factorize(n)]
+    *shifts, last = [n // p for p, _ in factorize(n)] or [0]
     for i in range(e):
         if i:
             coeffs = list(map(mul, coeffs[1:], range(1, len(coeffs))))  # f'
-        v = [sum(coeffs[r::n]) for r in range(n)] if len(coeffs) > n else [*coeffs]
-        v += [0] * (n - len(v))  # f mod x^n - 1
+        k = len(coeffs)
+        if k <= n:
+            v = [*coeffs, *[0] * (n - k)]
+        elif k <= 2 * n:  # the low row plus the high row
+            v = list(map(add, coeffs[:n], [*coeffs[n:], *[0] * (2 * n - k)]))
+        else:
+            v = [sum(coeffs[r::n]) for r in range(n)]  # f mod x^n - 1
         for s in shifts:
             v = list(map(sub, v, v[-s:] + v[:-s]))  # times 1 - x^s
-        if any(v):
+        if (v != v[-last:] + v[:-last]) if last else any(v):
             return False
     return True
 
@@ -501,8 +517,9 @@ class GroupAlgebraElem:
       entries of both factors, for charsum's products;
     * an int or Fraction operand, or a difference, raises TypeError; two
       values of different m raise ValueError, as CycloElems do;
-    * is_zero() reads a single term directly and tests anything else with
-      phi_power_divides, with no reduction: (1 + x + x^2) is zero at m = 3;
+    * is_zero() counts the nonzero entries, answers zero or one term
+      directly and tests anything else with phi_power_divides, with no
+      reduction: (1 + x + x^2) is zero at m = 3;
     * conjugate(j) is sigma_j: x -> x^j for gcd(j, m) = 1, the one
       conjugation kernel: entry i moves to i*j mod m.  It is an automorphism
       of Q[x]/(x^m - 1) and of Q(zeta_m), and it maps _field_sum(m, T, 1)
@@ -538,10 +555,11 @@ class GroupAlgebraElem:
 
     def is_zero(self) -> bool:
         """Whether the value is zero in Q(zeta_m), with no reduction."""
-        support = self._support()
-        if len(support) <= 1:  # zero, or a unit c x^p
-            return not support
-        return phi_power_divides(self.vec, self.m)
+        vec = self.vec
+        terms = len(vec) - vec.count(0)
+        if terms <= 1:  # zero, or a unit c x^p
+            return not terms
+        return phi_power_divides(vec, self.m)
 
     def conjugate(self, j: int) -> "GroupAlgebraElem":
         """sigma_j(self): x -> x^j, for j coprime to m; the denominator is kept."""

@@ -25,6 +25,7 @@ from qcatalan.congruence import (
 from qcatalan.cyclotomic import (
     _field_sum,
     cyclotomic_poly,
+    phi_power_divides,
     poly_xgcd,
     reduce_mod_phi_power,
 )
@@ -163,6 +164,38 @@ def test_residue_witness_folds_monomials_only_mod_phi_squared():
         _residue_witness(Poly.zero(), 5, 3, [(1, 0)])
     assert _residue_witness(Poly.monomial(1, 5) - 1, 5, 3) is not None
     assert _residue_witness((Poly.monomial(1, 5) - 1) ** 3, 5, 3) is None
+
+
+def test_chain_verdict_inputs_take_the_two_row_fold(monkeypatch):
+    # the difference each chain suite hands phi_power_divides, for every
+    # n <= 100, has degree below 2n and passes.  Adding q^n - 1 (zero mod
+    # Phi_n, not mod Phi_n^2) keeps it zero mod Phi_n and, for the Phi_n^2
+    # suites, makes it nonzero mod Phi_n^2, which only the derivative pass
+    # sees; a Phi_n suite's difference need not vanish mod Phi_n^2 (at n = 2
+    # tauraso-phi's sum with q^2 - 1 does), so there the remainder decides
+    seen = []
+    monkeypatch.setattr(congruence, "phi_power_divides",
+                        lambda f, n, e: seen.append((list(f), n, e)) or phi_power_divides(f, n, e))
+    suites = (
+        (verify_tauraso_mod_phi, range(2, 101)),
+        (verify_liu_mod_phi2, [n for n in range(2, 101) if n % 3]),
+        (verify_main_theorem, range(3, 101, 3)),
+        (verify_liu_petrov, range(2, 101)),
+    )
+    for verify, ns in suites:
+        for n in ns:
+            seen.clear()
+            assert verify(n).passed, (verify, n)
+            [(diff, _, e)] = seen
+            assert n < len(diff) <= 2 * n, (verify, n)
+            assert phi_power_divides(diff, n, e)
+            shifted = diff + [0] * (n + 1 - len(diff))
+            shifted[0] -= 1
+            shifted[n] += 1
+            assert phi_power_divides(shifted, n, 1)
+            divides = phi_power_divides(shifted, n, 2)
+            assert divides == reduce_mod_phi_power(Poly(shifted), n, 2).is_zero()
+            assert not divides or e == 1, (verify, n)
 
 
 def test_phi2_suites_reject_a_change_by_a_multiple_of_phi(monkeypatch):

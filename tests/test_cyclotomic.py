@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 import pytest
 
@@ -15,6 +15,7 @@ from qcatalan.cyclotomic import (
     _field_witness,
     cyclotomic_poly,
     euler_phi,
+    factorize,
     fold_mod_cyclic,
     phi_power_divides,
     poly_xgcd,
@@ -692,6 +693,55 @@ def test_phi_power_divides_matches_reduction():
         want = reduce_mod_phi_power(f, n, e).is_zero()
         assert phi_power_divides(f.coeffs, n, e) == want, (f, n, e)
         seen.add(want)
+    assert seen == {True, False}
+
+
+def _strided_column_kernel(coeffs, n, e=1):
+    """The same zero test in its strided-column form: any f longer than n
+    folded mod x^n - 1 by n column sums, every factor 1 - x^s of g_n
+    applied as a subtraction, and the result scanned by any()."""
+    shifts = [n // p for p, _ in factorize(n)]
+    for i in range(e):
+        if i:
+            coeffs = list(map(mul, coeffs[1:], range(1, len(coeffs))))
+        v = [sum(coeffs[r::n]) for r in range(n)] if len(coeffs) > n else [*coeffs]
+        v += [0] * (n - len(v))
+        for s in shifts:
+            v = list(map(sub, v, v[-s:] + v[:-s]))
+        if any(v):
+            return False
+    return True
+
+
+def test_phi_power_divides_at_the_shape_boundaries():
+    # every input length at which the fold changes shape (<= n, two rows
+    # below 2n, columns beyond), int and Fraction coefficients, random
+    # values and planted multiples cofactor * Phi_n^k, against the strided-
+    # column kernel and the remainder of D f, D the lcm of the denominators
+    # (a unit, so D f and f have the same verdict)
+    rng = random.Random(3232)
+    kinds = (lambda: rng.randint(-4, 4), lambda: Fraction(rng.randint(-7, 7), rng.randint(1, 4)))
+    seen = set()
+    for n in range(1, 61):
+        phis = [cyclotomic_poly(n) ** k for k in (1, 2, 3)]
+        for length in sorted({0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 1, 3 * n}):
+            for coeff in kinds:
+                top = [rng.choice((1, -2, Fraction(3, 2)))] if length else []
+                cases = [[coeff() for _ in range(length - 1)] + top]
+                for phi in phis:
+                    size = length - phi.degree  # of the cofactor
+                    if size > 0:
+                        cofactor = Poly([coeff() for _ in range(size - 1)] + [1])
+                        cases.append(list((cofactor * phi).coeffs))
+                for f in cases:
+                    assert len(f) == length
+                    den = lcm(*(Fraction(c).denominator for c in f))
+                    scaled = Poly([c * den for c in f])
+                    for e in (1, 2, 3):
+                        got = phi_power_divides(f, n, e)
+                        assert got == reduce_mod_phi_power(scaled, n, e).is_zero(), (f, n, e)
+                        assert got == _strided_column_kernel(f, n, e), (f, n, e)
+                        seen.add(got)
     assert seen == {True, False}
 
 
