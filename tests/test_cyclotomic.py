@@ -726,7 +726,7 @@ def test_phi_power_divides_at_the_shape_boundaries():
         phis = [cyclotomic_poly(n) ** k for k in (1, 2, 3)]
         for length in sorted({0, 1, n - 1, n, n + 1, 2 * n - 1, 2 * n, 2 * n + 1, 3 * n}):
             for coeff in kinds:
-                top = [rng.choice((1, -2, Fraction(3, 2)))] if length else []
+                top = [coeff() or 1] if length else []  # keeps the length
                 cases = [[coeff() for _ in range(length - 1)] + top]
                 for phi in phis:
                     size = length - phi.degree  # of the cofactor
