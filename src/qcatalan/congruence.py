@@ -1,6 +1,9 @@
 """Polynomial congruence suites: statements of the form A = B (mod Phi_n^e)
 reduced to "the remainder of A - B is the zero polynomial", plus the exact
-shifted-central-binomial identity that links them.
+shifted-central-binomial identity that links them.  The q-binomial
+congruences (lucas, central-binom, row-binom) are judged at q = zeta_n + eps
+from the product formula of the Gaussian binomial, and build the binomial
+only to render a failure.
 
 Each suite returns a VerificationReport; precondition violations raise
 ValueError instead of producing a report.
@@ -15,7 +18,12 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cyclotomic import _field_sum, phi_power_divides, reduce_mod_phi_power
+from .cyclotomic import (
+    _eps_congruent,
+    _field_sum,
+    phi_power_divides,
+    reduce_mod_phi_power,
+)
 from .qcomb import (
     catalan_residue,
     central_residue,
@@ -265,10 +273,29 @@ def verify_maj_oracle(k: int) -> VerificationReport:
     return run_check("maj-oracle", {"k": k}, witness)
 
 
+def _binomial_runs(top: int, k: int) -> Optional[tuple[list[range], list[range]]]:
+    """[top, k] as the runs (up, down) of its product formula
+    prod_{i<=k} (1 - q^(top-k+i)) / (1 - q^i), taken at min(k, top - k);
+    None when [top, k] = 0, that is k < 0 or k > top."""
+    if k < 0 or k > top:
+        return None
+    k = min(k, top - k)
+    return [range(top - k + 1, top + 1)], [range(1, k + 1)]
+
+
 def verify_lucas_qbinom(a: int, b: int, c: int, d: int, n: int) -> VerificationReport:
     """The q-analogue of Lucas' congruence with canonical digits b, d < n:
 
         [an+b, cn+d] = C(a, c) * [b, d]   (mod Phi_n).
+
+    Both binomials are products of factors 1 - q^s, evaluated at q = zeta_n
+    by cyclotomic._eps_product.  [b, d] has no factor that vanishes there
+    (b < n), so when it is not 0 it is a unit, and the check compares the
+    quotient [an+b, cn+d] / [b, d] with C(a, c), cross-multiplied.
+    Factors with equal s mod n cancel; those with n | s cancel in pairs to the
+    rational prod s / prod s', and one left over in the numerator makes the
+    value 0.  A side that is 0 leaves the other to be 0 mod Phi_n.  Only a
+    failing check builds the two Gaussian binomials, for its witness.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -276,6 +303,17 @@ def verify_lucas_qbinom(a: int, b: int, c: int, d: int, n: int) -> VerificationR
         raise ValueError("need a, c >= 0 and 0 <= b, d < n")
 
     def witness() -> Optional[str]:
+        scale = comb(a, c)
+        big = _binomial_runs(a * n + b, c * n + d)
+        small = _binomial_runs(b, d) if scale else None
+        if big and small:  # [an+b, cn+d] / [b, d] = C(a, c)
+            up, down = big[0] + small[1], big[1] + small[0]
+            holds = _eps_congruent(n, 1, up, down, [(scale, 0)])
+        else:
+            runs = big or small
+            holds = runs is None or _eps_congruent(n, 1, *runs, [])
+        if holds:
+            return None
         lhs = gaussian_binomial(a * n + b, c * n + d)
         rhs = gaussian_binomial(b, d) * comb(a, c)
         return _residue_witness(lhs - rhs, n, 1)
@@ -293,6 +331,15 @@ def verify_central_qbinom_congruence(n: int, k: int) -> VerificationReport:
     modulo Phi_n^2; and the exponent may be normalised mod n because the
     right side carries the factor q^n - 1, which kills the difference
     q^(t+n) - q^t modulo Phi_n^2.
+
+    The left side is a product of factors 1 - q^s, evaluated at
+    q = zeta_n + eps by cyclotomic._eps_product: its one factor with n | s,
+    1 - q^(2n), is eps times a unit, so it is eps (num / den + O(eps)).
+    Cross-multiplied with the right side, both eps coefficients must vanish
+    at zeta_n: the eps^0 one asks the right side to vanish there, and the
+    eps one compares num with den times the right side's derivative, which
+    sees a change by a multiple of Phi_n that Phi_n^2 does not divide.
+    Only a failing check builds [2n, n+k], for its witness.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -300,10 +347,14 @@ def verify_central_qbinom_congruence(n: int, k: int) -> VerificationReport:
         raise ValueError("need 1 <= k <= n-1")
 
     def witness() -> Optional[str]:
-        lhs = gaussian_binomial(2 * n, n + k) * (1 - Poly.monomial(1, k))
         t = (-(k * (k - 1) // 2)) % n
         c = 2 * (-1) ** k
-        return _residue_witness(lhs, n, 2, [(c, n + t), (-c, t)])
+        rhs = [(c, n + t), (-c, t)]
+        up, down = _binomial_runs(2 * n, n + k)
+        if _eps_congruent(n, 2, up + [range(k, k + 1)], down, rhs):
+            return None
+        lhs = gaussian_binomial(2 * n, n + k) * (1 - Poly.monomial(1, k))
+        return _residue_witness(lhs, n, 2, rhs)
 
     return run_check("central-binom", {"n": n, "k": k}, witness)
 
@@ -312,6 +363,11 @@ def verify_row_qbinom_congruence(n: int, k: int) -> VerificationReport:
     """[n-1, k-1] = (-1)^(k-1) q^(-k(k-1)/2) mod Phi_n, in the cleared form
 
         [n-1, k-1] * q^(k(k-1)/2 mod n) = (-1)^(k-1)   (mod Phi_n).
+
+    The left side is evaluated at q = zeta_n by cyclotomic._eps_product,
+    where no factor vanishes and factors with equal s mod n cancel, and
+    cross-multiplied with the right side.  Only a failing check builds
+    [n-1, k-1], for its witness.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -319,8 +375,12 @@ def verify_row_qbinom_congruence(n: int, k: int) -> VerificationReport:
         raise ValueError("need 1 <= k <= n-1")
 
     def witness() -> Optional[str]:
-        lhs = gaussian_binomial(n - 1, k - 1).shift((k * (k - 1) // 2) % n)
-        return _residue_witness(lhs, n, 1, [((-1) ** (k - 1), 0)])
+        shift = (k * (k - 1) // 2) % n
+        rhs = [((-1) ** (k - 1), 0)]
+        if _eps_congruent(n, 1, *_binomial_runs(n - 1, k - 1), rhs, shift):
+            return None
+        lhs = gaussian_binomial(n - 1, k - 1).shift(shift)
+        return _residue_witness(lhs, n, 1, rhs)
 
     return run_check("row-binom", {"n": n, "k": k}, witness)
 

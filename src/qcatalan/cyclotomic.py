@@ -27,7 +27,12 @@ zeta_m^j, it is the only code that applies j: x -> x^j (gcd(j, m) = 1) is
 an automorphism of Q(zeta_m), so a value is zero at zeta_m^j exactly when
 it is at zeta_m.
 Zero tests reduce nothing (phi_power_divides), and _field_witness is the
-one field verdict.  reduce_mod_phi_power is the one reduction mod Phi: it
+one field verdict.  A product of factors (1 - q^s)^(+-1), such as a
+Gaussian binomial, is evaluated at q = zeta_n + eps by _eps_product, as
+the leading term eps^v num / den with num and den plain int vectors of
+Z[x]/(x^n - 1), and _eps_congruent zero-tests each eps coefficient of its
+cross-multiplied difference with a sum of monomials, by
+phi_power_divides.  reduce_mod_phi_power is the one reduction mod Phi: it
 renders both kinds of failure witness, a remainder mod Phi_n^e and a
 reduced CycloElem (GroupAlgebraElem.value, root powers, products and the
 norm-product CycloElem.inv all call it).
@@ -38,7 +43,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, compress
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -216,6 +221,101 @@ def fold_mod_cyclic(coeffs: Sequence[Coeff], n: int, e: int) -> list[Coeff]:
     for m in reversed(moments):
         out = list(map(sub, m + out, out + [0] * n))
     return out
+
+
+# ---------------------------------------------------------------------------
+# products of factors 1 - q^s at q = zeta_n + eps
+#
+# q -> x + eps maps Z[q] into Z[x]/(x^n - 1)[[eps]], and that ring onto
+# Q(zeta_n)[[eps]], where f(zeta_n + eps) = sum_i f^[i](zeta_n) eps^i with
+# the Taylor coefficients f^[i] = f^(i)/i!.  Phi_n is separable, so Phi_n^e
+# divides f exactly when f^[i](zeta_n) = 0 for every i < e (the derivative
+# test for repeated roots): when each of the first e eps-coefficients of
+# f(x + eps) passes phi_power_divides(v, n, 1).
+
+
+def _eps_product(
+    n: int, up: Sequence[range], down: Sequence[range], shift: int = 0
+) -> tuple[int, list[int], list[int]]:
+    """The leading term of F = q^shift prod_{s in up} (1 - q^s) /
+    prod_{s in down} (1 - q^s) at q = x + eps, as (v, num, den) with
+    F = eps^v (num / den + O(eps)): num and den are length-n int vectors of
+    Z[x]/(x^n - 1), both nonzero at x = zeta_n, so den is a unit there.
+    Nothing is divided.  up and down are runs of positive integers (ranges
+    of step 1); shift >= 0.
+
+    A factor with n not dividing s is 1 - x^(s mod n) + O(eps), nonzero at
+    zeta_n.  One with n | s has 1 - x^s = 0 in the ring, so it is
+    eps (-s x^-1 + O(eps)): it adds 1 to v (up) or takes 1 from it (down).
+    So the vanishing factors leave (-x^-1)^v times the rational
+    prod s / prod s' (an extra one in up makes F = O(eps)), and the others
+    cancel between up and down by residue: each run holds len // n of every
+    residue and one more of len % n consecutive ones, counted in a
+    difference array, and only the factors left over are multiplied in, one
+    rotation each; for one Gaussian binomial at most n - 1 are left.
+    """
+    v = 0
+    diff, scalars = [0] * (n + 1), [1, 1]
+    for side, runs in enumerate((up, down)):
+        sign = 1 - 2 * side
+        for run in runs:
+            start, stop = run.start, run.stop
+            first = -(-start // n) * n  # the least multiple of n from start
+            if first < stop:
+                vanishing = range(first, stop, n)
+                v += sign * len(vanishing)
+                scalars[side] *= prod(vanishing)
+            k, r = divmod(stop - start, n)
+            lo = start % n
+            hi = lo + r
+            diff[0] += sign * k
+            diff[lo] += sign
+            if hi > n:  # the residues lo .. n - 1 and 0 .. hi - n - 1
+                diff[0] += sign
+                hi -= n
+            diff[hi] -= sign
+    num, den = [0] * n, [0] * n
+    num[(shift - v) % n] = -scalars[0] if v % 2 else scalars[0]
+    den[0] = scalars[1]
+    counts = list(accumulate(diff[:n]))
+    for r in compress(range(1, n), counts[1:]):
+        for _ in range(counts[r]):
+            num = list(map(sub, num, num[-r:] + num[:-r]))  # times 1 - x^r
+        for _ in range(-counts[r]):
+            den = list(map(sub, den, den[-r:] + den[:-r]))
+    return v, num, den
+
+
+def _eps_congruent(
+    n: int,
+    e: int,
+    up: Sequence[range],
+    down: Sequence[range],
+    rhs: Sequence[tuple[int, int]],
+    shift: int = 0,
+) -> bool:
+    """Whether F = R (mod Phi_n^e) for the product F of _eps_product and
+    R = sum c q^t over the monomials (c, t) of rhs (int c, t >= 0).  F must
+    vanish to order v >= e - 1 at zeta_n, so that the leading term
+    eps^v num / den of F decides: with R = sum_i R_i eps^i at q = x + eps,
+    R_i = sum c C(t, i) x^(t - i), the eps^i coefficient of the
+    cross-multiplied eps^v num - den R vanishes at zeta_n, once those below
+    it do (so R_0 .. R_(i-1) vanish there), exactly when
+    [i = v] num - den R_i does.  Each is tested by phi_power_divides(., n, 1).
+    """
+    v, num, den = _eps_product(n, up, down, shift)
+    if v < e - 1:
+        raise ValueError(f"the product vanishes to order {v} < {e - 1} at zeta_n")
+    for i in range(e):
+        acc = num if i == v else [0] * n
+        for c, t in rhs:
+            if t >= i:  # minus den times c C(t, i) x^(t-i)
+                c *= comb(t, i)
+                t = (t - i) % n
+                acc = list(map(sub, acc, map(c.__mul__, den[-t:] + den[:-t])))
+        if any(acc) and not phi_power_divides(acc, n, 1):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

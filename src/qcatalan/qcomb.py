@@ -10,10 +10,11 @@ polynomials and stay on the integer fast path throughout.
 
 gaussian_binomial is a bounded memo (functools.lru_cache, 256 entries), as
 is q_catalan; the Poly results are immutable and shared by every caller.
-Its hits come from lucas, whose small right sides [b, d] recur across n,
-and from the qdsl corpus, whose sums ask for the same [N, K] across terms
-and lines.  central-binom and row-binom ask for each binomial once: a
-default verify run reads 0 hits for either.
+No passing q-binomial check calls it: lucas, central-binom and row-binom
+evaluate their binomials at q = zeta_n (+ eps) from the product formula.
+Its callers are the qdsl qbin / qcat closures, whose sums ask for the same
+[N, K] across terms and lines (its hits), q_catalan, the tauraso13 right
+side and the failure witnesses of the three q-binomial suites.
 """
 
 from __future__ import annotations

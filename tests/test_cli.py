@@ -167,7 +167,11 @@ def test_closed_stdout_ends_the_run_with_141(tmp_path):
 
 def test_closed_stdout_under_jobs_starts_no_further_checks(monkeypatch):
     # a thread pool stands in for the process pool, so the checks that
-    # ran can be counted; the first report line meets a closed pipe
+    # ran can be counted; the first report line meets a closed pipe.  Each
+    # check is held for a millisecond, so the pool is still busy when that
+    # happens: a lucas check alone takes microseconds, and the two workers
+    # could otherwise finish all 500 before the first line is written
+    import time
     from concurrent.futures import ThreadPoolExecutor
 
     from qcatalan import cli
@@ -177,6 +181,7 @@ def test_closed_stdout_under_jobs_starts_no_further_checks(monkeypatch):
 
     def counted(task):
         ran.append(task)
+        time.sleep(1e-3)
         return execute_task(task)
 
     class ClosedStdout:

@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -23,6 +24,7 @@ from qcatalan.congruence import (
     verify_tauraso_mod_phi,
 )
 from qcatalan.cyclotomic import (
+    _eps_congruent,
     _field_sum,
     cyclotomic_poly,
     phi_power_divides,
@@ -265,6 +267,168 @@ def test_central_row_congruences():
         for k in range(1, n):
             assert verify_central_qbinom_congruence(n, k).passed, (n, k)
             assert verify_row_qbinom_congruence(n, k).passed, (n, k)
+
+
+# ---------------------------------------------------------------------------
+# the q-binomial suites at zeta_n (+ eps) against the Poly path
+
+QBINOM = {
+    "lucas": lambda p: verify_lucas_qbinom(**p),
+    "central-binom": lambda p: verify_central_qbinom_congruence(**p),
+    "row-binom": lambda p: verify_row_qbinom_congruence(**p),
+}
+
+
+def _default_params(suite):
+    """The parameters of the suite's default sweep: lucas n <= 30,
+    central-binom n <= 20, row-binom n <= 25."""
+    from qcatalan import cli
+
+    return [p for _, p in cli.generate_tasks(cli.RunConfig(suites=[suite]), suite)]
+
+
+def _same_rhs(n, rhs):
+    return rhs
+
+
+def _poly_witness(suite, p, change=_same_rhs, scale=comb):
+    """The check on the Poly path: the Gaussian binomials built, and the
+    difference reduced mod Phi_n^e by _residue_witness.  change(n, rhs)
+    alters the right side's monomials, scale(a, c) the lucas scalar."""
+    n = p["n"]
+    if suite == "lucas":
+        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
+        diff = gaussian_binomial(a * n + b, c * n + d) - gaussian_binomial(b, d) * scale(a, c)
+        return _residue_witness(diff, n, 1)
+    k = p["k"]
+    if suite == "row-binom":
+        lhs = gaussian_binomial(n - 1, k - 1).shift(k * (k - 1) // 2 % n)
+        return _residue_witness(lhs, n, 1, change(n, [((-1) ** (k - 1), 0)]))
+    t, c = -(k * (k - 1) // 2) % n, 2 * (-1) ** k
+    lhs = gaussian_binomial(2 * n, n + k) * (1 - Poly.monomial(1, k))
+    return _residue_witness(lhs, n, 2, change(n, [(c, n + t), (-c, t)]))
+
+
+def _change_rhs(monkeypatch, change):
+    """Hand both verdict paths of row-binom and central-binom the right side
+    change(n, rhs) in place of rhs."""
+    fast, slow = congruence._eps_congruent, congruence._residue_witness
+
+    def changed_fast(n, e, up, down, rhs, shift=0):
+        return fast(n, e, up, down, change(n, rhs), shift)
+
+    monkeypatch.setattr(congruence, "_eps_congruent", changed_fast)
+    monkeypatch.setattr(
+        congruence, "_residue_witness", lambda res, n, e, rhs=(): slow(res, n, e, change(n, rhs))
+    )
+
+
+def _double_the_scalar(n, rhs):
+    return [(2 * c, t) for c, t in rhs]
+
+
+def _add_qn_minus_1(n, rhs):
+    return list(rhs) + [(1, n), (-1, 0)]
+
+
+def test_qbinom_suites_agree_with_the_poly_path_and_build_no_binomial(monkeypatch):
+    # every default check passes on the Poly path, and passes with
+    # gaussian_binomial raising: a passing check builds no Gaussian binomial
+    want = {suite: [_poly_witness(suite, p) for p in _default_params(suite)] for suite in QBINOM}
+
+    def refuse(n, k):
+        raise AssertionError(f"[{n}, {k}] built on a passing check")
+
+    monkeypatch.setattr(congruence, "gaussian_binomial", refuse)
+    for suite, verify in QBINOM.items():
+        params = _default_params(suite)
+        assert len(params) == {"lucas": 500, "central-binom": 190, "row-binom": 300}[suite]
+        assert want[suite] == [None] * len(params), suite
+        for p in params:
+            assert verify(p).passed, (suite, p)
+
+
+def test_qbinom_suites_reject_a_changed_right_side(monkeypatch):
+    # lucas: C(a, c) + 1 fails every tuple with [b, d] != 0 and cannot show on
+    # the 205 with d > b, where both sides are 0; row-binom: a doubled scalar
+    # fails everywhere; central-binom: q^n - 1 added to the right side is 0
+    # mod Phi_n, so only the eps coefficient sees it, and it fails everywhere.
+    # Each failure's witness is the Poly path's remainder
+    bumped = lambda a, c: comb(a, c) + 1
+    lucas = _default_params("lucas")
+    want = [_poly_witness("lucas", p, scale=bumped) for p in lucas]
+    monkeypatch.setattr(congruence, "comb", bumped)
+    got = [verify_lucas_qbinom(**p).witness for p in lucas]
+    assert got == want
+    assert sum(w is None for w in got) == sum(p["d"] > p["b"] for p in lucas) == 205
+    assert all(w is None for w, p in zip(got, lucas) if p["d"] > p["b"])
+    monkeypatch.undo()
+    for suite, change in (("row-binom", _double_the_scalar), ("central-binom", _add_qn_minus_1)):
+        params = _default_params(suite)
+        want = [_poly_witness(suite, p, change) for p in params]
+        assert None not in want, suite
+        _change_rhs(monkeypatch, change)
+        assert [QBINOM[suite](p).witness for p in params] == want, suite
+        monkeypatch.undo()
+    for p in _default_params("central-binom"):  # the eps^0 coefficient passes
+        n, k = p["n"], p["k"]
+        up, down = congruence._binomial_runs(2 * n, n + k)
+        t, c = -(k * (k - 1) // 2) % n, 2 * (-1) ** k
+        rhs = _add_qn_minus_1(n, [(c, n + t), (-c, t)])
+        assert _eps_congruent(n, 1, up + [range(k, k + 1)], down, rhs), p
+        assert not _eps_congruent(n, 2, up + [range(k, k + 1)], down, rhs), p
+
+
+def test_qbinom_failure_witnesses_pinned(monkeypatch):
+    # forced failures, with the witness texts the Poly path rendered before
+    # the suites were evaluated at zeta_n: lucas with C(a, c) + 1 (the
+    # quotient branch, and a 0 left side against [4, 2]), row-binom with its
+    # scalar doubled and central-binom with q^n - 1 added to its right side
+    monkeypatch.setattr(congruence, "comb", lambda a, c: comb(a, c) + 1)
+    assert verify_lucas_qbinom(2, 3, 1, 2, 5).witness == "-1 - q - q^2"
+    assert verify_lucas_qbinom(1, 4, 3, 2, 7).witness == "-1 - q - 2*q^2 - q^3 - q^4"
+    monkeypatch.undo()
+    _change_rhs(monkeypatch, _double_the_scalar)
+    assert verify_row_qbinom_congruence(7, 3).witness == "-1"
+    assert verify_row_qbinom_congruence(6, 2).witness == "1"
+    monkeypatch.undo()
+    _change_rhs(monkeypatch, _add_qn_minus_1)
+    assert verify_central_qbinom_congruence(5, 2).witness == "1 - q^5"
+    assert verify_central_qbinom_congruence(6, 1).witness == "2 + 2*q^3"
+
+
+def test_eps_congruent_matches_the_poly_remainder():
+    # products q^shift [N1, K1] [N2, K2] (1 - q^s) in the shapes the suites
+    # use, e = 1, or e = 2 with a factor 1 - q^(jn) that vanishes at zeta_n,
+    # against the remainder of their Poly form minus the monomials, which
+    # are half the time that form plus a multiple of Phi_n^e
+    rng = random.Random(33)
+    verdicts = set()
+    for _ in range(400):
+        n, e, shift = rng.randint(1, 10), rng.randint(1, 2), rng.randint(0, 15)
+        up, down, poly = [], [], Poly.monomial(1, shift)
+        for _ in range(rng.randint(1, 2)):
+            top = rng.randint(0, 30)
+            k = rng.randint(0, top)
+            runs = congruence._binomial_runs(top, k)
+            up, down, poly = up + runs[0], down + runs[1], poly * gaussian_binomial(top, k)
+        extra = [rng.randint(1, 25)] if rng.random() < 0.5 else []
+        if e == 2:
+            extra.append(n * rng.randint(1, 3))
+        for s in extra:
+            up, poly = up + [range(s, s + 1)], poly * (1 - Poly.monomial(1, s))
+        other = Poly([rng.randint(-2, 2) for _ in range(rng.randint(0, 4))])
+        if rng.random() < 0.5:
+            other = poly + other * cyclotomic_poly(n) ** e
+        rhs = [(c, t) for t, c in enumerate(other.coeffs) if c]
+        want = reduce_mod_phi_power(poly - other, n, e).is_zero()
+        assert _eps_congruent(n, e, up, down, rhs, shift) == want, (n, e, up, down, shift)
+        verdicts.add((e, want))
+    assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
+    with pytest.raises(ValueError):  # 1 / (1 - q^n) has a pole at zeta_n
+        _eps_congruent(5, 1, [], [range(5, 6)], [])
+    with pytest.raises(ValueError):  # e = 2 needs a factor vanishing at zeta_n
+        _eps_congruent(5, 2, [range(1, 3)], [], [])
 
 
 def test_row_n3_k2_by_hand():

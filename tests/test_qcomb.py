@@ -122,12 +122,15 @@ def test_binomial_memo_is_bounded_and_exact():
 
 def test_binomial_memo_keyed_on_n_alone_is_rejected(monkeypatch):
     # a memo that forgets k hands [n, k'] to a later [n, k]: some shipped
-    # poly-mode corpus line and some lucas check of the --n-max 6 sweep fail
+    # poly-mode corpus line fails.  A passing lucas check builds no Gaussian
+    # binomial, so no such memo can reach it: the --n-max 6 sweep passes
+    # without one call
     from qcatalan import cli, congruence, qdsl
 
-    built = {}
+    built, calls = {}, []
 
     def keyed_on_n(n, k):
+        calls.append((n, k))
         if n not in built:
             built[n] = gaussian_binomial.__wrapped__(n, k)
         return built[n]
@@ -137,9 +140,11 @@ def test_binomial_memo_keyed_on_n_alone_is_rejected(monkeypatch):
     lines = [e for e in qdsl.shipped_corpus() if e.mode == "poly"]
     statuses = {qdsl.run_corpus_entry(e).status for e in lines}
     assert "fail" in statuses
+    calls.clear()
     config = cli.RunConfig(suites=["lucas"], n_max=6)
     tasks = [(*t, "exact", 1e-9) for t in cli.generate_tasks(config, "lucas")]
-    assert "fail" in {cli.execute_task(t).status for t in tasks}
+    assert {cli.execute_task(t).status for t in tasks} == {"pass"}
+    assert calls == []
 
 
 def test_gaussian_division_always_exact():

@@ -1,30 +1,41 @@
 """An independent oracle, in sympy, for the suites that the library sums
-once per Galois orbit (main3n, even, odd, aux) and for the main
-congruence mod Phi_n^2 (main-phi2).
+once per Galois orbit (main3n, even, odd, aux), for the main congruence
+mod Phi_n^2 (main-phi2) and for the q-binomial congruences (lucas,
+central-binom, row-binom).
 
 Each identity is written here from its statement, as lists of terms
 c q^e / (1 - t q^s) with a rational target, and computed by sympy alone:
 at q = x^j a term is c x^(je) times invert(1 - t x^(js), Phi_m), reduced
-mod Phi_m, and the q-Catalan sum is reduced by rem mod Phi_n^2.  It shares
-no arithmetic with the library's group-algebra sums, conjugations or
-folded residues.  The tests check that the oracle's verdict agrees with
-the library's, and that both reject a perturbed identity: an aux-even
-target shifted by 1, a rational offset of 1/10^13 on a field list, and
-q^n - 1 added to the main-phi2 left side, which Phi_n divides once.
+mod Phi_m; the Gaussian binomials come from q-Pascal, and the q-Catalan
+sum and each q-binomial congruence are reduced by rem mod cyclotomic_poly(n)^e.
+It shares no arithmetic with the library's group-algebra sums,
+conjugations, folded residues or evaluations at zeta_n + eps.  The tests
+check that the oracle's verdict agrees with the library's, and that both
+reject a perturbed identity: an aux-even target shifted by 1, a rational
+offset of 1/10^13 on a field list, q^n - 1 added to the main-phi2 left
+side or to the central-binom right side (Phi_n divides it once), C(a, c) + 1
+as the lucas scalar where [b, d] != 0, and a doubled row-binom scalar.
 
 Sizes: main3n for n <= 8; even, odd and aux for N <= 4, each at j = 1 and
-at the largest unit j < m; main-phi2 for 3 | n <= 15.
+at the largest unit j < m; main-phi2 for 3 | n <= 15; lucas for the
+distinct tuples of the --n-max 6 sweep (n <= 6, so [N, K] with N <= 29);
+central-binom and row-binom for n <= 12, every k.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 import pytest
 import sympy
 
-from qcatalan import congruence, rootid
-from qcatalan.congruence import verify_main_theorem
+from qcatalan import cli, congruence, rootid
+from qcatalan.congruence import (
+    verify_central_qbinom_congruence,
+    verify_lucas_qbinom,
+    verify_main_theorem,
+    verify_row_qbinom_congruence,
+)
 from qcatalan.ring import Poly
 from qcatalan.rootid import (
     verify_aux_properties,
@@ -32,6 +43,8 @@ from qcatalan.rootid import (
     verify_main3n,
     verify_odd_case,
 )
+
+from test_congruence import _add_qn_minus_1, _change_rhs, _double_the_scalar
 
 x = sympy.symbols("x")
 OFFSET = Fraction(1, 10**13)
@@ -222,6 +235,10 @@ def test_field_suites_agree_with_the_oracle(family, patch_builder, monkeypatch):
                 monkeypatch.undo()
 
 
+TOP = 29  # the largest N of a Gaussian binomial [N, K] read below
+
+
+@lru_cache(maxsize=1)
 def _qbinom_rows(top: int) -> list[list[sympy.Poly]]:
     """rows[n][k] = [n, k] for k <= n <= top, by q-Pascal:
     [n, k] = [n-1, k-1] + q^k [n-1, k]."""
@@ -250,7 +267,7 @@ def _main_phi2_residue(n: int, extra: sympy.Poly, rows) -> sympy.Poly:
 def test_main_phi2_agrees_with_the_oracle(monkeypatch):
     # both sides pass for 3 | n <= 15; both reject q^n - 1 added to the left
     # side, which Phi_n divides once (x^n - 1 is squarefree)
-    real, rows = congruence.catalan_residue, _qbinom_rows(28)
+    real, rows = congruence.catalan_residue, _qbinom_rows(TOP)
     for n in range(3, 16, 3):
         assert _main_phi2_residue(n, sympy.Poly(0, x), rows).is_zero, n
         assert verify_main_theorem(n).passed, n
@@ -258,4 +275,74 @@ def test_main_phi2_agrees_with_the_oracle(monkeypatch):
         bumped = lambda m, n=n: real(m) + Poly.monomial(1, n) - 1
         monkeypatch.setattr(congruence, "catalan_residue", bumped)
         assert verify_main_theorem(n).status == "fail", n
+        monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# the q-binomial congruences
+
+
+def _binom(top: int, k: int) -> sympy.Poly:
+    """[top, k] over QQ, 0 outside 0 <= k <= top."""
+    if not 0 <= k <= top:
+        return sympy.Poly(0, x, domain=sympy.QQ)
+    return _qbinom_rows(TOP)[top][k].set_domain(sympy.QQ)
+
+
+def _vanishes(poly: sympy.Poly, n: int, e: int) -> bool:
+    """Whether poly = 0 mod cyclotomic_poly(n)^e."""
+    return sympy.rem(poly, _phi(n) ** e).is_zero
+
+
+def _lucas_holds(a, b, c, d, n, scale=comb) -> bool:
+    lhs = _binom(a * n + b, c * n + d) - _binom(b, d) * scale(a, c)
+    return _vanishes(lhs, n, 1)
+
+
+def _row_holds(n, k, change=lambda n, rhs: rhs) -> bool:
+    rhs = change(n, [((-1) ** (k - 1), 0)])
+    lhs = _binom(n - 1, k - 1) * _monomial(1, k * (k - 1) // 2 % n)
+    return _vanishes(lhs - sum((_monomial(c, t) for c, t in rhs), _monomial(0, 0)), n, 1)
+
+
+def _central_holds(n, k, change=lambda n, rhs: rhs) -> bool:
+    t, c = -(k * (k - 1) // 2) % n, 2 * (-1) ** k
+    rhs = change(n, [(c, n + t), (-c, t)])
+    lhs = _binom(2 * n, n + k) * (_monomial(1, 0) - _monomial(1, k))
+    return _vanishes(lhs - sum((_monomial(c, t) for c, t in rhs), _monomial(0, 0)), n, 2)
+
+
+def test_lucas_agrees_with_the_oracle(monkeypatch):
+    # every distinct tuple of the --n-max 6 sweep passes on both sides; with
+    # C(a, c) + 1 both reject each tuple whose [b, d] is not 0, and both
+    # still pass the others, where the two sides are 0
+    config = cli.RunConfig(suites=["lucas"], n_max=6)
+    params = [p for _, p in cli.generate_tasks(config, "lucas")]
+    tuples = sorted({(p["a"], p["b"], p["c"], p["d"], p["n"]) for p in params})
+    bumped = lambda a, c: comb(a, c) + 1
+    for a, b, c, d, n in tuples:
+        assert _lucas_holds(a, b, c, d, n), (a, b, c, d, n)
+        assert verify_lucas_qbinom(a, b, c, d, n).passed, (a, b, c, d, n)
+    monkeypatch.setattr(congruence, "comb", bumped)
+    for a, b, c, d, n in tuples:
+        holds = _lucas_holds(a, b, c, d, n, bumped)
+        assert holds == (d > b), (a, b, c, d, n)
+        assert verify_lucas_qbinom(a, b, c, d, n).passed == holds, (a, b, c, d, n)
+
+
+def test_row_and_central_binom_agree_with_the_oracle(monkeypatch):
+    # every n <= 12 and k passes on both sides; a doubled row-binom scalar
+    # and q^n - 1 added to the central-binom right side fail on both
+    pairs = [(n, k) for n in range(2, 13) for k in range(1, n)]
+    for n, k in pairs:
+        assert _row_holds(n, k) and verify_row_qbinom_congruence(n, k).passed, (n, k)
+        assert _central_holds(n, k) and verify_central_qbinom_congruence(n, k).passed, (n, k)
+    for change, holds, verify in (
+        (_double_the_scalar, _row_holds, verify_row_qbinom_congruence),
+        (_add_qn_minus_1, _central_holds, verify_central_qbinom_congruence),
+    ):
+        _change_rhs(monkeypatch, change)
+        for n, k in pairs:
+            assert not holds(n, k, change), (change, n, k)
+            assert verify(n, k).status == "fail", (change, n, k)
         monkeypatch.undo()
