@@ -21,7 +21,6 @@ import re
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -99,9 +98,12 @@ def _extan_samples(m: int) -> list[Fraction]:
 
 
 @lru_cache(maxsize=1)
-def _corpus() -> dict[int, qdsl.CorpusEntry]:
-    """The shipped corpus by line number, parsed once per process."""
-    return {entry.line_no: entry for entry in qdsl.shipped_corpus()}
+def _corpus() -> dict[int, str]:
+    """The shipped corpus's statement lines by line number, read once per
+    process and left unparsed: the dsl-corpus tasks need only the line
+    numbers, and each check parses its own line, so a malformed line is
+    that check's "error" report."""
+    return dict(qdsl.statement_lines(qdsl.shipped_corpus_text()))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +290,9 @@ SUITE_TABLE = (
     Suite(
         "dsl-corpus",
         lambda c: ({"line": line} for line in _corpus()),
-        lambda p, mode, tol: qdsl.run_corpus_entry(_corpus()[p["line"]]),
+        lambda p, mode, tol: qdsl.run_corpus_entry(
+            qdsl.parse_corpus_line(p["line"], _corpus()[p["line"]])
+        ),
     ),
 )
 
@@ -362,6 +366,9 @@ def run_verify(config: RunConfig, stdout: TextIO) -> int:
         return 2
     try:
         if config.jobs > 1:
+            # imported here: a serial run does not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=config.jobs) as pool:
                 reports = pool.map(execute_task, tasks, chunksize=8)
                 try:

@@ -752,24 +752,34 @@ def parse_corpus_line(line_no: int, line: str) -> CorpusEntry:
     return entry
 
 
-def load_corpus(text: str) -> list[CorpusEntry]:
-    """Parse a corpus file: one identity per line, '#' comments, blank
-    lines ignored."""
-    entries = []
+def statement_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each statement of a corpus file:
+    one identity per line, '#' comments and blank lines ignored.
+
+    >>> list(statement_lines("# header\\n\\n  q == q @ poly()  \\n"))
+    [(3, 'q == q @ poly()')]
+    """
     for i, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        entries.append(parse_corpus_line(i, stripped))
-    return entries
+        if stripped and not stripped.startswith("#"):
+            yield i, stripped
+
+
+def load_corpus(text: str) -> list[CorpusEntry]:
+    """Parse every statement of a corpus file."""
+    return [parse_corpus_line(i, line) for i, line in statement_lines(text)]
+
+
+def shipped_corpus_text() -> str:
+    """The text of the corpus distributed with the package."""
+    from importlib.resources import files
+
+    return files("qcatalan").joinpath("corpus/identities.txt").read_text("utf-8")
 
 
 def shipped_corpus() -> list[CorpusEntry]:
-    """The corpus distributed with the package."""
-    from importlib.resources import files
-
-    text = files("qcatalan").joinpath("corpus/identities.txt").read_text("utf-8")
-    return load_corpus(text)
+    """The corpus distributed with the package, parsed."""
+    return load_corpus(shipped_corpus_text())
 
 
 def _cases(entry: CorpusEntry) -> Iterator[dict[str, int]]:

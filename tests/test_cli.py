@@ -1,6 +1,7 @@
 """Command-line interface: commands, exit codes, report streams."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -171,6 +172,7 @@ def test_closed_stdout_under_jobs_starts_no_further_checks(monkeypatch):
     # check is held for a millisecond, so the pool is still busy when that
     # happens: a lucas check alone takes microseconds, and the two workers
     # could otherwise finish all 500 before the first line is written
+    import concurrent.futures
     import time
     from concurrent.futures import ThreadPoolExecutor
 
@@ -191,7 +193,8 @@ def test_closed_stdout_under_jobs_starts_no_further_checks(monkeypatch):
         def flush(self):
             pass
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", ThreadPoolExecutor)
+    # run_verify imports the pool from concurrent.futures when jobs > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setattr(cli, "execute_task", counted)
     config = cli.RunConfig(suites=["lucas"], jobs=2, as_json=True)
     generated = len(list(cli.generate_tasks(config, "lucas")))
@@ -204,6 +207,24 @@ def test_closed_stdout_under_jobs_starts_no_further_checks(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert 0 < len(ran) < generated
+
+
+def test_serial_verify_imports_no_process_pool():
+    # the pool would load multiprocessing, pickle, socket and subprocess
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    script = (
+        "import sys\n"
+        "from qcatalan import cli\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+        "code = cli.main(['verify', 'tauraso-phi', 'dsl-corpus', '--n', '5'])\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "False"
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_eval_binding_q_exits_2(capsys):
@@ -489,3 +510,49 @@ def test_verify_all_default_stream_is_pinned(capsys):
         2170,
         "d8e15ce7931a186e2fc4dd5d72aa8c25a737ff011968c033ec1849b3ad087d49",
     )
+
+
+def test_first_check_runs_before_any_corpus_line_is_parsed(monkeypatch):
+    from qcatalan import cli, qdsl
+
+    events = []
+    execute_task, parse_corpus_line = cli.execute_task, qdsl.parse_corpus_line
+
+    def starting(task):
+        events.append(("start", task[0], task[1]))
+        return execute_task(task)
+
+    def parsing(line_no, line):
+        events.append(("parse", line_no))
+        return parse_corpus_line(line_no, line)
+
+    monkeypatch.setattr(cli, "execute_task", starting)
+    monkeypatch.setattr(qdsl, "parse_corpus_line", parsing)
+    config = cli.RunConfig(suites=["tauraso-phi", "dsl-corpus"], n_max=3, as_json=True)
+    assert cli.run_verify(config, io.StringIO()) == 0
+    assert events[0] == ("start", "tauraso-phi", {"n": 2})
+    starts = [i for i, event in enumerate(events) if event[0] == "start"]
+    corpus = [i for i in starts if events[i][1] == "dsl-corpus"]
+    assert len(corpus) == len(cli._corpus()) > 0
+    # each corpus check parses exactly its own line, once
+    for i, end in zip(starts, starts[1:] + [len(events)]):
+        want = [("parse", events[i][2]["line"])] if i in corpus else []
+        assert events[i + 1 : end] == want, events[i]
+
+
+def test_malformed_corpus_line_is_that_lines_error(monkeypatch, capsys):
+    from qcatalan import cli, qdsl
+
+    text = "# a valid line, then a syntax error\nq + 1 == 1 + q @ poly()\nq == q + @ poly()\n"
+    monkeypatch.setattr(qdsl, "shipped_corpus_text", lambda: text)
+    cli._corpus.cache_clear()
+    try:
+        out = io.StringIO()
+        config = cli.RunConfig(suites=["dsl-corpus"], as_json=True)
+        assert cli.run_verify(config, out) == 4
+    finally:
+        cli._corpus.cache_clear()
+    reports = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [(r["params"]["line"], r["status"]) for r in reports] == [(2, "pass"), (3, "error")]
+    assert reports[1]["witness"].startswith("ValueError: line 3: syntax error at column 10:")
+    assert capsys.readouterr().err.startswith("Traceback")

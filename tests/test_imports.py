@@ -156,6 +156,7 @@ UNUSED_PUBLIC = {
     "cyclotomic.poly_xgcd": "wrapped by bench/tracer.py SPANS; the oracle for CycloElem.inv",
     "qcomb.central_sum": "wrapped by bench/tracer.py SPANS",
     "qcomb.chain_info": "the walk's counters, for the library counters of ROADMAP item 7",
+    "qdsl.shipped_corpus": "wrapped by bench/tracer.py SPANS; the tests read the parsed corpus",
     "rootid.compute_auxiliaries": "wrapped by bench/tracer.py SPANS",
 }
 
