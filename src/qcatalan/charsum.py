@@ -16,10 +16,11 @@ sigma_b: x -> x^b is an automorphism of Q[x]/(x^L - 1) that maps each
 value of rep to the matching value of chi and fixes eps = zeta_L^(L/3);
 the weights j are integers.  So sigma_b maps S1 T1 + S2 T2 for rep onto
 the same value for chi, entry for entry, denominator and all, and a check
-is one conjugate(b) and one zero test.  Without b = 1 mod 3, sigma_b would
-send eps to eps^2 and test a different identity.  Float mode reads the same
-mapped value and embeds it by zeta_L -> exp(2 pi i / L): sigma_b acts on
-the vector before the embedding, so the image is chi's own vector, and only
+is one conjugate(b) and one zero test (the orbit memo, which rootid
+shares, holds the sum).  Without b = 1 mod 3, sigma_b would send eps to
+eps^2 and test a different identity.  Float mode reads the same mapped
+value and embeds it by zeta_L -> exp(2 pi i / L): sigma_b acts on the
+vector before the embedding, so the image is chi's own vector, and only
 the verdict, a magnitude against a tolerance, differs.
 
 Only odd moduli are supported; the identity needs m = 2N-1 and the
@@ -31,11 +32,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
-from typing import Callable, Optional
+from math import gcd, inf, lcm, prod
+from typing import Optional
 
 from .congruence import VerificationReport, run_check
-from .cyclotomic import GroupAlgebraElem, _field_sum, euler_phi, factorize
+from .cyclotomic import GroupAlgebraElem, _field_sum, _Labelled, euler_phi, factorize
+from .cyclotomic import _orbit_failures, _orbit_values
 
 # ---------------------------------------------------------------------------
 # multiplicative structure of (Z/m)* for odd m, via CRT over prime powers
@@ -270,14 +272,11 @@ def _orbit_rep(chi: DirichletChar) -> tuple[DirichletChar, int]:
     return rep, b
 
 
-@lru_cache(maxsize=64)
-def _orbit_combo(
-    sums_of: Callable[[int, DirichletChar], CharSums], N: int, rep: DirichletChar
-) -> GroupAlgebraElem:
-    """S1 * T1 + S2 * T2 for the orbit representative rep, from the sums
-    sums_of(N, rep); the 64 most recently used orbits are memoised."""
-    sums = sums_of(N, rep)
-    return sums.s1 * sums.t1 + sums.s2 * sums.t2
+def _orbit_combo(N: int, rep: DirichletChar) -> list[_Labelled]:
+    """S1 * T1 + S2 * T2 for the orbit representative rep, unlabelled and
+    with target 0: the value that the orbit memo holds for rep's orbit."""
+    sums = compute_char_sums(N, rep)
+    return [("", sums.s1 * sums.t1 + sums.s2 * sums.t2, 0)]
 
 
 def verify_taoconj(
@@ -285,29 +284,31 @@ def verify_taoconj(
 ) -> VerificationReport:
     """S1 * T1 + S2 * T2 = 0 in Q(zeta_L) for non-principal chi mod 2N-1.
 
-    Exact mode reads the value for the representative of chi's Galois
-    orbit (_orbit_combo, summed by the first check of the orbit inside its
-    timed witness), maps it by sigma_b: x -> x^b with b = 1 mod 3, which
-    fixes eps and carries the representative's values onto chi's, and
-    passes on the annihilator zero test of the image
-    (GroupAlgebraElem.is_zero); the image equals chi's own value entry for
-    entry, so a failure renders the same reduction mod Phi_L.  Float mode
-    embeds that same image via zeta_L -> exp(2 pi i / L) and compares its
-    magnitude against `tol`.
+    Both modes read the value for the representative of chi's Galois orbit
+    (_orbit_combo in the orbit memo, summed by the first check of the
+    orbit inside its timed witness) and map it by sigma_b: x -> x^b with
+    b = 1 mod 3, which fixes eps and carries the representative's values
+    onto chi's; the image equals chi's own value entry for entry.  Exact
+    mode hands the image to _field_witness (cyclotomic._orbit_failures),
+    so a failure renders the same reduction mod Phi_L.  Float mode embeds
+    the image via zeta_L -> exp(2 pi i / L) and compares its magnitude
+    against `tol`, which must satisfy 0 < tol < inf in either mode.
     """
     if chi.is_principal():
         raise ValueError("the identity excludes the principal character")
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
+    if not 0 < tol < inf:  # also rejects nan
+        raise ValueError("tolerance must be positive and finite")
     _check_period(N, chi)
     params = {"N": N, "m": 2 * N - 1, "chi": chi.index}
 
     def witness() -> Optional[str]:
         rep, b = _orbit_rep(chi)
-        combo = _orbit_combo(compute_char_sums, N, rep).conjugate(b)
         if mode == "exact":
-            return None if combo.is_zero() else combo.value().render()
-        mag = abs(combo.value().to_complex())
+            return next(_orbit_failures(_orbit_combo, (N, rep), b), None)
+        [(_, combo, _)] = _orbit_values(_orbit_combo, N, rep)
+        mag = abs(combo.conjugate(b).value().to_complex())
         return None if mag < tol else f"|S1*T1 + S2*T2| = {mag:.3e} >= {tol:.1e}"
 
     return run_check("taoconj", params, witness)

@@ -74,9 +74,10 @@ def _js(config: RunConfig, m: int) -> list[int]:
 
 
 def _lucas_tuples(config: RunConfig) -> Iterator[dict]:
+    """LUCAS_COUNT seeded tuples, n drawn from [2, max(n_max, --n)]."""
     rng = random.Random(LUCAS_SEED)
     for _ in range(LUCAS_COUNT):
-        n = rng.randint(2, max(2, config.n_max))
+        n = rng.randint(2, max(2, config.n_max, config.n or 0))
         yield {
             "a": rng.randint(0, 4),
             "b": rng.randint(0, n - 1),

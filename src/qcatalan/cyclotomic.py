@@ -1,8 +1,8 @@
 """Cyclotomic polynomials and exact arithmetic in Q(zeta_m) = Q[x]/Phi_m(x).
 
 Phi_n is computed by the Moebius product of the integer factors
-(1 - q^d)^mu(n/d) over d | n, with ring's exact 1 - q^d kernels.  The two
-memos here, Phi_n and norm-product field inverses, are bounded
+(1 - q^d)^mu(n/d) over d | n, with ring's exact 1 - q^d kernels.  The
+three memos here, Phi_n, field inverses and orbit values, are bounded
 functools.lru_caches; the powers Phi_n^e are not memoised, since only a
 failure witness reduces mod Phi_n^e.  Each memo holds a pure function, so
 two threads that miss on the same key store equal values.
@@ -27,7 +27,9 @@ zeta_m^j, it is the only code that applies j: x -> x^j (gcd(j, m) = 1) is
 an automorphism of Q(zeta_m), so a value is zero at zeta_m^j exactly when
 it is at zeta_m.
 Zero tests reduce nothing (phi_power_divides), and _field_witness is the
-one field verdict.  A product of factors (1 - q^s)^(+-1), such as a
+one field verdict.  The orbit suites (rootid's and taoconj) sum once per
+orbit into one memo, _orbit_values, and _orbit_failures hands sigma_j of
+each sum to the verdict.  A product of factors (1 - q^s)^(+-1), such as a
 Gaussian binomial, is evaluated at q = zeta_n + eps by _eps_product, as
 the leading term eps^v num / den with num and den plain int vectors of
 Z[x]/(x^n - 1), and _eps_congruent zero-tests each eps coefficient of its
@@ -45,7 +47,7 @@ from functools import lru_cache
 from itertools import accumulate, combinations, compress
 from math import comb, gcd, lcm, prod
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .ring import (
     Coeff,
@@ -767,7 +769,34 @@ def _field_sum(m: int, terms: Iterable[_Term], j: int = 1) -> GroupAlgebraElem:
     return GroupAlgebraElem(m, acc, den)
 
 
-def _field_witness(m: int, terms: Iterable[_Term], j: int = 1) -> Optional[str]:
-    """None if the terms sum to zero at q = zeta_m^j, else the rendered sum."""
-    acc = _field_sum(m, terms, j)
-    return None if acc.is_zero() else acc.value().render()
+def _field_witness(value: GroupAlgebraElem, target: Coeff = 0) -> Optional[str]:
+    """None if the value is zero in Q(zeta_m), else value + target rendered:
+    a check zero-tests a sum less its rational target."""
+    if value.is_zero():
+        return None
+    return (value + GroupAlgebraElem.monomial(value.m, target)).value().render()
+
+
+_Labelled = tuple[str, GroupAlgebraElem, Coeff]
+
+
+@lru_cache(maxsize=256)
+def _orbit_values(build: Callable[..., list], *key: object) -> list[_Labelled]:
+    """build(*key): the values at zeta_m that the checks of one Galois orbit
+    map, each as (label, value less its rational target, target), memoised
+    per (build, key).  The one orbit memo keeps the 256 most recently used
+    orbits; a root-sweep pass has 142."""
+    return build(*key)
+
+
+def _orbit_failures(build: Callable[..., list], key: tuple, j: int) -> Iterator[str]:
+    """'<label>: <sum>' (the sum alone for an empty label) for each value of
+    _orbit_values(build, *key) whose image under sigma_j: x -> x^j is not
+    zero, the sum rendered at zeta_m^j.  For gcd(j, m) = 1, sigma_j is an
+    automorphism of Q[x]/(x^m - 1) that maps _field_sum(m, T, 1) onto
+    _field_sum(m, T, j) entry for entry (Lang, Algebra, ch. VI section 3)
+    and fixes the rational target.  The memo is read inside the timed
+    check, so the first check of an orbit pays for the sums."""
+    for label, value, target in _orbit_values(build, *key):
+        if (shown := _field_witness(value.conjugate(j), target)) is not None:
+            yield f"{label}: {shown}" if label else shown

@@ -33,11 +33,11 @@ integer positions: their value must be rational and integral; the
 argument of floor must be rational.  q is reserved: it cannot be bound,
 not even as a sum variable.
 
-Zero tests reduce nothing: a cyclo case is zero when the _field_sum of
-lhs - rhs passes cyclotomic.phi_power_divides, and lhs - rhs mod Phi(n)^e
-in poly mode is judged by congruence._residue_witness, the one Phi_n^e
-verdict.  A value is reduced mod Phi_m only for those fallbacks, to
-render a failing case, and for the CycloElem that eval_cyclo returns.
+Zero tests reduce nothing: a cyclo case hands the _field_sum of lhs - rhs
+to cyclotomic._field_witness, the one field verdict, and lhs - rhs mod
+Phi(n)^e in poly mode is judged by congruence._residue_witness, the one
+Phi_n^e verdict.  A value is reduced mod Phi_m only for those fallbacks,
+to render a failing case, and for the CycloElem that eval_cyclo returns.
 
 One deliberate semantic: a product whose left factor has already
 evaluated to exactly zero short-circuits without evaluating the right
@@ -70,7 +70,7 @@ from math import floor, gcd
 from typing import Callable, Iterator, Optional, Union
 
 from .congruence import VerificationReport, _residue_witness, run_check
-from .cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, _unit_binomial
+from .cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, _field_witness, _unit_binomial
 from .qcomb import gaussian_binomial, legendre3, q_catalan
 from .ring import Poly, coeff_div
 from .rootid import galois_orbit
@@ -840,21 +840,21 @@ def run_corpus_entry(entry: CorpusEntry) -> VerificationReport:
             cases += 1
             field = (binding["m"], binding["j"]) if entry.mode == "cyclo" else None
             context = EvalContext(entry.mode, binding, field)  # checks gcd(j, m)
-            if field is None:
-                value = context.evaluate(diff)
-            else:  # one sum at q = zeta_m per binding of the names but j
+            if field:  # one sum at q = zeta_m per binding of the names but j
                 key = tuple(v for k, v in binding.items() if k != "j" or reads_j)
                 if key not in sums:
                     at_root = EvalContext("cyclo", binding, (field[0], 1))
                     sums[key] = at_root.evaluate(diff)
-                value = sums[key].conjugate(field[1])
-            if index is not None:
-                residue = _residue_witness(value, index(binding), entry.mod_power)
-                if residue is not None:
-                    return f"{binding}: residue {residue}"
-            elif not value.is_zero():
-                shown = value if field is None else value.value()
-                return f"{binding}: {shown.render()}"
+                shown = _field_witness(sums[key].conjugate(field[1]))
+            else:
+                value = context.evaluate(diff)
+                if index is not None:
+                    residue = _residue_witness(value, index(binding), entry.mod_power)
+                    shown = None if residue is None else f"residue {residue}"
+                else:
+                    shown = None if value.is_zero() else value.render()
+            if shown is not None:
+                return f"{binding}: {shown}"
         if not cases:
             raise ValueError(f"line {entry.line_no}: the bindings select no case")
         return None

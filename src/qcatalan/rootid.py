@@ -19,10 +19,11 @@ _field_sum writes straight into its vector, with no memo:
 
 main3n, explicit, even, odd and aux sweep whole Galois orbits.  Their term
 lists do not depend on j, so each, less its rational target, is summed
-once per orbit, at zeta_m (_orbit_sums), and the check at j maps that
-difference by sigma_j: x -> x^j and zero-tests the image: a j sweep
-re-tests sigma_j and the zero test, it does not re-derive the identity at
-a new root.
+once per orbit, at zeta_m (_orbit_sums, in the orbit memo that taoconj
+shares), and the check at j maps that difference by sigma_j: x -> x^j
+and zero-tests the image (cyclotomic._orbit_failures): a j sweep re-tests
+sigma_j and the zero test, it does not re-derive the identity at a new
+root.
 
 The rearrangement lemma (mid) is the one identity in a free variable w: its
 terms have the same shape, and it is certified by the integer Taylor series
@@ -35,13 +36,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import chain, count, islice
 from math import gcd
 from typing import Callable, Iterator, Optional
 
 from .congruence import VerificationReport, _chain_sums, run_check
-from .cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, _field_witness, _Term
+from .cyclotomic import CycloElem, _field_sum, _field_witness, _orbit_failures
+from .cyclotomic import _Labelled, _Term
 from .ring import Coeff
 
 # A suite's named term lists: (label, terms, target), the terms summing to
@@ -62,36 +63,20 @@ def _require_root(name: str, n: int, j: int, m: int) -> None:
 # one sum per Galois orbit
 
 
-@lru_cache(maxsize=64)
-def _orbit_sums(builder: _Builder, *key: object) -> list[tuple[str, GroupAlgebraElem, Coeff]]:
-    """Each list of builder(*key) minus its target, summed at q = zeta_m,
-    with its label and target: the value that each check zero-tests.  The
-    builder is the suite and key its n (or N and the parity case); the 64
-    most recently used orbits are memoised."""
-    m, named = builder(*key)
+def _orbit_sums(lists: _Builder, *key: object) -> list[_Labelled]:
+    """Each list of lists(*key) minus its target, summed at q = zeta_m,
+    with its label and target: the values that the orbit memo holds.  lists
+    is the suite's builder and key its n (or N and the parity case)."""
+    m, named = lists(*key)
     return [
         (label, _field_sum(m, terms + [(-target, 0, 0, 0)]), target)
         for label, terms, target in named
     ]
 
 
-def _orbit_failures(builder: _Builder, key: tuple, j: int) -> Iterator[str]:
-    """'<label>: <sum>' (the sum alone for an empty label), the sum at
-    q = zeta_m^j, for each list of builder(*key) that misses its target.
-
-    For gcd(j, m) = 1, sigma_j: x -> x^j is an automorphism of
-    Q[x]/(x^m - 1), and it maps _field_sum(m, T, 1) onto _field_sum(m, T, j)
-    entry for entry (Lang, Algebra, ch. VI section 3).  So the check at j is
-    sigma_j of the memoised difference at zeta_m and one zero test; sigma_j
-    fixes the rational target, which a failure adds back to render the sum.
-    The memo is read here, inside the timed check, so the first check of an
-    orbit pays for the sums.
-    """
-    for label, diff, target in _orbit_sums(builder, *key):
-        diff = diff.conjugate(j)
-        if not diff.is_zero():
-            rendered = (diff + GroupAlgebraElem.monomial(diff.m, target)).value().render()
-            yield f"{label}: {rendered}" if label else rendered
+def _orbit_witness(lists: _Builder, j: int, *key: object) -> Callable[[], Optional[str]]:
+    """The witness of an orbit check at zeta_m^j: its first failure, or None."""
+    return lambda: next(_orbit_failures(_orbit_sums, (lists, *key), j), None)
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +93,7 @@ def verify_main3n(n: int, j: int) -> VerificationReport:
     The left side is congruence._chain_sums(3n).
     """
     _require_root("n", n, j, 3 * n)
-
-    def witness() -> Optional[str]:
-        return next(_orbit_failures(_main3n_lists, (n,), j), None)
-
-    return run_check("main3n", {"n": n, "j": j}, witness)
+    return run_check("main3n", {"n": n, "j": j}, _orbit_witness(_main3n_lists, j, n))
 
 
 def _main3n_lists(n: int) -> tuple[int, _Named]:
@@ -125,11 +106,7 @@ def _main3n_lists(n: int) -> tuple[int, _Named]:
 def verify_explicit(n: int, j: int) -> VerificationReport:
     """At q = zeta_{3n}^j: sum_{k=1}^{n} 1/(1 - q^{3k-1}) = (n/3)(1 - q^n)."""
     _require_root("n", n, j, 3 * n)
-
-    def witness() -> Optional[str]:
-        return next(_orbit_failures(_explicit_lists, (n,), j), None)
-
-    return run_check("explicit", {"n": n, "j": j}, witness)
+    return run_check("explicit", {"n": n, "j": j}, _orbit_witness(_explicit_lists, j, n))
 
 
 def _explicit_lists(n: int) -> tuple[int, _Named]:
@@ -162,7 +139,7 @@ def verify_main3n_new(n: int, j: int) -> VerificationReport:
             (Fraction(-n, 3), 2 * n, 0, 0),
             (Fraction(-(3 * n + 1), 6), 4 * n, 0, 0),
         ]
-        return _field_witness(m, terms, j)
+        return _field_witness(_field_sum(m, terms, j))
 
     return run_check("main3n-new", {"n": n, "j": j}, witness)
 
@@ -201,11 +178,7 @@ def verify_even_case(N: int, j: int) -> VerificationReport:
     The witness is the first residue that is not zero, display first.
     """
     _require_root("N", N, j, 6 * N)
-
-    def witness() -> Optional[str]:
-        return next(_orbit_failures(_even_lists, (N,), j), None)
-
-    return run_check("even", {"N": N, "j": j}, witness)
+    return run_check("even", {"N": N, "j": j}, _orbit_witness(_even_lists, j, N))
 
 
 def _even_lists(N: int) -> tuple[int, _Named]:
@@ -238,11 +211,7 @@ def verify_odd_case(N: int, j: int) -> VerificationReport:
     The witness is the first residue that is not zero, display first.
     """
     _require_root("N", N, j, 6 * N - 3)
-
-    def witness() -> Optional[str]:
-        return next(_orbit_failures(_odd_lists, (N,), j), None)
-
-    return run_check("odd", {"N": N, "j": j}, witness)
+    return run_check("odd", {"N": N, "j": j}, _orbit_witness(_odd_lists, j, N))
 
 
 def _odd_lists(N: int) -> tuple[int, _Named]:
@@ -347,7 +316,7 @@ def verify_aux_properties(N: int, j: int, case: str) -> VerificationReport:
     params = {"N": N, "j": j, "even": 1 if case == "even" else 0}
 
     def witness() -> Optional[str]:
-        failures = list(_orbit_failures(_aux_lists, (N, case), j))
+        failures = list(_orbit_failures(_orbit_sums, (_aux_lists, N, case), j))
         if case == "odd" and not multiset_identity_holds(N):
             failures.append("multiset identity failed")
         return "; ".join(failures) if failures else None
@@ -454,7 +423,7 @@ def verify_pfd(kind: str) -> VerificationReport:
 
     def witness() -> Optional[str]:
         for x in _pfd_points(_PFD_POINTS):
-            residue = _field_witness(6, _pfd_terms(kind, x))
+            residue = _field_witness(_field_sum(6, _pfd_terms(kind, x)))
             if residue is not None:
                 return f"disagreement at x = {x}: {residue}"
         return None
@@ -551,7 +520,7 @@ def verify_extan(m: int, z: Fraction) -> VerificationReport:
         zinv = 1 / z
         terms = [(1, 0, k, zinv) for k in range(1, m + 1)]
         terms.append((-m / (1 - zinv**m), 0, 0, 0))
-        return _field_witness(m, terms)
+        return _field_witness(_field_sum(m, terms))
 
     return run_check("extan", params, witness)
 
@@ -569,8 +538,8 @@ def verify_trig_identity(N: int, tol: float = 1e-9) -> VerificationReport:
     """
     if N < 2:
         raise ValueError("need N >= 2")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ValueError("tolerance must be positive and finite")
 
     def witness() -> Optional[str]:
         x = math.pi / (6 * N - 3)
@@ -617,7 +586,7 @@ def verify_sawtooth(N: int, j: int, k: int) -> VerificationReport:
         if _field_sum(m, product, j).is_zero():
             return None
         diff = [(1, 0, f6, 1)] + [(-c, e, s, t) for c, e, s, t in rhs]
-        return _field_witness(m, diff, j)
+        return _field_witness(_field_sum(m, diff, j))
 
     return run_check("sawtooth", {"N": N, "j": j, "k": k}, witness)
 

@@ -2,11 +2,11 @@
 
 import dataclasses
 import random
-from math import gcd, lcm
+from math import gcd, inf, lcm, nan
 
 import pytest
 
-from qcatalan import charsum
+from qcatalan import charsum, rootid
 from qcatalan.charsum import (
     DirichletChar,
     character_group,
@@ -14,7 +14,18 @@ from qcatalan.charsum import (
     primitive_root,
     verify_taoconj,
 )
-from qcatalan.cyclotomic import CycloElem, GroupAlgebraElem, euler_phi
+from qcatalan.cyclotomic import CycloElem, GroupAlgebraElem, _orbit_values, euler_phi
+
+
+@pytest.fixture
+def fresh_orbit_memo():
+    """Empties the orbit memo before and after the test: it is keyed by the
+    orbit, not by compute_char_sums, so a check under a patched
+    compute_char_sums would otherwise read a value that another test left
+    there, and a later test one that the patch built."""
+    _orbit_values.cache_clear()
+    yield
+    _orbit_values.cache_clear()
 
 
 def _crt_value_exponent(chi, a, data):
@@ -223,7 +234,7 @@ def test_taoconj_float_matches_exact():
             assert exact.passed == approx.passed == True  # noqa: E712
 
 
-def test_taoconj_failure_renders_the_field_product(monkeypatch):
+def test_taoconj_failure_renders_the_field_product(monkeypatch, fresh_orbit_memo):
     # perturb S1 by 1: the witness is S1'*T1 + S2*T2 built by CycloElem
     # arithmetic from chi's values, reduced mod Phi_L
     real = charsum.compute_char_sums
@@ -337,7 +348,8 @@ def _orbit_mismatches(bound):
     for N, chi in _sweep_characters(bound):
         rep, b = charsum._orbit_rep(chi)
         assert rep in _galois_orbit(chi)
-        got = charsum._orbit_combo(compute_char_sums, N, rep).conjugate(b)
+        [(_, combo, _)] = _orbit_values(charsum._orbit_combo, N, rep)
+        got = combo.conjugate(b)
         sums = compute_char_sums(N, chi)
         want = sums.s1 * sums.t1 + sums.s2 * sums.t2
         if (got.vec, got.den) != (want.vec, want.den):
@@ -366,39 +378,44 @@ def test_orbit_map_without_b_one_mod_three_fails_the_oracle(monkeypatch):
     assert bad and bad[0][0] == 5
 
 
-def test_orbit_memo_sums_once_per_orbit(monkeypatch):
-    assert charsum._orbit_combo.cache_info().maxsize == 64
-    calls = []
-    real = charsum.compute_char_sums
+def test_orbit_memo_sums_once_per_orbit(monkeypatch, fresh_orbit_memo):
+    # the orbit suites of a root-sweep pass (the five rootid suites to
+    # n, N <= 20 and 9, and taoconj below modulus 40) share one memo that
+    # holds all of their orbits: a second pass builds no orbit value, and
+    # float mode maps the same values
+    built = {"rootid": 0, "taoconj": 0}
 
-    def counted(N, chi):
-        calls.append(chi)
-        return real(N, chi)
+    def counted(kind, real):
+        def wrapper(*args):
+            built[kind] += 1
+            return real(*args)
 
-    monkeypatch.setattr(charsum, "compute_char_sums", counted)
+        return wrapper
+
+    monkeypatch.setattr(rootid, "_orbit_sums", counted("rootid", rootid._orbit_sums))
+    monkeypatch.setattr(charsum, "compute_char_sums", counted("taoconj", compute_char_sums))
+    checks = []
+    for n in range(1, 21):
+        js = rootid.galois_orbit(3 * n)
+        checks += [(rootid.verify_main3n, (n, j)) for j in js]
+        checks += [(rootid.verify_explicit, (n, j)) for j in js]
+    for N in range(1, 10):
+        for case, m in (("even", 6 * N), ("odd", 6 * N - 3)):
+            run = getattr(rootid, f"verify_{case}_case")
+            checks += [(run, (N, j)) for j in rootid.galois_orbit(m)]
+            aux = rootid.verify_aux_properties
+            checks += [(aux, (N, j, case)) for j in rootid.galois_orbit(m)]
     sweep = _sweep_characters(40)
     assert len(sweep) == 214
     assert len({_galois_orbit(chi) for _, chi in sweep}) == 86
-    # each modulus holds at most 36 orbits, so a repeat of its characters
-    # right after them finds every orbit in the memo
-    for m in range(5, 40, 2):
-        if m % 3:
-            chars = [(N, chi) for N, chi in sweep if chi.modulus == m]
-            before = len(calls)
-            for N, chi in chars:
-                assert verify_taoconj(N, chi).passed
-            first = len(calls) - before
-            assert first == len({_galois_orbit(chi) for _, chi in chars}), m
-            for N, chi in chars:
-                assert verify_taoconj(N, chi).passed
-            assert len(calls) == before + first, m
-    assert len(calls) == 86
-    assert charsum._orbit_combo.cache_info().currsize <= 64
-    # float mode maps the same orbit values: a float repeat of the modulus
-    # just swept finds every orbit in the memo
-    for N, chi in chars:
+    checks += [(verify_taoconj, (N, chi)) for N, chi in sweep]
+    for _ in range(2):
+        for run, args in checks:
+            assert run(*args).passed, (run.__name__, args)
+        assert built == {"rootid": 76, "taoconj": 86}
+    for N, chi in sweep:
         assert verify_taoconj(N, chi, "float").passed
-    assert len(calls) == 86
+    assert built == {"rootid": 76, "taoconj": 86}
 
 
 def test_taoconj_validates_before_the_orbit_memo(monkeypatch):
@@ -407,7 +424,7 @@ def test_taoconj_validates_before_the_orbit_memo(monkeypatch):
 
     monkeypatch.setattr(charsum, "_orbit_rep", unreachable)
     chi5, chi9 = character_group(5)[1], character_group(9)[1]
-    size = charsum._orbit_combo.cache_info().currsize
+    size = _orbit_values.cache_info().currsize
     for mode in ("exact", "float"):
         with pytest.raises(ValueError, match="need N >= 2"):
             verify_taoconj(1, chi5, mode)
@@ -415,4 +432,8 @@ def test_taoconj_validates_before_the_orbit_memo(monkeypatch):
             verify_taoconj(5, chi9, mode)
         with pytest.raises(ValueError, match="character modulus must equal 2N-1"):
             verify_taoconj(4, chi5, mode)
-    assert charsum._orbit_combo.cache_info().currsize == size
+        # a tolerance outside (0, inf) would fail a true identity in float mode
+        for tol in (-1, 0, nan, inf):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                verify_taoconj(3, chi5, mode, tol)
+    assert _orbit_values.cache_info().currsize == size

@@ -454,9 +454,14 @@ def test_lucas_honours_n(capsys):
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]
     assert reports and all(r["params"]["n"] == 5 for r in reports)
-    # the tuples are drawn for n <= 30, so n = 50 selects nothing
-    code, out, err = run_cli(["verify", "lucas", "--n", "50"], capsys)
-    assert code == 3 and out == "" and "no checks" in err
+    # the tuples are drawn for n <= max(n_max, N), so an n above the
+    # default n_max = 30 is checked too, and one below it draws as before
+    code, out, _ = run_cli(["verify", "lucas", "--n", "50", "--json"], capsys)
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert reports and all(r["params"]["n"] == 50 for r in reports)
+    code, out, _ = run_cli(["verify", "lucas", "--n", "20", "--json"], capsys)
+    assert code == 0 and len(out.splitlines()) == 20
 
 
 def test_raising_check_is_reported_and_the_run_goes_on(monkeypatch, capsys):

@@ -570,7 +570,7 @@ def test_field_sum_matches_field_arithmetic():
     # random term lists c q^e / (1 - t q^s) at q = x^j against CycloElem
     # arithmetic on x^(je) / (1 - t x^(js)), with exponents outside [0, m),
     # zero coefficients among the terms and a random j coprime to m
-    rng, jrng = random.Random(1515), random.Random(1516)
+    rng, jrng, trng = random.Random(1515), random.Random(1516), random.Random(1517)
     for _ in range(120):
         m = rng.randint(1, 60)
         j = jrng.choice([j for j in range(1, m + 1) if gcd(j, m) == 1])
@@ -597,11 +597,19 @@ def test_field_sum_matches_field_arithmetic():
         assert acc.den == den, (m, j, terms)
         assert acc.value() == oracle, (m, j, terms)
         assert acc.is_zero() == oracle.is_zero()
-        # the field verdict: None on a zero sum, else the rendered value
+        # the field verdict: None on a zero sum, else the rendered value;
+        # with a target, the sum less the target is tested and the sum shown
         want = None if oracle.is_zero() else oracle.render()
-        assert _field_witness(m, terms, j) == want, (m, j, terms)
+        assert _field_witness(acc) == want, (m, j, terms)
         negated = [(-c, e, s, t) for c, e, s, t in terms]
-        assert _field_witness(m, terms + negated, j) is None, (m, j, terms)
+        assert _field_witness(_field_sum(m, terms + negated, j)) is None, (m, j, terms)
+        target = Fraction(trng.randint(-3, 3), trng.randint(1, 3))
+        less = _field_sum(m, terms + [(-target, 0, 0, 0)], j)
+        want = None if (oracle - one * target).is_zero() else oracle.render()
+        assert _field_witness(less, target) == want, (m, j, terms, target)
+        assert _field_witness(_field_sum(m, terms, j), target) == (
+            None if oracle.is_zero() else (oracle + one * target).render()
+        ), (m, j, terms, target)
 
 
 def _admits(kind, m, s):

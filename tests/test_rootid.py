@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from qcatalan.cyclotomic import CycloElem, GroupAlgebraElem, _field_sum
+from qcatalan.cyclotomic import CycloElem, GroupAlgebraElem, _field_sum, _orbit_values
 from qcatalan.rootid import (
     compute_auxiliaries,
     galois_orbit,
@@ -31,17 +31,17 @@ from qcatalan.rootid import _mid_lhs_terms, _mid_rhs_terms
 @pytest.fixture
 def patch_terms(monkeypatch):
     """monkeypatch.setattr on rootid (a term builder, _aux_rows, ...) that
-    empties the orbit-sum memo first, so no check reads a sum that another
+    empties the orbit memo first, so no check reads a sum that another
     test, or another patch, left there; the memo is emptied again after the
     test, so none of the patched sums outlives it."""
 
     def patch(name, value):
-        rootid._orbit_sums.cache_clear()
+        _orbit_values.cache_clear()
         monkeypatch.setattr(rootid, name, value)
 
-    rootid._orbit_sums.cache_clear()
+    _orbit_values.cache_clear()
     yield patch
-    rootid._orbit_sums.cache_clear()
+    _orbit_values.cache_clear()
 
 
 def test_root_context_validation():
@@ -231,8 +231,8 @@ def _term_value(m, term):
 def test_dropped_term_is_caught_with_exact_witness(patch_terms):
     # every field suite, with the first term of a list it sums left out,
     # fails with minus that term as its residue, under its own prefix; the
-    # orbit suites lose it in their builder, the others in _field_witness
-    real, dropped = rootid._field_witness, []
+    # orbit suites lose it in their builder, the others in _field_sum
+    real, dropped = rootid._field_sum, []
 
     def drop_first(m, terms, j=1):
         c, e, s, t = terms[0]
@@ -255,7 +255,6 @@ def test_dropped_term_is_caught_with_exact_witness(patch_terms):
 
         return wrapper
 
-    patch_terms("_field_witness", drop_first)
     pfd = "disagreement at x = 2: {}"
     cases = [
         (lambda: verify_main3n(3, 2), ["{}"], "_main3n_lists", 2),
@@ -281,6 +280,8 @@ def test_dropped_term_is_caught_with_exact_witness(patch_terms):
     ]
     builders = {name: getattr(rootid, name) for _, _, name, _ in cases if name}
     for run, prefixes, builder, j in cases:
+        # the orbit suites' _orbit_sums reads rootid._field_sum too
+        patch_terms("_field_sum", real if builder else drop_first)
         if builder:
             patch_terms(builder, dropping(builders[builder], prefixes, j))
         dropped.clear()
@@ -317,8 +318,7 @@ def test_each_suite_hands_its_root_exponent_to_the_field_sum(monkeypatch, patch_
         seen["conjugate"].append(j)
         return real_conjugate(self, j)
 
-    for name in ("_field_sum", "_field_witness"):
-        patch_terms(name, summing(getattr(cyclotomic, name)))
+    patch_terms("_field_sum", summing(cyclotomic._field_sum))
     monkeypatch.setattr(GroupAlgebraElem, "conjugate", conjugating)
     cases = [
         (5, lambda j: verify_main3n(4, j), "conjugate"),
@@ -361,7 +361,7 @@ def test_orbit_sums_map_onto_the_sum_at_each_root(patch_terms):
     targets = set()
     for builder, key in _orbit_keys(10):
         m, named = builder(*key)
-        sums = rootid._orbit_sums(builder, *key)
+        sums = _orbit_values(rootid._orbit_sums, builder, *key)
         assert [label for label, _, _ in sums] == [label for label, _, _ in named]
         for j in galois_orbit(m):
             for (label, terms, target), (_, acc, memo_target) in zip(named, sums):
@@ -377,11 +377,16 @@ def test_orbit_sums_map_onto_the_sum_at_each_root(patch_terms):
 
 
 def test_orbit_memo_is_bounded(patch_terms):
-    # a sweep over more orbits than the memo holds keeps at most maxsize sums
-    size = rootid._orbit_sums.cache_info().maxsize
+    # a sweep over more orbits than the memo holds keeps at most maxsize
+    # sums; each explicit list is replaced by a zero sum of two monomials,
+    # so that the sweep to n = 266 (m = 798) stays cheap
+    size = _orbit_values.cache_info().maxsize
+    assert size == 256
+    zero = [(1, 0, 0, 0), (-1, 0, 0, 0)]
+    patch_terms("_explicit_lists", lambda n: (3 * n, [("", zero, 0)]))
     for n in range(1, size + 11):
         assert verify_explicit(n, 1).passed, n
-    info = rootid._orbit_sums.cache_info()
+    info = _orbit_values.cache_info()
     assert info.misses == size + 10 and info.currsize == size
 
 
@@ -582,6 +587,18 @@ def test_trig():
 
     x = math.pi / 9
     assert abs(1 / math.sin(2 * x) + 1 / math.tan(2 * x) - 1 / math.tan(x)) < 1e-14
+
+
+def test_trig_rejects_a_tolerance_outside_zero_to_inf(monkeypatch):
+    # a tolerance of 0 or below, or nan, would fail the true identity, and
+    # inf would pass any sum; each is refused before any check runs
+    def unreachable(*args):
+        raise AssertionError("check run with a rejected tolerance")
+
+    monkeypatch.setattr(rootid, "run_check", unreachable)
+    for tol in (-1, 0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verify_trig_identity(5, tol)
 
 
 def test_sawtooth():

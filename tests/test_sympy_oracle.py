@@ -36,6 +36,7 @@ from qcatalan.congruence import (
     verify_main_theorem,
     verify_row_qbinom_congruence,
 )
+from qcatalan.cyclotomic import _orbit_values
 from qcatalan.ring import Poly
 from qcatalan.rootid import (
     verify_aux_properties,
@@ -194,7 +195,7 @@ def _shift_target(i):
 @pytest.fixture
 def patch_builder(monkeypatch):
     """patch(name, change) replaces the rootid builder `name` by one whose
-    lists are change(lists), with the orbit-sum memo emptied before and
+    lists are change(lists), with the orbit memo emptied before and
     after, so no check reads a sum of another builder."""
 
     def patch(name, change):
@@ -204,12 +205,12 @@ def patch_builder(monkeypatch):
             m, named = real(*key)
             return m, change(named)
 
-        rootid._orbit_sums.cache_clear()
+        _orbit_values.cache_clear()
         monkeypatch.setattr(rootid, name, changed)
 
-    rootid._orbit_sums.cache_clear()
+    _orbit_values.cache_clear()
     yield patch
-    rootid._orbit_sums.cache_clear()
+    _orbit_values.cache_clear()
 
 
 def _oracle_holds(m, j, named):
