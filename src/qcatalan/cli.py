@@ -74,10 +74,11 @@ def _js(config: RunConfig, m: int) -> list[int]:
 
 
 def _lucas_tuples(config: RunConfig) -> Iterator[dict]:
-    """LUCAS_COUNT seeded tuples, n drawn from [2, max(n_max, --n)]."""
+    """LUCAS_COUNT seeded tuples, n drawn from [2, n_max] or fixed at an --n above it."""
     rng = random.Random(LUCAS_SEED)
+    top = max(2, config.n_max)
     for _ in range(LUCAS_COUNT):
-        n = rng.randint(2, max(2, config.n_max, config.n or 0))
+        n = config.n if config.n is not None and config.n > top else rng.randint(2, top)
         yield {
             "a": rng.randint(0, 4),
             "b": rng.randint(0, n - 1),

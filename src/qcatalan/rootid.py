@@ -41,8 +41,7 @@ from math import gcd
 from typing import Callable, Iterator, Optional
 
 from .congruence import VerificationReport, _chain_sums, run_check
-from .cyclotomic import CycloElem, _field_sum, _field_witness, _orbit_failures
-from .cyclotomic import _Labelled, _Term
+from .cyclotomic import CycloElem, _Labelled, _Term, _field_sum, _field_witness, _orbit_failures
 from .ring import Coeff
 
 # A suite's named term lists: (label, terms, target), the terms summing to

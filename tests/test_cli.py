@@ -450,18 +450,29 @@ def test_maj_oracle_honours_n(capsys):
 
 
 def test_lucas_honours_n(capsys):
+    from qcatalan import cli
+
     code, out, _ = run_cli(["verify", "lucas", "--n", "5", "--json"], capsys)
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]
     assert reports and all(r["params"]["n"] == 5 for r in reports)
-    # the tuples are drawn for n <= max(n_max, N), so an n above the
-    # default n_max = 30 is checked too, and one below it draws as before
+    # an n above n_max = 30 sets n in every tuple, and one below it draws
+    # as before
     code, out, _ = run_cli(["verify", "lucas", "--n", "50", "--json"], capsys)
     assert code == 0
     reports = [json.loads(line) for line in out.splitlines()]
-    assert reports and all(r["params"]["n"] == 50 for r in reports)
+    assert len(reports) == cli.LUCAS_COUNT
+    assert all(r["params"]["n"] == 50 and r["status"] == "pass" for r in reports)
     code, out, _ = run_cli(["verify", "lucas", "--n", "20", "--json"], capsys)
     assert code == 0 and len(out.splitlines()) == 20
+    # at n = 1000 the seeded draw of n alone would select no tuple
+    config = cli.RunConfig(suites=["lucas"], n=1000)
+    tuples = [params for _, params in cli.generate_tasks(config, "lucas")]
+    assert len(tuples) == cli.LUCAS_COUNT
+    assert all(p["n"] == 1000 and p["b"] < 1000 and p["d"] < 1000 for p in tuples)
+    assert len({(p["b"], p["d"]) for p in tuples}) > cli.LUCAS_COUNT // 2
+    for params in tuples[:5]:
+        assert cli.execute_task(("lucas", params, "exact", 1e-9)).passed, params
 
 
 def test_raising_check_is_reported_and_the_run_goes_on(monkeypatch, capsys):

@@ -376,15 +376,19 @@ def test_orbit_sums_map_onto_the_sum_at_each_root(patch_terms):
     assert len(targets) > 10  # N/2, N and N - 1 for each even N
 
 
-def test_orbit_memo_is_bounded(patch_terms):
+def test_orbit_memo_is_bounded(monkeypatch, patch_terms):
     # a sweep over more orbits than the memo holds keeps at most maxsize
-    # sums; each explicit list is replaced by a zero sum of two monomials,
-    # so that the sweep to n = 266 (m = 798) stays cheap
+    # sums: the explicit identity itself at j = 1 for n <= 74, then, so that
+    # the sweep to n = 266 (m = 798) stays cheap, each explicit list replaced
+    # by a zero sum of two monomials (patched without emptying the memo)
     size = _orbit_values.cache_info().maxsize
     assert size == 256
+    real = 74
+    for n in range(1, real + 1):
+        assert verify_explicit(n, 1).passed, n
     zero = [(1, 0, 0, 0), (-1, 0, 0, 0)]
-    patch_terms("_explicit_lists", lambda n: (3 * n, [("", zero, 0)]))
-    for n in range(1, size + 11):
+    monkeypatch.setattr(rootid, "_explicit_lists", lambda n: (3 * n, [("", zero, 0)]))
+    for n in range(real + 1, size + 11):
         assert verify_explicit(n, 1).passed, n
     info = _orbit_values.cache_info()
     assert info.misses == size + 10 and info.currsize == size
